@@ -145,11 +145,10 @@ def cmd_simulate(args) -> int:
     every = int(_get(cfg, "output.every", "1"))
 
     def observer(n, t, s):
-        if n % every == 0:
-            rows.append((n, t, s.norm(1.0)))
+        rows.append((n, t, s.norm(1.0)))
 
     try:
-        final = evolve(state, problem, icfg, n_steps, observer=observer)
+        final = evolve(state, problem, icfg, n_steps, observer=observer, every=every)
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -10,8 +10,9 @@ Omega = sqrt(1 - d^2/dx^2) acting as multiplication by w_j = sqrt(j^2+1):
 where F is the filtered, degree-K-truncated nonlinearity.  The filtered
 nonlinearity applies the position filter, evaluates a and g by
 trigonometric interpolation on 2K+1 nodes, forms the quasilinear product
-exactly in degree 2K (no aliasing), applies the force filter, and
-truncates back to degree K.
+on next_fast_len(3K+1) nodes, which gives its kept modes |m| <= K exactly
+(Orszag's 3/2 rule: the degree-2K product aliases only onto |m| > K),
+truncates to degree K and applies the force filter.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .problem import ProblemSpec
 from .spectral import (
     SpectralField,
     coeffs_from_samples,
+    dealiased_product,
+    derivative,
+    mode_numbers,
     omega_weights,
     pair_norm,
     synthesize_values,
@@ -69,7 +73,6 @@ class IntegratorConfig:
     tau: float
     K: int
     filter: flt.FilterSpec
-    dealias_nodes: int = 0  # 0 means the minimal exact grid 4K+1
     max_norm: float = 1e6
     tau_max: Optional[float] = None
     fsal: bool = True
@@ -82,12 +85,6 @@ class IntegratorConfig:
             raise ConfigurationError(f"tau {self.tau} exceeds guard tau_max {self.tau_max}")
         if self.K < 1:
             raise ConfigurationError("spectral degree K must be >= 1")
-        if self.dealias_nodes == 0:
-            object.__setattr__(self, "dealias_nodes", 4 * self.K + 1)
-        if self.dealias_nodes < 4 * self.K + 1:
-            raise ConfigurationError(
-                f"dealias_nodes must be >= 4K+1 = {4 * self.K + 1}, got {self.dealias_nodes}"
-            )
         if self.admissibility_policy not in ("warn", "strict", "ignore"):
             raise ConfigurationError(
                 f"unknown admissibility policy {self.admissibility_policy!r}"
@@ -106,16 +103,22 @@ class _Engine:
         self.kappa = problem.kappa
 
         w1 = omega_weights(K)
-        w2 = omega_weights(2 * K)
+        self.w2_t = w1 * w1
+        self.w4_t = self.w2_t * self.w2_t
         self.cos_t = np.cos(tau * w1)
         self.sinc_t = flt.sinc(tau * w1)
         self.wsin_t = w1 * np.sin(tau * w1)
-        self.phi_t = np.asarray(flt.phi(cfg.filter, tau * w1))
+        phi_t = np.asarray(flt.phi(cfg.filter, tau * w1))
         self.psi1_t = np.asarray(flt.psi1(cfg.filter, tau * w1))
-        self.psi1_t2 = np.asarray(flt.psi1(cfg.filter, tau * w2))
-        # exact product grid for two degree-K factors (degree-2K result)
-        self.n_prod = scipy.fft.next_fast_len(max(cfg.dealias_nodes, 4 * K + 1), real=True)
+        # position filter times (1, d/dx) and times d^2/dx^2; the d/dx row is
+        # only needed when the problem has a g(u, u_x)
+        j = mode_numbers(K).astype(float)
+        grad = np.stack((np.ones(2 * K + 1), 1j * j))
+        self.grad_t = phi_t * grad[: 1 if problem.g is None else 2]
+        self.dxx_t = phi_t * -(j * j)
         self.n_interp = 2 * K + 1
+        # 3K+1 nodes resolve modes |m| <= K of the degree-2K product exactly
+        self.n_prod = scipy.fft.next_fast_len(3 * K + 1, real=True)
 
         self._check_filter()
 
@@ -136,47 +139,35 @@ class _Engine:
 
     # -- nonlinearity -------------------------------------------------
 
-    def interp_nonlinearity(self, c: np.ndarray) -> np.ndarray:
-        """Coefficients (degree 2K) of aK(u)*u_xx + gK(u, u_x) for coefficients c of u.
+    def interpolants(self, c: np.ndarray) -> np.ndarray:
+        """Rows a_K(u) and, if the problem has one, g_K(u, u_x), for u = phi * c.
 
-        aK and gK are degree-K trigonometric interpolants of the pointwise
-        nonlinearities on the 2K+1-node grid; the quasilinear product is
-        formed exactly in degree 2K on a resolving grid.
+        a_K and g_K are the degree-K trigonometric interpolants of the
+        pointwise nonlinearities on the 2K+1-node grid; one batched
+        synthesis and one batched analysis.
         """
-        K = self.K
-        j = np.arange(-K, K + 1, dtype=float)
-        uvals = synthesize_values(c, self.n_interp)
-        avals = np.asarray(self.problem.a(uvals), dtype=float)
-        if not np.all(np.isfinite(avals)):
-            raise DivergenceError("nonlinearity a(u) overflowed")
-        a_k = coeffs_from_samples(avals, K)
-        uxx = -(j * j) * c
-        out = self._product_2k(a_k, uxx)
+        vals = synthesize_values(self.grad_t * c, self.n_interp)
+        rows = [self.problem.a(vals[0])]
         if self.problem.g is not None:
-            ux_vals = synthesize_values(1j * j * c, self.n_interp)
-            gvals = np.asarray(self.problem.g(uvals, ux_vals), dtype=float)
-            if not np.all(np.isfinite(gvals)):
-                raise DivergenceError("nonlinearity g(u, u_x) overflowed")
-            out[K : 3 * K + 1] += coeffs_from_samples(gvals, K)
-        return out
-
-    def _product_2k(self, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-        """Exact degree-2K coefficients of the product of two degree-K fields."""
-        if self.K <= 16:
-            return np.convolve(ca, cb)
-        va = synthesize_values(ca, self.n_prod)
-        vb = synthesize_values(cb, self.n_prod)
-        return coeffs_from_samples(va * vb, 2 * self.K)
+            rows.append(self.problem.g(vals[0], vals[1]))
+        f = np.asarray(rows, dtype=float)
+        if not np.all(np.isfinite(f)):
+            raise DivergenceError("nonlinearity a(u) or g(u, u_x) overflowed")
+        return coeffs_from_samples(f, self.K)
 
     def fhat(self, c: np.ndarray) -> np.ndarray:
-        """Filtered nonlinearity: force filter o interp nonlinearity o position filter.
+        """Filtered nonlinearity psi1 * P_K(a_K(phi u) (phi u)_xx + g_K(phi u, (phi u)_x)).
 
-        The force filter commutes with the degree-K truncation, so it is
-        applied after the mode cut; the coefficients are identical.
+        Four transform calls: the two of interpolants, one batched
+        synthesis of (a_K, (phi u)_xx) on the product grid, and one
+        analysis of their pointwise product keeping modes -K..K.
         """
-        f2 = self.interp_nonlinearity(self.phi_t * c)
-        K = self.K
-        return self.psi1_t * f2[K : 3 * K + 1]
+        ag = self.interpolants(c)
+        vals = synthesize_values(np.stack((ag[0], self.dxx_t * c)), self.n_prod)
+        f = coeffs_from_samples(vals[0] * vals[1], self.K)
+        if ag.shape[0] > 1:
+            f += ag[1]
+        return self.psi1_t * f
 
     # -- one step ------------------------------------------------------
 
@@ -209,7 +200,9 @@ def nonlinear_term(u: SpectralField, problem: ProblemSpec) -> SpectralField:
     """Unfiltered interpolated nonlinearity aK(u)*u_xx + gK(u,u_x), degree 2K."""
     engine = _Engine(problem, IntegratorConfig(tau=1.0, K=u.degree, filter=flt.impulse(),
                                                admissibility_policy="ignore"))
-    return SpectralField(engine.interp_nonlinearity(u.coeffs))
+    ag = engine.interpolants(u.coeffs)
+    out = dealiased_product(SpectralField(ag[0]), derivative(u, 2))
+    return out + SpectralField(ag[1]) if ag.shape[0] > 1 else out
 
 
 def filtered_nonlinear_term(
@@ -261,22 +254,26 @@ def evolve(
     cfg: IntegratorConfig,
     n_steps: int,
     observer: Optional[Callable[[int, float, StatePair], None]] = None,
+    every: int = 1,
 ) -> StatePair:
     """Iterate the one-step map n_steps times.
 
     The trailing nonlinearity evaluation of each step is reused as the
     next step's leading one when cfg.fsal is set; both modes produce
-    bit-identical trajectories.  Raises DivergenceError (with the failing
-    step index) on non-finite states and NormGuardError when the
-    position/velocity norm exceeds cfg.max_norm.
+    bit-identical trajectories.  ``observer(n, t, state)`` is called after
+    the steps n with n % every == 0 (every step by default); other steps
+    build no state object.  Raises ConfigurationError for every < 1,
+    DivergenceError (with the failing step index) on non-finite states and
+    NormGuardError when the position/velocity norm exceeds cfg.max_norm.
     """
     if n_steps < 0:
         raise ConfigurationError("n_steps must be >= 0")
+    if every < 1:
+        raise ConfigurationError(f"observer interval every must be >= 1, got {every}")
     _require_degree(state0, cfg)
     engine = _Engine(problem, cfg)
     u, ud = state0.u.coeffs.copy(), state0.udot.coeffs.copy()
-    w1 = omega_weights(cfg.K)
-    w2s = w1 * w1
+    w4, w2 = engine.w4_t, engine.w2_t
     max_sq = cfg.max_norm * cfg.max_norm
     fn = None
     for n in range(1, n_steps + 1):
@@ -287,18 +284,22 @@ def evolve(
                 f"nonlinearity overflowed at step {n} (t={n * cfg.tau:g})",
                 step=n, time=n * cfg.tau,
             ) from exc
-        if not (np.all(np.isfinite(u.view(np.float64))) and np.all(np.isfinite(ud.view(np.float64)))):
+        norm_sq = float(w4 @ (u.real**2 + u.imag**2) + w2 @ (ud.real**2 + ud.imag**2))
+        # a non-finite state makes norm_sq non-finite; a finite state may
+        # still overflow it, which is the norm guard's case below
+        if not np.isfinite(norm_sq) and not (
+            np.all(np.isfinite(u.view(np.float64))) and np.all(np.isfinite(ud.view(np.float64)))
+        ):
             raise DivergenceError(
                 f"non-finite state at step {n} (t={n * cfg.tau:g})", step=n, time=n * cfg.tau
             )
-        norm_sq = float(np.sum(w2s * w2s * np.abs(u) ** 2) + np.sum(w2s * np.abs(ud) ** 2))
         if norm_sq > max_sq:
             raise NormGuardError(
                 f"norm guard tripped at step {n} (t={n * cfg.tau:g}): "
                 f"|state| = {np.sqrt(norm_sq):.3e} > {cfg.max_norm:.3e}",
                 step=n, time=n * cfg.tau,
             )
-        if observer is not None:
+        if observer is not None and n % every == 0:
             observer(n, n * cfg.tau, StatePair(SpectralField(u), SpectralField(ud)))
     return StatePair(SpectralField(u), SpectralField(ud))
 

@@ -165,31 +165,34 @@ def _check_order(s: float) -> float:
 def synthesize_values(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Values of sum c_j e^{ijx} at n equispaced nodes (raw-array core).
 
-    Uses a half-spectrum inverse transform so the output is exactly real.
+    Transforms along the last axis, so a stack of spectra of one degree
+    goes through in one call.  Uses a half-spectrum inverse transform so
+    the output is exactly real.
     """
-    degree = (coeffs.size - 1) // 2
+    degree = (coeffs.shape[-1] - 1) // 2
     if n < 2 * degree + 1:
         raise AliasingError(
             f"{n} nodes cannot represent a degree-{degree} polynomial (need >= {2 * degree + 1})"
         )
-    half = np.zeros(n // 2 + 1, dtype=np.complex128)
-    half[: degree + 1] = coeffs[degree:]
+    half = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    half[..., : degree + 1] = coeffs[..., degree:]
     return scipy.fft.irfft(half, n=n) * n
 
 
 def coeffs_from_samples(values: np.ndarray, degree: int) -> np.ndarray:
     """Modes -degree..degree of the sampled polynomial (raw-array core).
 
-    Exact (no aliasing) when the samples come from a polynomial of the
-    given degree and len(values) >= 2*degree+1.
+    Transforms along the last axis, like synthesize_values.  Exact (no
+    aliasing) for modes |m| <= degree when the samples come from a
+    polynomial of degree D and the last axis has >= degree+D+1 samples.
     """
-    n = values.size
+    n = values.shape[-1]
     if n < 2 * degree + 1:
         raise AliasingError(f"need at least {2 * degree + 1} samples for degree {degree}")
     half = scipy.fft.rfft(values) / n
-    c = np.empty(2 * degree + 1, dtype=np.complex128)
-    c[degree:] = half[: degree + 1]
-    c[:degree] = np.conj(half[1 : degree + 1][::-1])
+    c = np.empty(values.shape[:-1] + (2 * degree + 1,), dtype=np.complex128)
+    c[..., degree:] = half[..., : degree + 1]
+    c[..., :degree] = np.conj(half[..., degree:0:-1])
     return c
 
 

@@ -219,6 +219,21 @@ class TestCli:
         assert lines[0] == "n,t,pair_norm_h2h1"
         assert len(lines) == 10  # initial row + 8 steps
 
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_simulate_rejects_nonpositive_every(self, tmp_path, capsys, every):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            "problem.name = linear\ngrid.K = 8\ntime.tau = 0.25\n"
+            "time.n_steps = 8\nfilter.kind = sinc:2\n"
+        )
+        out = tmp_path / "out"
+        code = cli_main(
+            ["simulate", "--config", str(cfg), "--out", str(out), "-o", f"output.every={every}"]
+        )
+        assert code == 1
+        assert "every" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
     def test_simulate_divergence_exit_code(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(

@@ -7,6 +7,7 @@ from qlwave.spectral import (
     GridFunction,
     SpectralField,
     apply_multiplier,
+    coeffs_from_samples,
     dealiased_product,
     derivative,
     embed,
@@ -16,6 +17,7 @@ from qlwave.spectral import (
     project,
     sobolev_norm,
     synthesize,
+    synthesize_values,
 )
 
 from conftest import hermitian_field
@@ -106,6 +108,21 @@ class TestInterpolate:
         expected = np.linalg.solve(vmat, vals.astype(complex))
         got = interpolate(GridFunction(vals), 2)
         assert np.max(np.abs(got.coeffs - expected)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 24), st.integers(1, 4), st.integers(0, 40))
+    def test_stacked_transforms_equal_row_by_row(self, seed, K, rows, extra):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([hermitian_field(rng, K).coeffs for _ in range(rows)])
+        n = 2 * K + 1 + extra
+        vals = synthesize_values(stack, n)
+        assert vals.shape == (rows, n)
+        for row, v in zip(stack, vals):
+            assert np.array_equal(v, synthesize_values(row, n))
+        back = coeffs_from_samples(vals, K)
+        assert back.shape == stack.shape
+        for v, b in zip(vals, back):
+            assert np.array_equal(b, coeffs_from_samples(v, K))
 
     @settings(max_examples=40, deadline=None)
     @given(field_strategy())
