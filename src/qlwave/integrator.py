@@ -17,6 +17,7 @@ truncates to degree K and applies the force filter.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -191,6 +192,18 @@ class _Engine:
         return u1, ud1, fn1
 
 
+@functools.lru_cache(maxsize=8)
+def _cached_engine(problem: ProblemSpec, cfg: IntegratorConfig) -> _Engine:
+    """The engine of one (problem, cfg) for the one-call entry points.
+
+    Both keys are frozen, and an engine is never mutated after it is
+    built, so repeated step() calls share one build and its admissibility
+    sampling.  A failed build (strict policy) is not cached and raises on
+    every call.
+    """
+    return _Engine(problem, cfg)
+
+
 def _require_degree(state: StatePair, cfg: IntegratorConfig):
     if state.degree != cfg.K:
         raise ConfigurationError(f"state degree {state.degree} does not match config K={cfg.K}")
@@ -198,8 +211,8 @@ def _require_degree(state: StatePair, cfg: IntegratorConfig):
 
 def nonlinear_term(u: SpectralField, problem: ProblemSpec) -> SpectralField:
     """Unfiltered interpolated nonlinearity aK(u)*u_xx + gK(u,u_x), degree 2K."""
-    engine = _Engine(problem, IntegratorConfig(tau=1.0, K=u.degree, filter=flt.impulse(),
-                                               admissibility_policy="ignore"))
+    engine = _cached_engine(problem, IntegratorConfig(tau=1.0, K=u.degree, filter=flt.impulse(),
+                                                      admissibility_policy="ignore"))
     ag = engine.interpolants(u.coeffs)
     out = dealiased_product(SpectralField(ag[0]), derivative(u, 2))
     return out + SpectralField(ag[1]) if ag.shape[0] > 1 else out
@@ -211,7 +224,7 @@ def filtered_nonlinear_term(
     """Filtered degree-K nonlinearity used inside one step."""
     if u.degree != cfg.K:
         raise ConfigurationError(f"field degree {u.degree} does not match config K={cfg.K}")
-    engine = _Engine(problem, cfg)
+    engine = _cached_engine(problem, cfg)
     return SpectralField(engine.fhat(u.coeffs))
 
 
@@ -230,7 +243,7 @@ def linear_propagator(state: StatePair, t: float) -> StatePair:
 def step(state: StatePair, problem: ProblemSpec, cfg: IntegratorConfig) -> StatePair:
     """Advance one time step with the one-step form of the scheme."""
     _require_degree(state, cfg)
-    engine = _Engine(problem, cfg)
+    engine = _cached_engine(problem, cfg)
     u1, ud1, _ = engine.step_arrays(state.u.coeffs, state.udot.coeffs)
     return StatePair(SpectralField(u1), SpectralField(ud1))
 
@@ -238,7 +251,7 @@ def step(state: StatePair, problem: ProblemSpec, cfg: IntegratorConfig) -> State
 def step_three_stage(state: StatePair, problem: ProblemSpec, cfg: IntegratorConfig) -> StatePair:
     """Advance one step in kick-rotate-kick form (algebraically identical)."""
     _require_degree(state, cfg)
-    engine = _Engine(problem, cfg)
+    engine = _cached_engine(problem, cfg)
     tau, kappa = cfg.tau, problem.kappa
     u, ud = state.u.coeffs, state.udot.coeffs
     ud_plus = ud + (0.5 * tau * kappa * engine.fhat(u) if kappa != 0.0 else 0.0)

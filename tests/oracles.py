@@ -101,6 +101,35 @@ def dense_one_step(u, ud, degree, tau, kappa, label, c, a, g):
     return u1, ud1
 
 
+def dense_l_operator(u, v, ku, kv, ka, tau, kappa, label, c, a):
+    """L(u) applied to v, dense route; modes -kv..kv of the result.
+
+    a(u) is interpolated at degree ka through 2*ka+1 direct samples of u,
+    and the three products by it are exact coefficient convolutions.
+    """
+    phi_fn, _ = filter_functions(label, c)
+
+    def weights(degree):
+        return [math.sqrt(j * j + 1.0) for j in range(-degree, degree + 1)]
+
+    uvals = dense_synthesize(u, ku, 2 * ka + 1)
+    a_k = dense_interpolate([a(x) for x in uvals], ka)
+    t1 = [phi_fn(tau * w) * x for w, x in zip(weights(kv), v)]
+    cos_t1 = [math.cos(tau * w) * x for w, x in zip(weights(kv), t1)]
+    branch_a = dense_convolution(a_k, cos_t1)
+    inner = dense_convolution(a_k, t1)
+    damped = [
+        math.sin(tau * w) ** 2 * phi_fn(tau * w) ** 2 * x
+        for w, x in zip(weights(ka + kv), inner)
+    ]
+    branch_b = dense_convolution(a_k, damped)
+    return [
+        phi_fn(tau * w)
+        * (kappa * branch_a[j + ka + kv] - 0.25 * kappa * kappa * branch_b[j + 2 * ka + kv])
+        for j, w in zip(range(-kv, kv + 1), weights(kv))
+    ]
+
+
 def quadrature_inner_product(values_a, values_b):
     """Mean-value quadrature of (1/2pi) integral a*b dx, exact above Nyquist."""
     return float(np.mean(np.asarray(values_a) * np.asarray(values_b)))

@@ -1,29 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlwave.energy import (
+    _LOperator,
     apply_l_operator,
     apply_position_filter,
     energy_change_residual,
     modified_energy,
     positivity_check,
+    positivity_eigen_margin,
+    positivity_probes,
     u_term,
 )
 from qlwave.exceptions import ConfigurationError, PreconditionError
 from qlwave.filters import grimm_hochbruck, hairer_lubich, impulse, psi1, sinc_c
 from qlwave.integrator import IntegratorConfig, StatePair
-from qlwave.problem import ProblemSpec, model_problem, power_law_initial_data
+from qlwave.problem import ProblemSpec, ellipticity_report, model_problem, power_law_initial_data
 from qlwave.spectral import (
     SpectralField,
     derivative,
     inner_product,
     omega_weights,
     pair_norm,
+    sobolev_norm,
     synthesize_values,
 )
 
 from conftest import hermitian_field
-from oracles import quadrature_inner_product
+from oracles import dense_l_operator, quadrature_inner_product
 
 ADMISSIBLE = (hairer_lubich(), grimm_hochbruck(), sinc_c(2.0), sinc_c(3.0))
 
@@ -166,6 +171,33 @@ class TestLOperator:
                 rhs = inner_product(apply_l_operator(uf, exx, p, cfg), exx, s=0.0)
                 assert abs(lhs - rhs) <= 1e-11 * (1.0 + abs(lhs))
 
+    @pytest.mark.parametrize("spec", ADMISSIBLE + (impulse(),), ids=lambda f: f.label)
+    @pytest.mark.parametrize("ku,kv,ka", [(1, 1, 1), (6, 6, 6), (16, 16, 16), (5, 9, 5),
+                                          (9, 4, 9), (6, 6, 11), (4, 12, 7)])
+    def test_matches_dense_oracle(self, rng, spec, ku, kv, ka):
+        p = quasilinear_only(0.8, a=lambda x: x + 0.5 * x * x)
+        cfg = IntegratorConfig(tau=0.3, K=ku, filter=spec, admissibility_policy="ignore")
+        u, v = hermitian_field(rng, ku), hermitian_field(rng, kv)
+        got = apply_l_operator(u, v, p, cfg, a_degree=ka).coeffs
+        want = np.array(dense_l_operator(u.coeffs, v.coeffs, ku, kv, ka, cfg.tau, p.kappa,
+                                         spec.kind, spec.c, p.a))
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 12), st.integers(0, 6),
+           st.integers(1, 5), st.sampled_from(ADMISSIBLE))
+    def test_stacked_rows_equal_single_rows(self, seed, ku, kv, extra, rows, spec):
+        rng = np.random.default_rng(seed)
+        p = model_problem(1.0)
+        cfg = IntegratorConfig(tau=0.2, K=ku, filter=spec)
+        u = hermitian_field(rng, ku)
+        op = _LOperator(u, p, cfg, ku + extra, kv)
+        stack = np.stack([hermitian_field(rng, kv).coeffs for _ in range(rows)])
+        out = op.apply(stack)
+        for v, row in zip(stack, out):
+            alone = apply_l_operator(u, SpectralField(v), p, cfg, a_degree=ku + extra).coeffs
+            assert np.array_equal(row, alone)
+
     def test_identity_fails_without_sinc_compatibility(self, rng):
         K = 12
         p = model_problem(1.0)
@@ -217,6 +249,79 @@ class TestPositivity:
             positivity_check(u, p, cfg, n_samples=5, delta=3.9, a0=10.0)
         with pytest.raises(PreconditionError, match="A0"):
             positivity_check(u, p, cfg, n_samples=5, delta=0.2, a0=0.01)
+
+    def test_negative_sample_count_rejected(self):
+        p = model_problem(1.0)
+        u, _ = power_law_initial_data(4)
+        cfg = IntegratorConfig(tau=0.1, K=4, filter=sinc_c(2.0))
+        with pytest.raises(ConfigurationError, match="probes"):
+            positivity_check(u, p, cfg, n_samples=-1)
+        with pytest.raises(ConfigurationError, match="probes"):
+            positivity_probes(u, p, cfg, -1, 0.5)
+
+    def test_blocked_probes_match_per_probe_margins(self):
+        # criterion 8's setup; the reference redraws each probe as the
+        # per-probe loop did and applies L to it alone
+        K = 64
+        p = model_problem(1.0)
+        u0, _ = power_law_initial_data(K)
+        cfg = IntegratorConfig(tau=1e-3, K=K, filter=sinc_c(2.0))
+        delta = ellipticity_report(p, u0).delta_est
+        got = list(positivity_probes(u0, p, cfg, 1000, delta, np.random.default_rng(8)))
+
+        rng = np.random.default_rng(8)
+        uf = apply_position_filter(u0, cfg)
+        want = [("mode-cos-0", SpectralField.from_dict(K, {0: 1.0}))]
+        for j in range(1, K + 1):
+            want.append((f"mode-cos-{j}", SpectralField.from_dict(K, {j: 0.5})))
+            want.append((f"mode-sin-{j}", SpectralField.from_dict(K, {j: -0.5j})))
+        for i in range(1000):
+            c = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
+            v = SpectralField(0.5 * (c + np.conj(c[::-1])))
+            want.append((f"random-{i:04d}", SpectralField(v.coeffs / sobolev_norm(v, 0.0))))
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (_, margin), (_, v) in zip(got, want):
+            n0 = sobolev_norm(v, 0.0) ** 2
+            quad = inner_product(apply_l_operator(uf, v, p, cfg), v, s=0.0)
+            assert abs(margin - ((n0 + quad) / n0 - delta / 8.0)) <= 1e-13
+
+    def test_eigen_margin_bounds_sampled_margin(self):
+        K = 64
+        p = model_problem(1.0)
+        u0, _ = power_law_initial_data(K)
+        cfg = IntegratorConfig(tau=1e-3, K=K, filter=sinc_c(2.0))
+        delta = ellipticity_report(p, u0).delta_est
+        sampled = positivity_check(u0, p, cfg, n_samples=1000, rng=np.random.default_rng(8))
+        exact = positivity_eigen_margin(u0, p, cfg, delta)
+        assert 0.0 <= exact <= sampled + 1e-12
+
+    def test_eigen_margin_is_attained(self, rng):
+        # the worst direction of sym(M) in the cos/sin basis, fed back
+        # through apply_l_operator, has exactly the returned margin
+        K = 8
+        p = model_problem(1.0)
+        u = hermitian_field(rng, K, scale=0.3, decay=1.0)
+        cfg = IntegratorConfig(tau=0.2, K=K, filter=sinc_c(2.0))
+        delta = ellipticity_report(p, u).delta_est
+        uf = apply_position_filter(u, cfg)
+        basis = [SpectralField.from_dict(K, {0: 1.0})]
+        for j in range(1, K + 1):
+            basis += [SpectralField.from_dict(K, {j: 0.5}), SpectralField.from_dict(K, {j: -0.5j})]
+        m = np.array([[inner_product(b, apply_l_operator(uf, c, p, cfg)) for c in basis]
+                      for b in basis])
+        n = np.array([sobolev_norm(b, 0.0) ** 2 for b in basis])
+        _, vecs = np.linalg.eigh((np.diag(n) + 0.5 * (m + m.T)) / np.sqrt(np.outer(n, n)))
+        x = vecs[:, 0] / np.sqrt(n)
+        v = SpectralField(sum(xk * b.coeffs for xk, b in zip(x, basis)))
+        n0 = sobolev_norm(v, 0.0) ** 2
+        quad = inner_product(apply_l_operator(uf, v, p, cfg), v)
+        exact = positivity_eigen_margin(u, p, cfg, delta)
+        assert abs(exact - ((n0 + quad) / n0 - delta / 8.0)) <= 1e-12
+
+    def test_eigen_margin_of_zero_a(self):
+        cfg = IntegratorConfig(tau=0.1, K=8, filter=sinc_c(2.0))
+        margin = positivity_eigen_margin(SpectralField.zeros(8), zero_a_problem(), cfg, 1.0)
+        assert margin == 1.0 - 1.0 / 8.0
 
     def test_hyperbolicity_loss_rejected(self):
         p = ProblemSpec(kappa=-1.0, a=lambda u: u, g=None)

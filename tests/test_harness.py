@@ -303,6 +303,15 @@ class TestCli:
         code = cli_main(["energy-check", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert os.path.exists(out / "energy_margins.csv")
+        assert "exact eigenvalue margin" in capsys.readouterr().out
+
+    def test_energy_check_rejects_negative_probe_count(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli_main(["energy-check", "-o", "grid.K=8", "-o", "energy.probes=-1",
+                         "--out", str(out)])
+        assert code == 1
+        assert "probes must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out / "energy_margins.csv")
 
     def test_local_error_quick(self, tmp_path, capsys):
         cfg = tmp_path / "le.cfg"

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qlwave import integrator
 from qlwave.exceptions import ConfigurationError, DivergenceError, NormGuardError
 from qlwave.filters import grimm_hochbruck, hairer_lubich, impulse, phi, psi1, sinc_c
 from qlwave.integrator import (
@@ -67,6 +68,29 @@ class TestConfig:
                 IntegratorConfig(tau=0.1, K=1, filter=impulse()),
             )
         assert any("sinc-compatibility" in str(w.message) for w in caught)
+
+
+    def test_step_builds_one_engine_per_problem_and_config(self, monkeypatch):
+        builds = []
+
+        class CountingEngine(integrator._Engine):
+            def __init__(self, problem, cfg):
+                builds.append(cfg)
+                super().__init__(problem, cfg)
+
+        monkeypatch.setattr(integrator, "_Engine", CountingEngine)
+        p = quasilinear_only(1.0)
+        cfg = IntegratorConfig(tau=0.1, K=4, filter=sinc_c(2.0))
+        state = StatePair(hermitian_field(np.random.default_rng(1), 4, 0.1), SpectralField.zeros(4))
+        once = step(state, p, cfg)
+        twice = step(state, p, cfg)
+        assert len(builds) == 1
+        assert np.array_equal(once.u.coeffs, twice.u.coeffs)
+
+        strict = IntegratorConfig(tau=0.1, K=1, filter=impulse(), admissibility_policy="strict")
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                step(StatePair(COS_X, SpectralField.zeros(1)), p, strict)
 
 
 class TestNonlinearTerm:
