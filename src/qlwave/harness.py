@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -13,7 +12,7 @@ import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
-from .integrator import IntegratorConfig, StatePair, evolve
+from .integrator import IntegratorConfig, StatePair, _evolve_stack
 from .problem import ProblemSpec, power_law_initial_data
 from .reference import ReferenceConfig, error_h2h1, reference_solution, _fit_degree
 
@@ -22,18 +21,6 @@ STATUS_DIVERGED = "diverged"
 STATUS_GUARD = "guard"
 
 CSV_HEADER = ("filter", "K", "tau", "err_h2h1", "status")
-
-
-def worker_count() -> int:
-    """Bounded worker pool size; QLWAVE_THREADS overrides the default."""
-    env = os.environ.get("QLWAVE_THREADS", "")
-    if env.strip():
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigurationError(f"QLWAVE_THREADS must be an integer, got {env!r}") from exc
-        return max(1, n)
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -81,17 +68,33 @@ def _initial_state(K: int) -> StatePair:
     return StatePair(u0, ud0)
 
 
-def _run_cell(plan: ExperimentPlan, spec: flt.FilterSpec, K: int, tau: float,
+def _run_filters(plan: ExperimentPlan, K: int, tau: float) -> list:
+    """Outcomes of every filter of the plan at one (K, tau), run as one stack.
+
+    Each outcome is the final state at plan.T or the DivergenceError that
+    stopped the run.
+    """
+    cfgs = [
+        IntegratorConfig(tau=tau, K=K, filter=spec, max_norm=plan.max_norm,
+                         admissibility_policy="ignore")
+        for spec in plan.filters
+    ]
+    return _evolve_stack(_initial_state(K), plan.problem, cfgs, _n_steps(plan.T, tau))
+
+
+def _run_cell(spec: flt.FilterSpec, K: int, tau: float, outcome,
               ref: StatePair) -> ConvergenceRow:
-    cfg = IntegratorConfig(tau=tau, K=K, filter=spec, max_norm=plan.max_norm,
-                           admissibility_policy="ignore")
-    try:
-        final = evolve(_initial_state(K), plan.problem, cfg, _n_steps(plan.T, tau))
-    except NormGuardError:
+    """The sweep row of one cell from its run's outcome (see _run_filters).
+
+    A finished run is zero-extended or projected to the reference degree
+    and measured in the H^2 x H^1 norm.
+    """
+    if isinstance(outcome, NormGuardError):
         return ConvergenceRow(spec.label, K, tau, math.nan, STATUS_GUARD)
-    except DivergenceError:
+    if isinstance(outcome, DivergenceError):
         return ConvergenceRow(spec.label, K, tau, math.nan, STATUS_DIVERGED)
-    return ConvergenceRow(spec.label, K, tau, error_h2h1(final, ref), STATUS_OK)
+    err = error_h2h1(_fit_degree(outcome, ref.degree), ref)
+    return ConvergenceRow(spec.label, K, tau, err, STATUS_OK)
 
 
 def run_convergence_time(
@@ -99,9 +102,9 @@ def run_convergence_time(
 ) -> list[ConvergenceRow]:
     """Temporal convergence study: error vs tau against a same-degree reference.
 
-    Cells run on a bounded worker pool; rows are ordered by
-    (filter, K, tau) regardless of completion order, and divergent cells
-    are recorded rather than fatal.
+    All filters at one (K, tau) advance together as one stacked run; rows
+    are ordered by (filter, K, tau), and divergent cells are recorded
+    rather than fatal.
     """
     if ref_cfg is None:
         ref_cfg = ReferenceConfig()
@@ -111,16 +114,14 @@ def run_convergence_time(
         references[K] = reference_solution(
             plan.problem, _initial_state(K), plan.T, K, ref_cfg, tau_min=tau_min
         )
-    cells = [
-        (spec, K, tau)
-        for spec in plan.filters
-        for K in plan.K_list
-        for tau in sorted(plan.tau_list)
-    ]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(
-            pool.map(lambda c: _run_cell(plan, c[0], c[1], c[2], references[c[1]]), cells)
-        )
+    rows = []
+    for K in plan.K_list:
+        for tau in sorted(plan.tau_list):
+            outcomes = _run_filters(plan, K, tau)
+            rows += [
+                _run_cell(spec, K, tau, out, references[K])
+                for spec, out in zip(plan.filters, outcomes)
+            ]
     return sorted(rows, key=lambda r: (r.filter, r.K, r.tau))
 
 
@@ -130,7 +131,8 @@ def run_convergence_space(plan: ExperimentPlan, K_ref: int) -> list[ConvergenceR
     Uses the single (small) tau of the plan for every degree; each run is
     zero-extended to the reference degree and compared in the full
     H^2 x H^1 norm, so the resolved-tail truncation error is part of the
-    measurement.
+    measurement.  The per-filter references, and all filters at each
+    degree, advance as one stacked run each.
     """
     if K_ref < 4 * max(plan.K_list):
         raise ConfigurationError(
@@ -139,30 +141,18 @@ def run_convergence_space(plan: ExperimentPlan, K_ref: int) -> list[ConvergenceR
     if len(plan.tau_list) != 1:
         raise ConfigurationError("spatial sweeps use exactly one (small) tau")
     tau = plan.tau_list[0]
-    n = _n_steps(plan.T, tau)
 
-    references: dict[str, StatePair] = {}
-    for spec in plan.filters:
-        cfg = IntegratorConfig(tau=tau, K=K_ref, filter=spec, max_norm=plan.max_norm,
-                               admissibility_policy="ignore")
-        references[spec.label] = evolve(_initial_state(K_ref), plan.problem, cfg, n)
-
-    def cell(args) -> ConvergenceRow:
-        spec, K = args
-        cfg = IntegratorConfig(tau=tau, K=K, filter=spec, max_norm=plan.max_norm,
-                               admissibility_policy="ignore")
-        try:
-            final = evolve(_initial_state(K), plan.problem, cfg, n)
-        except NormGuardError:
-            return ConvergenceRow(spec.label, K, tau, math.nan, STATUS_GUARD)
-        except DivergenceError:
-            return ConvergenceRow(spec.label, K, tau, math.nan, STATUS_DIVERGED)
-        err = error_h2h1(_fit_degree(final, K_ref), references[spec.label])
-        return ConvergenceRow(spec.label, K, tau, err, STATUS_OK)
-
-    cells = [(spec, K) for spec in plan.filters for K in plan.K_list]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(cell, cells))
+    references = _run_filters(plan, K_ref, tau)
+    for ref in references:
+        if isinstance(ref, DivergenceError):
+            raise ref
+    rows = []
+    for K in plan.K_list:
+        outcomes = _run_filters(plan, K, tau)
+        rows += [
+            _run_cell(spec, K, tau, out, ref)
+            for spec, out, ref in zip(plan.filters, outcomes, references)
+        ]
     return sorted(rows, key=lambda r: (r.filter, r.K, r.tau))
 
 

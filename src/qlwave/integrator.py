@@ -17,9 +17,11 @@ truncates to degree K and applies the force filter.
 
 from __future__ import annotations
 
+import copy
 import functools
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,12 +95,23 @@ class IntegratorConfig:
 
 
 class _Engine:
-    """Precomputed multiplier tables and transform plan for one config."""
+    """Precomputed multiplier tables and transform plan for one step size.
 
-    def __init__(self, problem: ProblemSpec, cfg: IntegratorConfig):
+    Built from one config, the filter tables are 1-D and the engine steps
+    a 1-D state.  Built from a sequence of configs that share K, tau and
+    fsal, the filter tables have one row per config and the engine steps a
+    (B, 2K+1) stack whose row i runs under config i; the tau tables are
+    shared.  The same fhat and step_arrays serve both by broadcasting.
+    """
+
+    def __init__(self, problem: ProblemSpec, cfgs):
+        stacked = not isinstance(cfgs, IntegratorConfig)
+        self.cfgs = tuple(cfgs) if stacked else (cfgs,)
         self.problem = problem
-        self.cfg = cfg
+        cfg = self.cfgs[0]
         K, tau = cfg.K, cfg.tau
+        if any((c.K, c.tau, c.fsal) != (K, tau, cfg.fsal) for c in self.cfgs):
+            raise ConfigurationError("stacked configs must share K, tau and fsal")
         self.K = K
         self.tau = tau
         self.kappa = problem.kappa
@@ -109,32 +122,44 @@ class _Engine:
         self.cos_t = np.cos(tau * w1)
         self.sinc_t = flt.sinc(tau * w1)
         self.wsin_t = w1 * np.sin(tau * w1)
-        phi_t = np.asarray(flt.phi(cfg.filter, tau * w1))
-        self.psi1_t = np.asarray(flt.psi1(cfg.filter, tau * w1))
+        phi_t = np.asarray([flt.phi(c.filter, tau * w1) for c in self.cfgs])
+        self.psi1_t = np.asarray([flt.psi1(c.filter, tau * w1) for c in self.cfgs])
+        if not stacked:
+            phi_t, self.psi1_t = phi_t[0], self.psi1_t[0]
         # position filter times (1, d/dx) and times d^2/dx^2; the d/dx row is
         # only needed when the problem has a g(u, u_x)
         j = mode_numbers(K).astype(float)
-        grad = np.stack((np.ones(2 * K + 1), 1j * j))
-        self.grad_t = phi_t * grad[: 1 if problem.g is None else 2]
+        grad = np.stack((np.ones(2 * K + 1), 1j * j))[: 1 if problem.g is None else 2]
+        self.grad_t = phi_t * (grad[:, None] if stacked else grad)
         self.dxx_t = phi_t * -(j * j)
         self.n_interp = 2 * K + 1
         # 3K+1 nodes resolve modes |m| <= K of the degree-2K product exactly
         self.n_prod = scipy.fft.next_fast_len(3 * K + 1, real=True)
 
-        self._check_filter()
+        for c in self.cfgs:
+            self._check_filter(c)
 
-    def _check_filter(self):
-        if self.cfg.admissibility_policy == "ignore":
+    def take(self, rows: np.ndarray) -> "_Engine":
+        """The engine of the stack rows selected by a boolean mask."""
+        sub = copy.copy(self)
+        sub.cfgs = tuple(c for c, keep in zip(self.cfgs, rows) if keep)
+        sub.grad_t = self.grad_t[:, rows]
+        sub.dxx_t = self.dxx_t[rows]
+        sub.psi1_t = self.psi1_t[rows]
+        return sub
+
+    def _check_filter(self, cfg: IntegratorConfig):
+        if cfg.admissibility_policy == "ignore":
             return
         grid = flt.default_xi_grid(n=512, xi_max=max(4.0, 2.0 * self.tau * np.sqrt(self.K**2 + 1)))
-        report = flt.check_assumptions(self.cfg.filter, delta=0.5, a0=0.0, xi_grid=grid)
+        report = flt.check_assumptions(cfg.filter, delta=0.5, a0=0.0, xi_grid=grid)
         if report.assumption1_ok and report.assumption2_ok:
             return
         msg = (
-            f"filter {self.cfg.filter.label!r} violates the sinc-compatibility/boundedness "
+            f"filter {cfg.filter.label!r} violates the sinc-compatibility/boundedness "
             "conditions; expect step-size restrictions coupled to the spatial resolution"
         )
-        if self.cfg.admissibility_policy == "strict":
+        if cfg.admissibility_policy == "strict":
             raise ConfigurationError(msg)
         warnings.warn(msg, RuntimeWarning, stacklevel=3)
 
@@ -145,7 +170,8 @@ class _Engine:
 
         a_K and g_K are the degree-K trigonometric interpolants of the
         pointwise nonlinearities on the 2K+1-node grid; one batched
-        synthesis and one batched analysis.
+        synthesis and one batched analysis.  For a (B, 2K+1) stack c the
+        result has shape (rows, B, 2K+1).
         """
         vals = synthesize_values(self.grad_t * c, self.n_interp)
         rows = [self.problem.a(vals[0])]
@@ -153,7 +179,10 @@ class _Engine:
             rows.append(self.problem.g(vals[0], vals[1]))
         f = np.asarray(rows, dtype=float)
         if not np.all(np.isfinite(f)):
-            raise DivergenceError("nonlinearity a(u) or g(u, u_x) overflowed")
+            exc = DivergenceError("nonlinearity a(u) or g(u, u_x) overflowed")
+            # which rows of a stack overflowed, for the step loop to retire
+            exc.rows = ~np.all(np.isfinite(f), axis=(0, -1))
+            raise exc
         return coeffs_from_samples(f, self.K)
 
     def fhat(self, c: np.ndarray) -> np.ndarray:
@@ -261,6 +290,98 @@ def step_three_stage(state: StatePair, problem: ProblemSpec, cfg: IntegratorConf
     return StatePair(SpectralField(u1), SpectralField(ud1))
 
 
+def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
+                  observer=None, every: int = 1) -> list:
+    """Iterate the one-step map n_steps times from state0 under each of cfgs.
+
+    ``cfgs`` is one config, run on 1-D states, or a sequence of configs
+    sharing K, tau and fsal, run as a (B, 2K+1) stack whose row i follows
+    cfgs[i].  After each step every running row is checked, in this order,
+    for an overflowing nonlinearity, a non-finite state and the norm
+    guard; a failing row retires with its DivergenceError or
+    NormGuardError (step and time set) and the other rows go on.
+    ``observer(n, t, u, ud)`` sees the states of the running rows after the
+    steps n with n % every == 0.  Returns one outcome per row: its final
+    StatePair or the exception that retired it.
+    """
+    engine = _Engine(problem, cfgs)
+    u = np.broadcast_to(state0.u.coeffs, engine.dxx_t.shape)
+    ud = np.broadcast_to(state0.udot.coeffs, engine.dxx_t.shape)
+    tau, fsal = engine.tau, engine.cfgs[0].fsal
+    outcomes: list = [None] * len(engine.cfgs)
+    live = list(range(len(engine.cfgs)))
+    w4, w2 = engine.w4_t, engine.w2_t
+    fn = None
+
+    def retire(failed: dict) -> bool:
+        """Record the failed rows' outcomes and drop them; False when none run."""
+        nonlocal engine, u, ud, fn, live
+        keep = np.ones(len(live), dtype=bool)
+        for i, exc in failed.items():
+            outcomes[live[i]] = exc
+            keep[i] = False
+        live = [r for r, k in zip(live, keep) if k]
+        if not live:
+            return False
+        engine, u, ud = engine.take(keep), u[keep], ud[keep]
+        fn = None if fn is None else fn[keep]
+        return True
+
+    def kernel_step(n: int):
+        """Step n of the running rows, retiring those whose nonlinearity overflows."""
+        while True:
+            try:
+                return engine.step_arrays(u, ud, fn if fsal else None)
+            except DivergenceError as exc:
+                failed = {}
+                for i in np.flatnonzero(exc.rows):
+                    failed[i] = DivergenceError(
+                        f"nonlinearity overflowed at step {n} (t={n * tau:g})",
+                        step=n, time=n * tau,
+                    )
+                    failed[i].__cause__ = exc
+                if not retire(failed):
+                    return None
+
+    for n in range(1, n_steps + 1):
+        stepped = kernel_step(n)
+        if stepped is None:
+            break
+        u, ud, fn = stepped
+        u_rows, ud_rows = u.reshape(len(live), -1), ud.reshape(len(live), -1)
+        failed = {}
+        for i, cfg in enumerate(engine.cfgs):
+            ui, udi = u_rows[i], ud_rows[i]
+            max_sq = cfg.max_norm * cfg.max_norm
+            norm_sq = float(w4 @ (ui.real**2 + ui.imag**2) + w2 @ (udi.real**2 + udi.imag**2))
+            if norm_sq <= max_sq and math.isfinite(norm_sq):
+                continue
+            # a non-finite state makes norm_sq non-finite; a finite state may
+            # still overflow it, which is the norm guard's case below
+            if not math.isfinite(norm_sq) and not (
+                np.all(np.isfinite(ui.view(np.float64)))
+                and np.all(np.isfinite(udi.view(np.float64)))
+            ):
+                failed[i] = DivergenceError(
+                    f"non-finite state at step {n} (t={n * tau:g})", step=n, time=n * tau
+                )
+            elif norm_sq > max_sq:
+                failed[i] = NormGuardError(
+                    f"norm guard tripped at step {n} (t={n * tau:g}): "
+                    f"|state| = {np.sqrt(norm_sq):.3e} > {cfg.max_norm:.3e}",
+                    step=n, time=n * tau,
+                )
+        if failed and not retire(failed):
+            break
+        if observer is not None and n % every == 0:
+            observer(n, n * tau, u, ud)
+    if live:
+        u_rows, ud_rows = u.reshape(len(live), -1), ud.reshape(len(live), -1)
+        for i, row in enumerate(live):
+            outcomes[row] = StatePair(SpectralField(u_rows[i]), SpectralField(ud_rows[i]))
+    return outcomes
+
+
 def evolve(
     state0: StatePair,
     problem: ProblemSpec,
@@ -284,44 +405,11 @@ def evolve(
     if every < 1:
         raise ConfigurationError(f"observer interval every must be >= 1, got {every}")
     _require_degree(state0, cfg)
-    engine = _Engine(problem, cfg)
-    u, ud = state0.u.coeffs.copy(), state0.udot.coeffs.copy()
-    w4, w2 = engine.w4_t, engine.w2_t
-    max_sq = cfg.max_norm * cfg.max_norm
-    fn = None
-    for n in range(1, n_steps + 1):
-        try:
-            u, ud, fn = engine.step_arrays(u, ud, fn if cfg.fsal else None)
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"nonlinearity overflowed at step {n} (t={n * cfg.tau:g})",
-                step=n, time=n * cfg.tau,
-            ) from exc
-        norm_sq = float(w4 @ (u.real**2 + u.imag**2) + w2 @ (ud.real**2 + ud.imag**2))
-        # a non-finite state makes norm_sq non-finite; a finite state may
-        # still overflow it, which is the norm guard's case below
-        if not np.isfinite(norm_sq) and not (
-            np.all(np.isfinite(u.view(np.float64))) and np.all(np.isfinite(ud.view(np.float64)))
-        ):
-            raise DivergenceError(
-                f"non-finite state at step {n} (t={n * cfg.tau:g})", step=n, time=n * cfg.tau
-            )
-        if norm_sq > max_sq:
-            raise NormGuardError(
-                f"norm guard tripped at step {n} (t={n * cfg.tau:g}): "
-                f"|state| = {np.sqrt(norm_sq):.3e} > {cfg.max_norm:.3e}",
-                step=n, time=n * cfg.tau,
-            )
-        if observer is not None and n % every == 0:
-            observer(n, n * cfg.tau, StatePair(SpectralField(u), SpectralField(ud)))
-    return StatePair(SpectralField(u), SpectralField(ud))
-
-
-def with_filter(cfg: IntegratorConfig, spec: flt.FilterSpec) -> IntegratorConfig:
-    """Copy of a config with a different filter."""
-    return replace(cfg, filter=spec)
-
-
-def with_tau(cfg: IntegratorConfig, tau: float) -> IntegratorConfig:
-    """Copy of a config with a different time step."""
-    return replace(cfg, tau=tau)
+    watch = None
+    if observer is not None:
+        def watch(n, t, u, ud):
+            observer(n, t, StatePair(SpectralField(u), SpectralField(ud)))
+    [outcome] = _evolve_stack(state0, problem, cfg, n_steps, watch, every)
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .exceptions import ConfigurationError
 from .spectral import SpectralField, mode_numbers, synthesize_values
@@ -117,6 +116,8 @@ def _refine_extrema(fn, xs: np.ndarray, vals: np.ndarray, sign: float) -> float:
     bracketing interval, so the result is grid-independent once the grid
     resolves all oscillations.
     """
+    from scipy.optimize import minimize_scalar  # slow to import; only this needs it
+
     n = xs.size
     f = sign * vals
     best = float(np.min(f))

@@ -9,13 +9,13 @@ cross-check against an independently filtered run.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError, ReferenceFailure
-from .integrator import IntegratorConfig, StatePair, evolve, step, with_filter, with_tau
+from .integrator import IntegratorConfig, StatePair, evolve, step
 from .problem import ProblemSpec
 from .spectral import embed, pair_norm, project, sobolev_norm
 
@@ -79,10 +79,10 @@ def reference_solution(
     tau_ref = T / n_ref
     if base_cfg is None:
         base_cfg = IntegratorConfig(tau=tau_ref, K=degree, filter=flt.sinc_c(2.0))
-    cfg = with_tau(with_filter(base_cfg, flt.sinc_c(2.0)), tau_ref)
+    cfg = replace(base_cfg, filter=flt.sinc_c(2.0), tau=tau_ref)
 
     coarse = evolve(state0, problem, cfg, n_ref)
-    fine = evolve(state0, problem, with_tau(cfg, 0.5 * tau_ref), 2 * n_ref)
+    fine = evolve(state0, problem, replace(cfg, tau=0.5 * tau_ref), 2 * n_ref)
     drift = error_h2h1(coarse, fine)
     scale = max(fine.norm(1.0), 1.0)
     if drift > ref_cfg.self_check_rtol * scale:
@@ -91,7 +91,7 @@ def reference_solution(
             f"(> {ref_cfg.self_check_rtol:.1e} x |state| = {ref_cfg.self_check_rtol * scale:.3e})"
         )
     if ref_cfg.cross_check:
-        other = evolve(state0, problem, with_filter(cfg, flt.grimm_hochbruck()), n_ref)
+        other = evolve(state0, problem, replace(cfg, filter=flt.grimm_hochbruck()), n_ref)
         cross = error_h2h1(coarse, other)
         if cross > 10.0 * max(drift, np.finfo(float).eps * scale):
             warnings.warn(

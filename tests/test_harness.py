@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qlwave.cli import cli_main
-from qlwave.exceptions import ConfigurationError, EstimationError
-from qlwave.filters import impulse, sinc_c
+from qlwave.exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
+from qlwave.filters import grimm_hochbruck, hairer_lubich, impulse, sinc_c
 from qlwave.harness import (
     CSV_HEADER,
     ConvergenceRow,
@@ -16,11 +16,12 @@ from qlwave.harness import (
     estimate_spatial_order,
     run_convergence_space,
     run_convergence_time,
-    worker_count,
     write_rows_csv,
 )
-from qlwave.problem import linear_problem, model_problem
-from qlwave.reference import ReferenceConfig
+from qlwave.integrator import IntegratorConfig, StatePair, evolve
+from qlwave.problem import linear_problem, model_problem, power_law_initial_data
+from qlwave.reference import ReferenceConfig, error_h2h1, reference_solution
+from qlwave.spectral import embed
 
 
 def linear_plan(**kw):
@@ -110,15 +111,56 @@ class TestSweeps:
         rows = run_convergence_time(plan, ReferenceConfig(refine_factor=2, self_check_rtol=np.inf))
         assert all(r.status == "guard" for r in rows)
 
-    def test_thread_count_does_not_change_rows(self, monkeypatch):
-        results = {}
-        for n in ("1", "3"):
-            monkeypatch.setenv("QLWAVE_THREADS", n)
-            assert worker_count() == int(n)
-            results[n] = run_convergence_time(
-                linear_plan(filters=[sinc_c(2.0), impulse()]), ReferenceConfig(refine_factor=4)
-            )
-        assert results["1"] == results["3"]
+    def test_batched_rows_equal_per_cell_evolve(self):
+        # kappa = 1, K = 256, T = 1/2: hl trips the guard at tau = 2^-6 and
+        # 2^-7 beside ok rows; each stacked row must equal its cell run
+        # alone through evolve, error and status alike
+        plan = ExperimentPlan(
+            problem=model_problem(1.0), K_list=[256], tau_list=[2.0**-6, 2.0**-7], T=0.5,
+            filters=[sinc_c(2.0), sinc_c(3.0), hairer_lubich(), grimm_hochbruck()],
+        )
+        # a coarse reference: its accuracy is not what is compared here
+        ref_cfg = ReferenceConfig(refine_factor=2, self_check_rtol=np.inf)
+        rows = run_convergence_time(plan, ref_cfg)
+        state0 = StatePair(*power_law_initial_data(256))
+        ref = reference_solution(plan.problem, state0, plan.T, 256, ref_cfg, tau_min=2.0**-7)
+        expected = []
+        for spec in plan.filters:
+            for tau in plan.tau_list:
+                cfg = IntegratorConfig(tau=tau, K=256, filter=spec, max_norm=plan.max_norm,
+                                       admissibility_policy="ignore")
+                try:
+                    final = evolve(state0, plan.problem, cfg, round(plan.T / tau))
+                except NormGuardError:
+                    expected.append((spec.label, 256, tau, "guard", None))
+                except DivergenceError:
+                    expected.append((spec.label, 256, tau, "diverged", None))
+                else:
+                    expected.append((spec.label, 256, tau, "ok", error_h2h1(final, ref)))
+        got = [(r.filter, r.K, r.tau, r.status, r.err if r.status == "ok" else None)
+               for r in rows]
+        assert got == sorted(expected)
+        assert {r.status for r in rows} == {"ok", "guard"}
+
+    def test_batched_space_rows_equal_per_cell_evolve(self):
+        plan = ExperimentPlan(
+            problem=model_problem(0.2), K_list=[8, 16], tau_list=[2.0**-5], T=0.5,
+            filters=[sinc_c(2.0), hairer_lubich(), grimm_hochbruck(), impulse()],
+        )
+        rows = run_convergence_space(plan, K_ref=64)
+
+        def alone(K, spec):
+            cfg = IntegratorConfig(tau=2.0**-5, K=K, filter=spec, admissibility_policy="ignore")
+            return evolve(StatePair(*power_law_initial_data(K)), plan.problem, cfg, 16)
+
+        expected = []
+        for spec in plan.filters:
+            ref = alone(64, spec)
+            for K in plan.K_list:
+                final = alone(K, spec)
+                err = error_h2h1(StatePair(embed(final.u, 64), embed(final.udot, 64)), ref)
+                expected.append((spec.label, K, 2.0**-5, "ok", err))
+        assert [(r.filter, r.K, r.tau, r.status, r.err) for r in rows] == sorted(expected)
 
     def test_spatial_sweep_matches_projection_tail(self):
         # kappa = 0: the spatial error is the propagated truncation tail of

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlwave import integrator
 from qlwave.exceptions import ConfigurationError, DivergenceError, NormGuardError
@@ -379,3 +380,128 @@ class TestEvolve:
         with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
             evolve(big, p, cfg, 100)
         assert info.value.step is not None
+
+    def test_failure_messages(self):
+        rng = np.random.default_rng(7)
+        state = StatePair(hermitian_field(rng, 8, 1.0), hermitian_field(rng, 8, 1.0))
+        cfg = IntegratorConfig(tau=0.2, K=8, filter=impulse(), max_norm=1e2,
+                               admissibility_policy="ignore")
+        with pytest.raises(NormGuardError) as guard:
+            evolve(state, model_problem(1.0), cfg, 10_000)
+        assert str(guard.value) == (
+            "norm guard tripped at step 1 (t=0.2): |state| = 2.359e+03 > 1.000e+02"
+        )
+        assert (guard.value.step, guard.value.time) == (1, 0.2)
+
+        big = StatePair(SpectralField.constant(400.0, 2), SpectralField.zeros(2))
+        cfg = IntegratorConfig(tau=0.5, K=2, filter=impulse(), max_norm=np.inf,
+                               admissibility_policy="ignore")
+        with pytest.raises(DivergenceError) as over, np.errstate(all="ignore"):
+            evolve(big, model_problem(1.0), cfg, 100)
+        assert type(over.value) is DivergenceError
+        assert str(over.value) == "nonlinearity overflowed at step 4 (t=2)"
+        assert (over.value.step, over.value.time) == (4, 2.0)
+        assert str(over.value.__cause__) == "nonlinearity a(u) or g(u, u_x) overflowed"
+
+        # kappa = 0 takes no nonlinearity, so the overflowing rotation is
+        # caught by the state check
+        huge = StatePair(SpectralField.from_dict(8, {8: 5e307}), SpectralField.zeros(8))
+        cfg = IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0), max_norm=np.inf)
+        with pytest.raises(DivergenceError) as nonfinite, np.errstate(all="ignore"):
+            evolve(huge, linear_problem(), cfg, 100)
+        assert type(nonfinite.value) is DivergenceError
+        assert str(nonfinite.value) == "non-finite state at step 1 (t=0.2)"
+        assert (nonfinite.value.step, nonfinite.value.time) == (1, 0.2)
+
+
+FILTERS = (impulse(), hairer_lubich(), grimm_hochbruck(), sinc_c(2.0), sinc_c(3.0))
+
+
+def run_alone(state, problem, cfg, n_steps):
+    """evolve's final state, or the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return evolve(state, problem, cfg, n_steps)
+    except DivergenceError as exc:
+        return exc
+
+
+def assert_same_outcome(batched, alone):
+    if isinstance(alone, DivergenceError):
+        assert type(batched) is type(alone)
+        assert (batched.step, batched.time, str(batched)) == (alone.step, alone.time, str(alone))
+    else:
+        assert isinstance(batched, StatePair)
+        assert np.array_equal(batched.u.coeffs, alone.u.coeffs)
+        assert np.array_equal(batched.udot.coeffs, alone.udot.coeffs)
+
+
+class TestBatchedRuns:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 24), st.sampled_from([0.0, 0.3, 1.0]),
+           st.sampled_from([0.05, 0.2, 0.5]), st.integers(0, 25),
+           st.floats(0.1, 3.0) | st.sampled_from([1e40, 1e100, 1e307]),
+           st.lists(st.tuples(st.sampled_from(FILTERS), st.sampled_from([1e2, 1e6, np.inf])),
+                    min_size=1, max_size=5))
+    def test_rows_equal_runs_alone(self, seed, K, kappa, tau, n_steps, scale, rows):
+        # large states and small guards make rows overflow, lose finiteness
+        # or trip the guard at different steps while the others go on; an
+        # unbounded guard lets a finite state with an overflowing norm go on
+        rng = np.random.default_rng(seed)
+        state = smooth_state(rng, K, scale=scale, decay=1.0)
+        problem = model_problem(kappa) if kappa else linear_problem()
+        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec, max_norm=m,
+                                 admissibility_policy="ignore") for spec, m in rows]
+        with np.errstate(all="ignore"):
+            outcomes = integrator._evolve_stack(state, problem, cfgs, n_steps)
+        assert len(outcomes) == len(cfgs)
+        for cfg, out in zip(cfgs, outcomes):
+            assert_same_outcome(out, run_alone(state, problem, cfg, n_steps))
+
+    @pytest.mark.parametrize("amplitude,expected", [
+        # the first step overflows mode 8's velocity: every row stops
+        (5e307, [DivergenceError, DivergenceError, DivergenceError]),
+        # a finite state whose norm overflows passes an unbounded guard only
+        (1e200, [StatePair, NormGuardError, StatePair]),
+    ])
+    def test_rows_retire_independently(self, amplitude, expected):
+        state = StatePair(SpectralField.from_dict(8, {8: amplitude}), SpectralField.zeros(8))
+        cfgs = [IntegratorConfig(tau=0.2, K=8, filter=spec, max_norm=m)
+                for spec, m in ((sinc_c(2.0), np.inf), (sinc_c(2.0), 1e6),
+                                (grimm_hochbruck(), np.inf))]
+        with np.errstate(all="ignore"):
+            outcomes = integrator._evolve_stack(state, linear_problem(), cfgs, 5)
+        assert [type(o) for o in outcomes] == expected
+        for cfg, out in zip(cfgs, outcomes):
+            assert_same_outcome(out, run_alone(state, linear_problem(), cfg, 5))
+
+    def test_overflowing_rows_retire_alone(self):
+        # kappa = 1, tau = 1/2: the nonlinearity overflows at step 7 for
+        # impulse, hl and gh and at step 8 for sinc:2; sinc:3 stays bounded
+        u0, ud0 = power_law_initial_data(8)
+        state, problem = StatePair(u0, ud0), model_problem(1.0)
+        cfgs = [IntegratorConfig(tau=0.5, K=8, filter=spec, max_norm=np.inf,
+                                 admissibility_policy="ignore") for spec in FILTERS]
+        with np.errstate(all="ignore"):
+            outcomes = integrator._evolve_stack(state, problem, cfgs, 20)
+        assert [getattr(o, "step", None) for o in outcomes] == [7, 7, 7, 8, None]
+        for cfg, out in zip(cfgs, outcomes):
+            assert_same_outcome(out, run_alone(state, problem, cfg, 20))
+
+    def test_mixed_status_group(self):
+        # the kappa = 1 sweep cell K = 256, tau = 2^-7, T = 1/2, where hl
+        # trips the norm guard while the sinc and gh rows finish
+        u0, ud0 = power_law_initial_data(256)
+        state, problem = StatePair(u0, ud0), model_problem(1.0)
+        cfgs = [IntegratorConfig(tau=2.0**-7, K=256, filter=spec, admissibility_policy="ignore")
+                for spec in (sinc_c(2.0), sinc_c(3.0), hairer_lubich(), grimm_hochbruck())]
+        outcomes = integrator._evolve_stack(state, problem, cfgs, 64)
+        assert [type(o) for o in outcomes] == [StatePair, StatePair, NormGuardError, StatePair]
+        for cfg, out in zip(cfgs, outcomes):
+            assert_same_outcome(out, run_alone(state, problem, cfg, 64))
+
+    def test_stacked_configs_must_share_step(self):
+        cfgs = [IntegratorConfig(tau=0.1, K=4, filter=impulse()),
+                IntegratorConfig(tau=0.2, K=4, filter=impulse())]
+        with pytest.raises(ConfigurationError):
+            integrator._Engine(model_problem(1.0), cfgs)
