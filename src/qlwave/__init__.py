@@ -59,7 +59,6 @@ from .integrator import (
     linear_propagator,
     nonlinear_term,
     step,
-    step_three_stage,
 )
 from .energy import (
     EnergyReport,

@@ -13,6 +13,13 @@ trigonometric interpolation on 2K+1 nodes, forms the quasilinear product
 on next_fast_len(3K+1) nodes, which gives its kept modes |m| <= K exactly
 (Orszag's 3/2 rule: the degree-2K product aliases only onto |m| > K),
 truncates to degree K and applies the force filter.
+
+The step kernel tabulates each multiplier once per step size together
+with the scalar factors written before it (tau*sinc, tau^2/2*kappa*sinc,
+-Om*sin, tau/2*kappa*cos), each product formed in the order the formulas
+above are written.  A step is then a dozen array operations besides the
+two nonlinearities, and rounds exactly as the formulas evaluated left to
+right.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -94,6 +103,19 @@ class IntegratorConfig:
             )
 
 
+def _caller_stacklevel() -> int:
+    """The warnings stacklevel, seen from our caller, of the first frame outside qlwave.
+
+    The frames in between vary with the entry point (evolve, step, the
+    sweeps, the CLI), so a fixed stacklevel would blame qlwave's own lines.
+    """
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 class _Engine:
     """Precomputed multiplier tables and transform plan for one step size.
 
@@ -119,9 +141,14 @@ class _Engine:
         w1 = omega_weights(K)
         self.w2_t = w1 * w1
         self.w4_t = self.w2_t * self.w2_t
+        # multipliers times their leading scalar factors (module docstring)
+        sinc_t = flt.sinc(tau * w1)
         self.cos_t = np.cos(tau * w1)
-        self.sinc_t = flt.sinc(tau * w1)
-        self.wsin_t = w1 * np.sin(tau * w1)
+        self.tsinc_t = tau * sinc_t
+        self.ksinc_t = 0.5 * tau * tau * self.kappa * sinc_t
+        self.mwsin_t = -(w1 * np.sin(tau * w1))
+        self.kcos_t = 0.5 * tau * self.kappa * self.cos_t
+        self.khalf = 0.5 * tau * self.kappa
         phi_t = np.asarray([flt.phi(c.filter, tau * w1) for c in self.cfgs])
         self.psi1_t = np.asarray([flt.psi1(c.filter, tau * w1) for c in self.cfgs])
         if not stacked:
@@ -161,7 +188,7 @@ class _Engine:
         )
         if cfg.admissibility_policy == "strict":
             raise ConfigurationError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        warnings.warn(msg, RuntimeWarning, stacklevel=_caller_stacklevel())
 
     # -- nonlinearity -------------------------------------------------
 
@@ -178,11 +205,15 @@ class _Engine:
         if self.problem.g is not None:
             rows.append(self.problem.g(vals[0], vals[1]))
         f = np.asarray(rows, dtype=float)
-        if not np.all(np.isfinite(f)):
-            exc = DivergenceError("nonlinearity a(u) or g(u, u_x) overflowed")
-            # which rows of a stack overflowed, for the step loop to retire
-            exc.rows = ~np.all(np.isfinite(f), axis=(0, -1))
-            raise exc
+        # a finite sum proves every sample finite; only a non-finite sum,
+        # which finite samples can also reach by overflow, needs the scan
+        if not math.isfinite(f.sum()):
+            finite = np.all(np.isfinite(f), axis=(0, -1))
+            if not np.all(finite):
+                exc = DivergenceError("nonlinearity a(u) or g(u, u_x) overflowed")
+                # which rows of a stack overflowed, for the step loop to retire
+                exc.rows = ~finite
+                raise exc
         return coeffs_from_samples(f, self.K)
 
     def fhat(self, c: np.ndarray) -> np.ndarray:
@@ -193,7 +224,7 @@ class _Engine:
         analysis of their pointwise product keeping modes -K..K.
         """
         ag = self.interpolants(c)
-        vals = synthesize_values(np.stack((ag[0], self.dxx_t * c)), self.n_prod)
+        vals = synthesize_values(np.concatenate((ag[:1], (self.dxx_t * c)[None])), self.n_prod)
         f = coeffs_from_samples(vals[0] * vals[1], self.K)
         if ag.shape[0] > 1:
             f += ag[1]
@@ -202,22 +233,21 @@ class _Engine:
     # -- one step ------------------------------------------------------
 
     def step_arrays(self, u, ud, fn=None):
-        """One step on raw coefficient arrays; returns (u', ud', F(u'))."""
-        tau, kappa = self.tau, self.kappa
-        if kappa == 0.0:
-            u1 = self.cos_t * u + tau * self.sinc_t * ud
-            ud1 = -self.wsin_t * u + self.cos_t * ud
+        """One step on raw coefficient arrays; returns (u', ud', F(u')).
+
+        Bitwise equal to the module docstring's formulas evaluated left to
+        right, e.g. ``cos*u + tau*sinc*ud + 0.5*tau*tau*kappa*sinc*F(u)``,
+        because each table holds the product of a term's leading factors.
+        """
+        if self.kappa == 0.0:
+            u1 = self.cos_t * u + self.tsinc_t * ud
+            ud1 = self.mwsin_t * u + self.cos_t * ud
             return u1, ud1, None
         if fn is None:
             fn = self.fhat(u)
-        u1 = self.cos_t * u + tau * self.sinc_t * ud + 0.5 * tau * tau * kappa * self.sinc_t * fn
+        u1 = self.cos_t * u + self.tsinc_t * ud + self.ksinc_t * fn
         fn1 = self.fhat(u1)
-        ud1 = (
-            -self.wsin_t * u
-            + self.cos_t * ud
-            + 0.5 * tau * kappa * self.cos_t * fn
-            + 0.5 * tau * kappa * fn1
-        )
+        ud1 = self.mwsin_t * u + self.cos_t * ud + self.kcos_t * fn + self.khalf * fn1
         return u1, ud1, fn1
 
 
@@ -277,19 +307,6 @@ def step(state: StatePair, problem: ProblemSpec, cfg: IntegratorConfig) -> State
     return StatePair(SpectralField(u1), SpectralField(ud1))
 
 
-def step_three_stage(state: StatePair, problem: ProblemSpec, cfg: IntegratorConfig) -> StatePair:
-    """Advance one step in kick-rotate-kick form (algebraically identical)."""
-    _require_degree(state, cfg)
-    engine = _cached_engine(problem, cfg)
-    tau, kappa = cfg.tau, problem.kappa
-    u, ud = state.u.coeffs, state.udot.coeffs
-    ud_plus = ud + (0.5 * tau * kappa * engine.fhat(u) if kappa != 0.0 else 0.0)
-    u1 = engine.cos_t * u + tau * engine.sinc_t * ud_plus
-    ud_minus = -engine.wsin_t * u + engine.cos_t * ud_plus
-    ud1 = ud_minus + (0.5 * tau * kappa * engine.fhat(u1) if kappa != 0.0 else 0.0)
-    return StatePair(SpectralField(u1), SpectralField(ud1))
-
-
 def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
                   observer=None, every: int = 1) -> list:
     """Iterate the one-step map n_steps times from state0 under each of cfgs.
@@ -308,8 +325,10 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
     u = np.broadcast_to(state0.u.coeffs, engine.dxx_t.shape)
     ud = np.broadcast_to(state0.udot.coeffs, engine.dxx_t.shape)
     tau, fsal = engine.tau, engine.cfgs[0].fsal
-    outcomes: list = [None] * len(engine.cfgs)
-    live = list(range(len(engine.cfgs)))
+    row_cfgs = engine.cfgs
+    max_sq = [c.max_norm * c.max_norm for c in row_cfgs]
+    outcomes: list = [None] * len(row_cfgs)
+    live = list(range(len(row_cfgs)))
     w4, w2 = engine.w4_t, engine.w2_t
     fn = None
 
@@ -350,11 +369,10 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
         u, ud, fn = stepped
         u_rows, ud_rows = u.reshape(len(live), -1), ud.reshape(len(live), -1)
         failed = {}
-        for i, cfg in enumerate(engine.cfgs):
+        for i, row in enumerate(live):
             ui, udi = u_rows[i], ud_rows[i]
-            max_sq = cfg.max_norm * cfg.max_norm
             norm_sq = float(w4 @ (ui.real**2 + ui.imag**2) + w2 @ (udi.real**2 + udi.imag**2))
-            if norm_sq <= max_sq and math.isfinite(norm_sq):
+            if norm_sq <= max_sq[row] and math.isfinite(norm_sq):
                 continue
             # a non-finite state makes norm_sq non-finite; a finite state may
             # still overflow it, which is the norm guard's case below
@@ -365,10 +383,10 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
                 failed[i] = DivergenceError(
                     f"non-finite state at step {n} (t={n * tau:g})", step=n, time=n * tau
                 )
-            elif norm_sq > max_sq:
+            elif norm_sq > max_sq[row]:
                 failed[i] = NormGuardError(
                     f"norm guard tripped at step {n} (t={n * tau:g}): "
-                    f"|state| = {np.sqrt(norm_sq):.3e} > {cfg.max_norm:.3e}",
+                    f"|state| = {np.sqrt(norm_sq):.3e} > {row_cfgs[row].max_norm:.3e}",
                     step=n, time=n * tau,
                 )
         if failed and not retire(failed):

@@ -10,6 +10,7 @@ pointwise-evaluable nonlinearities a and g with a(0) = 0, g(0,0) = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -103,34 +104,48 @@ class EllipticityReport:
     hyperbolicity_lost: bool
 
 
-def _pointwise(u: SpectralField, x: float) -> float:
-    j = mode_numbers(u.degree)
-    return float(np.real(np.sum(u.coeffs * np.exp(1j * j * x))))
+# golden-section shrink factor (sqrt(5) - 1) / 2, and the bracket width
+# at which _refine_extrema stops
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+_XATOL = 1e-12
 
 
-def _refine_extrema(fn, xs: np.ndarray, vals: np.ndarray, sign: float) -> float:
-    """Polish the sampled extremum of a smooth periodic function.
+def _refine_extrema(fn, xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
+    """Polished minimum and maximum of a smooth periodic function.
 
-    ``sign=+1`` refines the minimum, ``sign=-1`` the maximum.  Every local
-    sampled extremum is polished with a bounded scalar minimization on its
-    bracketing interval, so the result is grid-independent once the grid
-    resolves all oscillations.
+    ``vals`` samples ``fn`` at the equispaced nodes ``xs``.  Every local
+    sampled extremum is polished by a golden-section search on its
+    bracketing interval xs[i] +- 2*pi/n, all brackets of both kinds at
+    once (``fn`` maps an array of points to an array of values), until the
+    brackets are narrower than _XATOL.  The results are grid-independent
+    once the grid resolves all oscillations, and never worse than the best
+    samples.
     """
-    from scipy.optimize import minimize_scalar  # slow to import; only this needs it
-
     n = xs.size
-    f = sign * vals
-    best = float(np.min(f))
-    is_local = (f <= np.roll(f, 1)) & (f <= np.roll(f, -1))
-    for i in np.nonzero(is_local)[0]:
-        lo = xs[i] - 2.0 * np.pi / n
-        hi = xs[i] + 2.0 * np.pi / n
-        res = minimize_scalar(
-            lambda x: sign * fn(x), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        best = min(best, float(res.fun))
-    return sign * best
+    is_min = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
+    is_max = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+    # search for minima of sign * fn: +1 on the minima's brackets, -1 on the maxima's
+    sign = np.concatenate((np.ones(np.count_nonzero(is_min)), -np.ones(np.count_nonzero(is_max))))
+    # every bracket [lo, lo + w] has the same width w, and its inner points
+    # lo + (1 - phi) w and lo + phi w have the values fc and fd
+    w = 4.0 * np.pi / n
+    lo = np.concatenate((xs[is_min], xs[is_max])) - 0.5 * w
+    fc = sign * fn(lo + (1.0 - _INV_PHI) * w)
+    fd = sign * fn(lo + _INV_PHI * w)
+    while w > _XATOL:
+        # keep [lo, d] around the better inner point c, or [c, hi] around d;
+        # the kept point is an inner point of the new bracket (phi^2 = 1 - phi)
+        left = fc < fd
+        lo = np.where(left, lo, lo + (1.0 - _INV_PHI) * w)
+        w *= _INV_PHI
+        f_new = sign * fn(lo + np.where(left, 1.0 - _INV_PHI, _INV_PHI) * w)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    # each step keeps the better of fc and fd, so their minimum is the best
+    # value seen in the bracket
+    best = np.minimum(fc, fd)
+    low = best[sign > 0]
+    high = best[sign < 0]
+    return float(min(np.min(vals), np.min(low))), float(max(np.max(vals), -np.min(high)))
 
 
 def ellipticity_report(
@@ -149,11 +164,16 @@ def ellipticity_report(
     uvals = synthesize_values(u.coeffs, n)
     svals = problem.kappa * np.asarray(problem.a(uvals), dtype=float)
 
-    def s_of_x(x):
-        return problem.kappa * float(problem.a(np.asarray([_pointwise(u, x)]))[0])
+    # u(x) = c_0 + 2 Re sum_{j>=1} c_j e^{ijx} at arbitrary points, since
+    # c_{-j} = conj(c_j)
+    j = np.arange(u.degree + 1.0)
+    half = u.coeffs[u.degree :] * np.where(j == 0.0, 1.0, 2.0)
 
-    s_min = _refine_extrema(s_of_x, xs, svals, +1.0)
-    s_max = _refine_extrema(s_of_x, xs, svals, -1.0)
+    def s_of_x(x):
+        uvals = np.real(np.exp(np.multiply.outer(x, 1j * j)) @ half)
+        return problem.kappa * np.asarray(problem.a(uvals), dtype=float)
+
+    s_min, s_max = _refine_extrema(s_of_x, xs, svals)
     delta_est = 1.0 + s_min
     return EllipticityReport(
         delta_est=float(delta_est),

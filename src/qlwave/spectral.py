@@ -8,6 +8,13 @@ trigonometric polynomial,
 together with weighted Sobolev norms built from the weights
 w_j = sqrt(j^2 + 1).  All operations are pure functions; fields are
 immutable values.
+
+The raw-array transforms synthesize_values and coeffs_from_samples are
+the one transform pair every kernel uses.  They work along the last axis,
+so a stack of spectra goes through in one call, and hand only modes
+0..K to the real FFTs: the inverse transform zero-pads them itself, and
+the analysis slices them before scaling and mirrors them with one
+conjugate.
 """
 
 from __future__ import annotations
@@ -166,17 +173,16 @@ def synthesize_values(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Values of sum c_j e^{ijx} at n equispaced nodes (raw-array core).
 
     Transforms along the last axis, so a stack of spectra of one degree
-    goes through in one call.  Uses a half-spectrum inverse transform so
-    the output is exactly real.
+    goes through in one call.  Uses a half-spectrum inverse transform of
+    modes 0..degree, which irfft zero-pads to n//2+1 itself, so the output
+    is exactly real.
     """
     degree = (coeffs.shape[-1] - 1) // 2
     if n < 2 * degree + 1:
         raise AliasingError(
             f"{n} nodes cannot represent a degree-{degree} polynomial (need >= {2 * degree + 1})"
         )
-    half = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
-    half[..., : degree + 1] = coeffs[..., degree:]
-    return scipy.fft.irfft(half, n=n) * n
+    return scipy.fft.irfft(coeffs[..., degree:], n=n) * n
 
 
 def coeffs_from_samples(values: np.ndarray, degree: int) -> np.ndarray:
@@ -189,11 +195,8 @@ def coeffs_from_samples(values: np.ndarray, degree: int) -> np.ndarray:
     n = values.shape[-1]
     if n < 2 * degree + 1:
         raise AliasingError(f"need at least {2 * degree + 1} samples for degree {degree}")
-    half = scipy.fft.rfft(values) / n
-    c = np.empty(values.shape[:-1] + (2 * degree + 1,), dtype=np.complex128)
-    c[..., degree:] = half[..., : degree + 1]
-    c[..., :degree] = np.conj(half[..., degree:0:-1])
-    return c
+    half = scipy.fft.rfft(values)[..., : degree + 1] / n
+    return np.concatenate((np.conj(half[..., :0:-1]), half), axis=-1)
 
 
 def synthesize(f: SpectralField, n: int) -> GridFunction:

@@ -1,13 +1,24 @@
-"""Independent dense oracles used by the tests.
+"""Independent oracles used by the tests.
 
-Everything here is written with plain python loops and direct summation,
-deliberately avoiding the package's FFT-based code paths, so that
-agreement between the two is a meaningful check.
+The dense oracles are written with plain python loops and direct
+summation, deliberately avoiding the package's FFT-based code paths, so
+that agreement between the two is a meaningful check.
+
+The reference forms at the end keep the textbook way of writing the
+transform wrappers and the step: an explicitly zero-padded half
+spectrum, an element-by-element assembled analysis, and the step
+formulas with every factor applied at the call.  The package's lean
+kernels must match them bit for bit.
 """
 
 import math
 
 import numpy as np
+import scipy.fft
+
+from qlwave import filters
+from qlwave.integrator import StatePair, filtered_nonlinear_term
+from qlwave.spectral import SpectralField, omega_weights
 
 
 def o_sinc(x: float) -> float:
@@ -133,3 +144,65 @@ def dense_l_operator(u, v, ku, kv, ka, tau, kappa, label, c, a):
 def quadrature_inner_product(values_a, values_b):
     """Mean-value quadrature of (1/2pi) integral a*b dx, exact above Nyquist."""
     return float(np.mean(np.asarray(values_a) * np.asarray(values_b)))
+
+
+# -- reference forms -----------------------------------------------------
+
+
+def padded_synthesis(coeffs, n):
+    """synthesize_values through an explicitly zero-padded half spectrum."""
+    degree = (coeffs.shape[-1] - 1) // 2
+    half = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    half[..., : degree + 1] = coeffs[..., degree:]
+    return scipy.fft.irfft(half, n=n) * n
+
+
+def assembled_analysis(values, degree):
+    """coeffs_from_samples assembled element-wise into a preallocated spectrum."""
+    n = values.shape[-1]
+    half = scipy.fft.rfft(values) / n
+    c = np.empty(values.shape[:-1] + (2 * degree + 1,), dtype=np.complex128)
+    c[..., degree:] = half[..., : degree + 1]
+    c[..., :degree] = np.conj(half[..., degree:0:-1])
+    return c
+
+
+def step_tables(K, tau):
+    """cos(tau*Om), sinc(tau*Om) and Om*sin(tau*Om) on modes -K..K."""
+    w1 = omega_weights(K)
+    return np.cos(tau * w1), filters.sinc(tau * w1), w1 * np.sin(tau * w1)
+
+
+def unpremultiplied_step(fhat, u, ud, K, tau, kappa, fn=None):
+    """One step with every scalar factor applied at the call; (u', ud', F(u')).
+
+    ``fhat`` is the filtered nonlinearity; ``fn``, when given, is F(u).
+    """
+    cos_t, sinc_t, wsin_t = step_tables(K, tau)
+    if kappa == 0.0:
+        u1 = cos_t * u + tau * sinc_t * ud
+        ud1 = -wsin_t * u + cos_t * ud
+        return u1, ud1, None
+    if fn is None:
+        fn = fhat(u)
+    u1 = cos_t * u + tau * sinc_t * ud + 0.5 * tau * tau * kappa * sinc_t * fn
+    fn1 = fhat(u1)
+    ud1 = -wsin_t * u + cos_t * ud + 0.5 * tau * kappa * cos_t * fn + 0.5 * tau * kappa * fn1
+    return u1, ud1, fn1
+
+
+def step_three_stage(state, problem, cfg):
+    """One step in kick-rotate-kick form (algebraically identical to step)."""
+    cos_t, sinc_t, wsin_t = step_tables(cfg.K, cfg.tau)
+    tau, kappa = cfg.tau, problem.kappa
+
+    def kick(u):
+        if kappa == 0.0:
+            return 0.0
+        return 0.5 * tau * kappa * filtered_nonlinear_term(SpectralField(u), problem, cfg).coeffs
+
+    u, ud = state.u.coeffs, state.udot.coeffs
+    ud_plus = ud + kick(u)
+    u1 = cos_t * u + tau * sinc_t * ud_plus
+    ud1 = -wsin_t * u + cos_t * ud_plus + kick(u1)
+    return StatePair(SpectralField(u1), SpectralField(ud1))

@@ -17,6 +17,7 @@ from qlwave.harness import (
     run_convergence_space,
     run_convergence_time,
     write_rows_csv,
+    _fmt,
 )
 from qlwave.integrator import IntegratorConfig, StatePair, evolve
 from qlwave.problem import linear_problem, model_problem, power_law_initial_data
@@ -260,6 +261,12 @@ class TestCli:
             lines = fh.read().strip().splitlines()
         assert lines[0] == "n,t,pair_norm_h2h1"
         assert len(lines) == 10  # initial row + 8 steps
+        # the tabulated observer norm prints the digits of StatePair.norm
+        state = StatePair(*power_law_initial_data(8))
+        expected = [_fmt(state.norm(1.0))]
+        evolve(state, linear_problem(), IntegratorConfig(tau=0.25, K=8, filter=sinc_c(2.0)), 8,
+               observer=lambda n, t, s: expected.append(_fmt(s.norm(1.0))))
+        assert [line.split(",")[2] for line in lines[1:]] == expected
 
     @pytest.mark.parametrize("every", ["0", "-3"])
     def test_simulate_rejects_nonpositive_every(self, tmp_path, capsys, every):

@@ -16,7 +16,6 @@ from qlwave.integrator import (
     linear_propagator,
     nonlinear_term,
     step,
-    step_three_stage,
 )
 from qlwave.problem import ProblemSpec, linear_problem, model_problem, power_law_initial_data
 from qlwave.spectral import (
@@ -29,7 +28,7 @@ from qlwave.spectral import (
 )
 
 from conftest import hermitian_field
-from oracles import dense_one_step
+from oracles import dense_one_step, step_three_stage, unpremultiplied_step
 
 COS_X = SpectralField.from_dict(1, {1: 0.5})
 
@@ -70,6 +69,17 @@ class TestConfig:
             )
         assert any("sinc-compatibility" in str(w.message) for w in caught)
 
+
+    @pytest.mark.parametrize("run", [
+        lambda state, p, cfg: evolve(state, p, cfg, 1),
+        lambda state, p, cfg: step(state, p, cfg),
+    ], ids=["evolve", "step"])
+    def test_admissibility_warning_points_at_caller(self, run):
+        # a tau no other test uses, so step's engine cache cannot hold it
+        cfg = IntegratorConfig(tau=0.1234, K=1, filter=impulse())
+        with pytest.warns(RuntimeWarning, match="sinc-compatibility") as caught:
+            run(StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0), cfg)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_step_builds_one_engine_per_problem_and_config(self, monkeypatch):
         builds = []
@@ -415,6 +425,47 @@ class TestEvolve:
 
 
 FILTERS = (impulse(), hairer_lubich(), grimm_hochbruck(), sinc_c(2.0), sinc_c(3.0))
+
+
+def bits(a):
+    """The bit patterns of a complex array, so that signed zeros count."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestLeanStep:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 24),
+           st.sampled_from([0.0, 0.01, 1.0]) | st.floats(-2.0, 2.0),
+           st.floats(1e-3, 0.7), st.booleans(),
+           st.none() | st.lists(st.sampled_from(FILTERS), min_size=1, max_size=4))
+    def test_step_arrays_bitwise_equal_unpremultiplied_step(self, seed, K, kappa, tau, fsal,
+                                                            stack):
+        # three steps of the engine against the step formulas with every
+        # factor applied at the call, reusing F(u') with fsal as evolve
+        # does; stack None is the one-config engine
+        rng = np.random.default_rng(seed)
+        problem = model_problem(kappa)
+        specs = [sinc_c(2.0)] if stack is None else stack
+        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec, fsal=fsal,
+                                 admissibility_policy="ignore") for spec in specs]
+        engine = integrator._Engine(problem, cfgs[0] if stack is None else cfgs)
+        states = [smooth_state(rng, K, scale=0.5) for _ in specs]
+        u = np.stack([s.u.coeffs for s in states])
+        ud = np.stack([s.udot.coeffs for s in states])
+        if stack is None:
+            u, ud = u[0], ud[0]
+        mine = ref = (u, ud, None)
+        for _ in range(3):
+            mine = engine.step_arrays(*mine)
+            ref = unpremultiplied_step(engine.fhat, *ref[:2], K, tau, kappa, ref[2])
+            assert np.array_equal(bits(mine[0]), bits(ref[0]))
+            assert np.array_equal(bits(mine[1]), bits(ref[1]))
+            if kappa == 0.0:
+                assert mine[2] is None and ref[2] is None
+            else:
+                assert np.array_equal(bits(mine[2]), bits(ref[2]))
+            if not fsal:
+                mine, ref = (*mine[:2], None), (*ref[:2], None)
 
 
 def run_alone(state, problem, cfg, n_steps):

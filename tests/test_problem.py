@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qlwave
 
 from qlwave.exceptions import ConfigurationError
 from qlwave.problem import (
@@ -120,3 +127,36 @@ class TestEllipticity:
     def test_grid_too_small_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             ellipticity_report(model_problem(1.0), hermitian_field(rng, 8), n=10)
+
+    @pytest.mark.parametrize("kappa,a,K,decay", [
+        (1.0, lambda v: v, 64, None),  # the energy-check snapshot: power-law data
+        (0.7, np.sin, 8, 1.5),
+        (-0.3, lambda v: v * v * v, 12, 2.0),
+    ])
+    def test_extrema_match_dense_evaluation(self, rng, kappa, a, K, decay):
+        # kappa*a(u(x)) by direct summation on 2^17 points: its sampled
+        # extrema bracket the true ones within h^2/8 * max|f''| < 1e-8
+        u = power_law_initial_data(K)[0] if decay is None else hermitian_field(rng, K, decay=decay)
+        x = 2.0 * np.pi * np.arange(2**17) / 2**17
+        j = mode_numbers(K)
+        dense = kappa * a(np.real(np.exp(1j * np.outer(x, j)) @ u.coeffs))
+        rep = ellipticity_report(ProblemSpec(kappa=kappa, a=a, g=None), u)
+        s_min, s_max = rep.delta_est - 1.0, rep.A0_est
+        assert dense.min() - 1e-8 <= s_min <= dense.min() + 1e-13
+        assert dense.max() - 1e-13 <= s_max <= dense.max() + 1e-8
+
+    def test_energy_check_does_not_import_scipy_optimize(self, tmp_path):
+        src = str(Path(qlwave.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = (
+            "import sys\n"
+            "from qlwave.cli import cli_main\n"
+            f"rc = cli_main(['energy-check', '--out', {str(tmp_path)!r},"
+            " '-o', 'grid.K=8', '-o', 'energy.probes=4'])\n"
+            "print(rc, 'scipy.optimize' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 False"

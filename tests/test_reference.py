@@ -3,12 +3,13 @@ import pytest
 
 from qlwave.exceptions import ConfigurationError, PreconditionError, ReferenceFailure
 from qlwave.filters import grimm_hochbruck, sinc_c
-from qlwave.integrator import IntegratorConfig, StatePair, evolve, linear_propagator, step, step_three_stage
+from qlwave.integrator import IntegratorConfig, StatePair, evolve, linear_propagator, step
 from qlwave.problem import linear_problem, model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, local_error, reference_solution
 from qlwave.spectral import SpectralField
 
 from conftest import hermitian_field
+from oracles import step_three_stage
 
 
 def data_state(K):

@@ -21,7 +21,7 @@ from qlwave.spectral import (
 )
 
 from conftest import hermitian_field
-from oracles import dense_convolution, dense_synthesize
+from oracles import assembled_analysis, dense_convolution, dense_synthesize, padded_synthesis
 
 COS_X = SpectralField.from_dict(1, {1: 0.5})
 
@@ -123,6 +123,27 @@ class TestInterpolate:
         assert back.shape == stack.shape
         for v, b in zip(vals, back):
             assert np.array_equal(b, coeffs_from_samples(v, K))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 64), st.integers(0, 80),
+           st.sampled_from([(), (1,), (3,), (2, 3)]), st.booleans())
+    def test_wrappers_bitwise_equal_reference_forms(self, seed, degree, extra, lead, even):
+        # bit patterns, not values, are compared: signed zeros count.  Even
+        # samples give spectra with exactly zero imaginary parts, where a
+        # conjugate taken after the 1/n scaling flips the sign of a zero.
+        rng = np.random.default_rng(seed)
+        n = 2 * degree + 1 + extra
+        shape = lead + (2 * degree + 1,)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals = synthesize_values(coeffs, n)
+        assert np.array_equal(vals.view(np.uint64), padded_synthesis(coeffs, n).view(np.uint64))
+        samples = rng.standard_normal(lead + (n,))
+        if even:
+            samples = 0.5 * (samples + np.roll(samples[..., ::-1], 1, axis=-1))
+        got = coeffs_from_samples(samples, degree)
+        want = assembled_analysis(samples, degree)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @settings(max_examples=40, deadline=None)
     @given(field_strategy())
