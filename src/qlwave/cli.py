@@ -29,6 +29,7 @@ from .harness import (
     run_convergence_time,
     write_rows_csv,
     _fmt,
+    _n_steps,
 )
 from .integrator import IntegratorConfig, StatePair, evolve
 from .problem import ellipticity_report, linear_problem, model_problem, power_law_initial_data
@@ -131,8 +132,7 @@ def cmd_simulate(args) -> int:
     if "time.n_steps" in cfg:
         n_steps = int(cfg["time.n_steps"])
     else:
-        T = float(_get(cfg, "time.T", required=True))
-        n_steps = round(T / tau)
+        n_steps = _n_steps(float(_get(cfg, "time.T", required=True)), tau)
     spec = _filter_from(cfg)
     icfg = IntegratorConfig(
         tau=tau, K=K, filter=spec, max_norm=float(_get(cfg, "guard.max_norm", "1e6"))
@@ -175,21 +175,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _plan_from(cfg, args) -> ExperimentPlan:
+def _plan_from(cfg) -> ExperimentPlan:
     return ExperimentPlan(
         problem=_problem_from(cfg),
         K_list=_ints(_get(cfg, "sweep.K", required=True)),
         tau_list=_floats(_get(cfg, "sweep.tau", required=True)),
         T=float(_get(cfg, "time.T", required=True)),
         filters=[flt.parse_filter(t) for t in _get(cfg, "sweep.filters", "sinc:2").split(",")],
-        out_dir=args.out,
         max_norm=float(_get(cfg, "guard.max_norm", "1e6")),
     )
 
 
 def cmd_conv_time(args) -> int:
     cfg = load_config(args.config, args.override)
-    plan = _plan_from(cfg, args)
+    plan = _plan_from(cfg)
     rows = run_convergence_time(plan, _ref_cfg_from(cfg))
     out = _out_dir(args)
     path = os.path.join(out, "conv_time.csv")
@@ -202,7 +201,7 @@ def cmd_conv_time(args) -> int:
 
 def cmd_conv_space(args) -> int:
     cfg = load_config(args.config, args.override)
-    plan = _plan_from(cfg, args)
+    plan = _plan_from(cfg)
     K_ref = int(_get(cfg, "grid.K_ref", required=True))
     rows = run_convergence_space(plan, K_ref)
     out = _out_dir(args)

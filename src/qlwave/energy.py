@@ -24,6 +24,13 @@ u: it samples a(u) once on a grid of next_fast_len(2(K_a + K_v) + 1)
 nodes, which resolves every kept mode of the three products exactly, and
 applies L to a stack of degree-K_v spectra in four transform calls.  The
 positivity probes go through it in blocks of at most 32 rows.
+
+Everything else reuses the scheme's own operators: the multipliers
+phi, psi1 and cos in tau*Om go through spectral.apply_multiplier, the
+products through spectral.dealiased_product, and the energy-change
+identity takes the quasilinear term P_K(a_K(x) x'') from
+integrator.nonlinear_term.  The interpolant of a(u) keeps its own
+helper, _a_field, because L needs it at a degree other than deg u.
 """
 
 from __future__ import annotations
@@ -36,10 +43,11 @@ import scipy.fft
 
 from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError
-from .integrator import IntegratorConfig, StatePair, step
+from .integrator import IntegratorConfig, StatePair, nonlinear_term, step
 from .problem import ProblemSpec, ellipticity_report
 from .spectral import (
     SpectralField,
+    apply_multiplier,
     coeffs_from_samples,
     dealiased_product,
     derivative,
@@ -71,18 +79,7 @@ def _a_field(u: SpectralField, problem: ProblemSpec, degree: int) -> SpectralFie
 
 def apply_position_filter(f: SpectralField, cfg: IntegratorConfig) -> SpectralField:
     """Apply the position filter phi(tau*Om) as a Fourier multiplier."""
-    w = omega_weights(f.degree)
-    return SpectralField(f.coeffs * np.asarray(flt.phi(cfg.filter, cfg.tau * w)))
-
-
-def _psi1_mult(f: SpectralField, cfg: IntegratorConfig) -> SpectralField:
-    w = omega_weights(f.degree)
-    return SpectralField(f.coeffs * np.asarray(flt.psi1(cfg.filter, cfg.tau * w)))
-
-
-def _cos_mult(f: SpectralField, cfg: IntegratorConfig) -> SpectralField:
-    w = omega_weights(f.degree)
-    return SpectralField(f.coeffs * np.cos(cfg.tau * w))
+    return apply_multiplier(f, lambda w: flt.phi(cfg.filter, cfg.tau * w))
 
 
 def u_term(
@@ -91,26 +88,24 @@ def u_term(
     problem: ProblemSpec,
     cfg: IntegratorConfig,
     projected: bool = True,
-    a_degree: Optional[int] = None,
 ) -> float:
     """The non-quadratic energy correction U(e, u).
 
     With ``projected`` (the fully discrete default) the inner product
     a(u)*e'' is truncated back to degree K inside both terms.  Without it
-    the exact degree-(K + a_degree) product is kept, which is the variant
-    represented exactly by the operator L; ``a_degree`` sets the
-    interpolation degree of a(u) (default: the working degree K).
+    the exact degree-2K product is kept, which is the variant represented
+    exactly by the operator L.
     """
     if e.degree != u.degree:
         raise ConfigurationError("e and u must have equal degrees")
     K = e.degree
-    a_rep = _a_field(u, problem, a_degree if a_degree is not None else K)
     exx = derivative(e, 2)
-    w = dealiased_product(a_rep, exx)
+    aexx = dealiased_product(_a_field(u, problem, K), exx)
     if projected:
-        w = project(w, K)
-    term1 = inner_product(_cos_mult(exx, cfg), w, s=0.0)
-    term2 = sobolev_norm(_psi1_mult(w, cfg), 1.0) ** 2
+        aexx = project(aexx, K)
+    term1 = inner_product(apply_multiplier(exx, lambda w: np.cos(cfg.tau * w)), aexx, s=0.0)
+    psi1_aexx = apply_multiplier(aexx, lambda w: flt.psi1(cfg.filter, cfg.tau * w))
+    term2 = sobolev_norm(psi1_aexx, 1.0) ** 2
     return term1 - 0.25 * cfg.tau**2 * problem.kappa * term2
 
 
@@ -120,17 +115,10 @@ def modified_energy(
     u: SpectralField,
     problem: ProblemSpec,
     cfg: IntegratorConfig,
-    projected: bool = True,
 ) -> EnergyReport:
     """Modified energy E = |(e, edot)|_1^2 + kappa*U(Phi e, Phi u)."""
     pn_sq = pair_norm(e, edot, 1.0) ** 2
-    uval = u_term(
-        apply_position_filter(e, cfg),
-        apply_position_filter(u, cfg),
-        problem,
-        cfg,
-        projected=projected,
-    )
+    uval = u_term(apply_position_filter(e, cfg), apply_position_filter(u, cfg), problem, cfg)
     return EnergyReport(
         pair_norm_sq=pn_sq,
         U_value=uval,
@@ -267,8 +255,11 @@ def positivity_check(
     certifies the sampled lower bound.  ``delta``/``a0`` default to the
     ellipticity estimates of the supplied snapshot; explicitly supplied
     values are checked against those estimates first.  Raises
-    ConfigurationError for n_samples < 0.
+    ConfigurationError for n_samples < 0 or when only one of ``delta``
+    and ``a0`` is supplied.
     """
+    if (delta is None) != (a0 is None):
+        raise ConfigurationError("delta and a0 must be supplied together")
     rep = ellipticity_report(problem, u)
     if delta is None:
         if rep.delta_est <= 0.0:
@@ -277,8 +268,6 @@ def positivity_check(
             )
         delta = rep.delta_est
     else:
-        if a0 is None:
-            raise ConfigurationError("a0 must be supplied together with delta")
         if rep.delta_est < 0.5 * delta:
             raise PreconditionError(
                 f"min 1 + kappa*a(u) = {rep.delta_est:.3e} < delta/2 = {0.5 * delta:.3e}"
@@ -388,22 +377,14 @@ def _g_terms(up: SpectralField, vp: SpectralField, problem: ProblemSpec,
     a_v = _a_field(vp, problem, K)
     A = project(dealiased_product(a_u, derivative(e, 2)), K)
     B = project(dealiased_product(a_u - a_v, derivative(vp, 2)), K)
-    ce = _cos_mult(e, cfg)
-    psiA = _psi1_mult(A, cfg)
-    psiB = _psi1_mult(B, cfg)
+    ce = apply_multiplier(e, lambda w: np.cos(cfg.tau * w))
+    psiA, psiB = (apply_multiplier(f, lambda w: flt.psi1(cfg.filter, cfg.tau * w)) for f in (A, B))
     return (
         inner_product(ce, A, s=0.0)
         + inner_product(ce, B, s=1.0)
         + 0.5 * cfg.tau**2 * problem.kappa * inner_product(psiA, psiB, s=1.0)
         + 0.25 * cfg.tau**2 * problem.kappa * sobolev_norm(psiB, 1.0) ** 2
     )
-
-
-def _pk_nonlinearity(x: SpectralField, problem: ProblemSpec) -> SpectralField:
-    """Degree-K truncation of the interpolated quasilinear term aK(x)*x''."""
-    K = x.degree
-    a_rep = _a_field(x, problem, K)
-    return project(dealiased_product(a_rep, derivative(x, 2)), K)
 
 
 def energy_change_residual(
@@ -433,8 +414,10 @@ def energy_change_residual(
     fu1 = apply_position_filter(up.u, cfg)
     fv1 = apply_position_filter(vp.u, cfg)
 
-    dG0 = _pk_nonlinearity(fu0, problem) - _pk_nonlinearity(fv0, problem)
-    dG1 = _pk_nonlinearity(fu1, problem) - _pk_nonlinearity(fv1, problem)
+    # with g == 0 the projected nonlinear term is P_K(a_K(x) x'')
+    K = un.degree
+    dG0 = project(nonlinear_term(fu0, problem) - nonlinear_term(fv0, problem), K)
+    dG1 = project(nonlinear_term(fu1, problem) - nonlinear_term(fv1, problem), K)
     r_tilde = inner_product(fu1 - fv1, dG0, s=1.0) - inner_product(fu0 - fv0, dG1, s=1.0)
     r_star = _g_terms(fu1, fv1, problem, cfg) - _g_terms(fu0, fv0, problem, cfg)
 

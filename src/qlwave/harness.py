@@ -32,7 +32,6 @@ class ExperimentPlan:
     tau_list: Sequence[float]
     T: float
     filters: Sequence[flt.FilterSpec]
-    out_dir: Optional[str] = None
     max_norm: float = 1e6
 
     def __post_init__(self):
@@ -41,11 +40,7 @@ class ExperimentPlan:
         if self.T <= 0:
             raise ConfigurationError("T must be positive")
         for tau in self.tau_list:
-            n = self.T / tau
-            if abs(n - round(n)) > 1e-9 * max(1.0, n):
-                raise ConfigurationError(
-                    f"T/tau must be an integer; T={self.T}, tau={tau} gives {n}"
-                )
+            _n_steps(self.T, tau)
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,13 @@ class ConvergenceRow:
 
 
 def _n_steps(T: float, tau: float) -> int:
-    return round(T / tau)
+    """The step count T/tau; raises ConfigurationError unless it is an integer."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigurationError(f"tau must be positive, got {tau}")
+    n = T / tau
+    if abs(n - round(n)) > 1e-9 * max(1.0, n):
+        raise ConfigurationError(f"T/tau must be an integer; T={T}, tau={tau} gives {n}")
+    return round(n)
 
 
 def _initial_state(K: int) -> StatePair:

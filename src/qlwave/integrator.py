@@ -86,15 +86,12 @@ class IntegratorConfig:
     K: int
     filter: flt.FilterSpec
     max_norm: float = 1e6
-    tau_max: Optional[float] = None
     fsal: bool = True
     admissibility_policy: str = "warn"  # warn | strict | ignore
 
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
-        if self.tau_max is not None and self.tau > self.tau_max:
-            raise ConfigurationError(f"tau {self.tau} exceeds guard tau_max {self.tau_max}")
         if self.K < 1:
             raise ConfigurationError("spectral degree K must be >= 1")
         if self.admissibility_policy not in ("warn", "strict", "ignore"):

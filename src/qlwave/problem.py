@@ -11,7 +11,7 @@ pointwise-evaluable nonlinearities a and g with a(0) = 0, g(0,0) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ class ProblemSpec:
     a: Callable[[np.ndarray], np.ndarray]
     g: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "custom"
-    a_prime: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.kappa):
@@ -56,10 +55,7 @@ def model_problem(kappa: float) -> ProblemSpec:
     def g(u, p):
         return p * p + k * u * u * u
 
-    def a_prime(u):
-        return np.ones_like(u)
-
-    return ProblemSpec(kappa=k, a=a, g=g, name="model", a_prime=a_prime)
+    return ProblemSpec(kappa=k, a=a, g=g, name="model")
 
 
 def linear_problem() -> ProblemSpec:

@@ -58,7 +58,6 @@ def reference_solution(
     degree: int,
     ref_cfg: ReferenceConfig,
     tau_min: float,
-    base_cfg: IntegratorConfig | None = None,
 ) -> StatePair:
     """Validated reference state at time T with spectral degree ``degree``.
 
@@ -77,9 +76,7 @@ def reference_solution(
     n_min = max(1, round(T / tau_min))
     n_ref = n_min * ref_cfg.refine_factor
     tau_ref = T / n_ref
-    if base_cfg is None:
-        base_cfg = IntegratorConfig(tau=tau_ref, K=degree, filter=flt.sinc_c(2.0))
-    cfg = replace(base_cfg, filter=flt.sinc_c(2.0), tau=tau_ref)
+    cfg = IntegratorConfig(tau=tau_ref, K=degree, filter=flt.sinc_c(2.0))
 
     coarse = evolve(state0, problem, cfg, n_ref)
     fine = evolve(state0, problem, replace(cfg, tau=0.5 * tau_ref), 2 * n_ref)

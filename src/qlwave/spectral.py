@@ -14,7 +14,10 @@ the one transform pair every kernel uses.  They work along the last axis,
 so a stack of spectra goes through in one call, and hand only modes
 0..K to the real FFTs: the inverse transform zero-pads them itself, and
 the analysis slices them before scaling and mirrors them with one
-conjugate.
+conjugate.  Every other operation is built on them or on plain
+coefficient arithmetic: the exact product dealiased_product is a
+pointwise product on a grid that resolves all of its modes, and
+apply_multiplier is the one way to apply a Fourier multiplier m(Om).
 """
 
 from __future__ import annotations
@@ -92,21 +95,20 @@ class SpectralField:
         return cls(c)
 
     @classmethod
-    def from_dict(cls, degree: int, modes: dict, fill_conjugate: bool = True) -> "SpectralField":
+    def from_dict(cls, degree: int, modes: dict) -> "SpectralField":
         """Build a field from a {j: coefficient} mapping.
 
-        With ``fill_conjugate`` the conjugate partner of each given mode is
-        filled in automatically unless it was given explicitly.
+        The conjugate partner of each given mode is filled in unless it was
+        given explicitly.
         """
         c = np.zeros(2 * degree + 1, dtype=np.complex128)
         for j, v in modes.items():
             if abs(j) > degree:
                 raise ConfigurationError(f"mode {j} outside degree {degree}")
             c[j + degree] = v
-        if fill_conjugate:
-            for j, v in modes.items():
-                if -j not in modes:
-                    c[-j + degree] = np.conj(v)
+        for j, v in modes.items():
+            if -j not in modes:
+                c[-j + degree] = np.conj(v)
         return cls(c)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
@@ -261,25 +263,17 @@ def derivative(f: SpectralField, order: int = 1) -> SpectralField:
     return SpectralField(f.coeffs * factor)
 
 
-def dealiased_product(f: SpectralField, g: SpectralField, method: str = "auto") -> SpectralField:
+def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Exact product of two fields as a degree K1+K2 field.
 
-    ``method`` selects the evaluation path: "convolution" (direct O(K^2)
-    coefficient convolution), "grid" (pointwise product on a resolving
-    grid with >= 2*(K1+K2)+1 nodes), or "auto" (convolution for small
-    degrees, grid otherwise).  Both paths agree to roundoff.
+    The pointwise product is formed on next_fast_len(2(K1+K2)+1) nodes,
+    which resolve every mode of the product.
     """
     deg = f.degree + g.degree
-    if method == "auto":
-        method = "convolution" if deg <= 32 else "grid"
-    if method == "convolution":
-        return SpectralField(np.convolve(f.coeffs, g.coeffs))
-    if method == "grid":
-        n = scipy.fft.next_fast_len(2 * deg + 1, real=True)
-        vf = synthesize_values(f.coeffs, n)
-        vg = synthesize_values(g.coeffs, n)
-        return SpectralField(coeffs_from_samples(vf * vg, deg))
-    raise ConfigurationError(f"unknown product method {method!r}")
+    n = scipy.fft.next_fast_len(2 * deg + 1, real=True)
+    vf = synthesize_values(f.coeffs, n)
+    vg = synthesize_values(g.coeffs, n)
+    return SpectralField(coeffs_from_samples(vf * vg, deg))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:

@@ -249,6 +249,9 @@ class TestPositivity:
             positivity_check(u, p, cfg, n_samples=5, delta=3.9, a0=10.0)
         with pytest.raises(PreconditionError, match="A0"):
             positivity_check(u, p, cfg, n_samples=5, delta=0.2, a0=0.01)
+        for partial in ({"a0": 0.01}, {"delta": 0.2}):
+            with pytest.raises(ConfigurationError, match="together"):
+                positivity_check(u, p, cfg, n_samples=5, **partial)
 
     def test_negative_sample_count_rejected(self):
         p = model_problem(1.0)
@@ -367,10 +370,22 @@ class TestEnergyChange:
         vn = StatePair(hermitian_field(rng, 8, 0.3), hermitian_field(rng, 8, 0.3))
         assert energy_change_residual(un, vn, quasilinear_only(0.0), cfg) <= 1e-12
 
-    def test_random_ensembles(self, rng):
+    @pytest.mark.parametrize("spec", ADMISSIBLE, ids=lambda f: f.label)
+    def test_random_ensembles(self, rng, spec):
         p = quasilinear_only(1.0)
-        cfg = IntegratorConfig(tau=0.05, K=8, filter=sinc_c(2.0))
+        cfg = IntegratorConfig(tau=0.05, K=8, filter=spec)
         for _ in range(15):
             un = StatePair(hermitian_field(rng, 8, 0.3), hermitian_field(rng, 8, 0.3))
             vn = StatePair(hermitian_field(rng, 8, 0.3), hermitian_field(rng, 8, 0.3))
             assert energy_change_residual(un, vn, p, cfg) <= 1e-10
+
+    def test_identity_fails_without_sinc_compatibility(self, rng):
+        # impulse: psi1 = 1 != sinc * phi, so the remainder formula does not close
+        p = quasilinear_only(1.0)
+        cfg = IntegratorConfig(tau=0.05, K=8, filter=impulse(), admissibility_policy="ignore")
+        worst = 0.0
+        for _ in range(15):
+            un = StatePair(hermitian_field(rng, 8, 0.3), hermitian_field(rng, 8, 0.3))
+            vn = StatePair(hermitian_field(rng, 8, 0.3), hermitian_field(rng, 8, 0.3))
+            worst = max(worst, energy_change_residual(un, vn, p, cfg))
+        assert worst > 1e-4

@@ -283,6 +283,17 @@ class TestCli:
         assert "every" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("tau,message", [("0.3", "T/tau must be an integer"),
+                                             ("0", "tau must be positive")])
+    def test_simulate_rejects_bad_step_count(self, tmp_path, capsys, tau, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"problem.name = linear\ngrid.K = 8\ntime.T = 1\ntime.tau = {tau}\n")
+        out = tmp_path / "out"
+        code = cli_main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
     def test_simulate_divergence_exit_code(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(

@@ -49,10 +49,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             IntegratorConfig(tau=0.0, K=4, filter=sinc_c(2.0))
 
-    def test_tau_max_guard(self):
-        with pytest.raises(ConfigurationError):
-            IntegratorConfig(tau=0.5, K=4, filter=sinc_c(2.0), tau_max=0.25)
-
     def test_admissibility_policy(self):
         with pytest.raises(ConfigurationError):
             step(
