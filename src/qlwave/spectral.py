@@ -12,12 +12,24 @@ immutable values.
 The raw-array transforms synthesize_values and coeffs_from_samples are
 the one transform pair every kernel uses.  They work along the last axis,
 so a stack of spectra goes through in one call, and hand only modes
-0..K to the real FFTs: the inverse transform zero-pads them itself, and
-the analysis slices them before scaling and mirrors them with one
-conjugate.  Every other operation is built on them or on plain
-coefficient arithmetic: the exact product dealiased_product is a
-pointwise product on a grid that resolves all of its modes, and
-apply_multiplier is the one way to apply a Fourier multiplier m(Om).
+0..K to the real FFTs: the inverse transform gets them zero-padded to
+n//2+1 only when n > 2K+1, and the analysis slices them before scaling
+and mirrors them with one conjugate.  Every other operation is built on
+them or on plain coefficient arithmetic: the exact product
+dealiased_product is a pointwise product on a grid that resolves all of
+its modes, and apply_multiplier is the one way to apply a Fourier
+multiplier m(Om).
+
+The pair calls pocketfft's C entry points c2r and r2c
+(scipy.fft._pocketfft.pypocketfft) directly, with one thread.  At the
+sizes a step uses (K <= 128), most of the time of a scipy.fft.irfft or
+rfft call is its Python dispatch (uarray, argument normalization, shape
+fixing): in a cProfile of a K=32 evolve, c2r/r2c took about 15% of the
+time spent in the transform calls.  The wrappers do exactly what that
+dispatch did for their inputs, so the results are bitwise equal to
+scipy.fft.irfft(modes 0..K, n=n) * n and to scipy.fft.rfft(values) / n.
+There is no fallback: if the private module moves, importing qlwave
+fails.  A scipy.fft.set_workers context does not reach these transforms.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from scipy.fft._pocketfft.pypocketfft import c2r, r2c
 
 from .exceptions import AliasingError, ConfigurationError, NumericsError
 
@@ -175,16 +188,25 @@ def synthesize_values(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Values of sum c_j e^{ijx} at n equispaced nodes (raw-array core).
 
     Transforms along the last axis, so a stack of spectra of one degree
-    goes through in one call.  Uses a half-spectrum inverse transform of
-    modes 0..degree, which irfft zero-pads to n//2+1 itself, so the output
-    is exactly real.
+    goes through in one call.  Runs pocketfft's c2r (1/n-normalized,
+    times n) on modes 0..degree, zero-padded to n//2+1 when n > 2K+1, so
+    the output is exactly real and bitwise equal to
+    scipy.fft.irfft(coeffs[..., degree:], n=n) * n.  Real-dtype
+    coefficients are promoted to complex, as irfft promotes them.
     """
     degree = (coeffs.shape[-1] - 1) // 2
     if n < 2 * degree + 1:
         raise AliasingError(
             f"{n} nodes cannot represent a degree-{degree} polynomial (need >= {2 * degree + 1})"
         )
-    return scipy.fft.irfft(coeffs[..., degree:], n=n) * n
+    half = coeffs[..., degree:]
+    if half.dtype.kind != "c":
+        half = half + 0.0j
+    if n > 2 * degree + 1:
+        padded = np.zeros(half.shape[:-1] + (n // 2 + 1,), half.dtype)
+        padded[..., : degree + 1] = half
+        half = padded
+    return c2r(half, (-1,), n, False, 2, None, 1) * n
 
 
 def coeffs_from_samples(values: np.ndarray, degree: int) -> np.ndarray:
@@ -193,11 +215,16 @@ def coeffs_from_samples(values: np.ndarray, degree: int) -> np.ndarray:
     Transforms along the last axis, like synthesize_values.  Exact (no
     aliasing) for modes |m| <= degree when the samples come from a
     polynomial of degree D and the last axis has >= degree+D+1 samples.
+    Runs pocketfft's unnormalized r2c and divides the kept modes by n,
+    bitwise equal to scipy.fft.rfft(values)[..., :degree+1] / n mirrored.
+    Integer samples are promoted to float64, as rfft promotes them.
     """
     n = values.shape[-1]
     if n < 2 * degree + 1:
         raise AliasingError(f"need at least {2 * degree + 1} samples for degree {degree}")
-    half = scipy.fft.rfft(values)[..., : degree + 1] / n
+    if values.dtype.kind not in "fc":
+        values = values.astype(np.float64)
+    half = r2c(values, (-1,), True, 0, None, 1)[..., : degree + 1] / n
     return np.concatenate((np.conj(half[..., :0:-1]), half), axis=-1)
 
 

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+from qlwave.energy import positivity_check
 from qlwave.exceptions import AliasingError, ConfigurationError, NumericsError
+from qlwave.filters import sinc_c
+from qlwave.integrator import IntegratorConfig, StatePair, evolve
+from qlwave.problem import model_problem, power_law_initial_data
 from qlwave.spectral import (
     GridFunction,
     SpectralField,
@@ -126,24 +131,52 @@ class TestInterpolate:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(0, 64), st.integers(0, 80),
-           st.sampled_from([(), (1,), (3,), (2, 3)]), st.booleans())
-    def test_wrappers_bitwise_equal_reference_forms(self, seed, degree, extra, lead, even):
+           st.sampled_from([(), (1,), (3,), (2, 3)]), st.booleans(),
+           st.tuples(st.sampled_from([np.complex128, np.float64]),
+                     st.sampled_from([np.float64, np.int64])))
+    def test_wrappers_bitwise_equal_reference_forms(self, seed, degree, extra, lead, even, dtypes):
         # bit patterns, not values, are compared: signed zeros count.  Even
         # samples give spectra with exactly zero imaginary parts, where a
         # conjugate taken after the 1/n scaling flips the sign of a zero.
+        # Real coefficients and integer samples must be promoted as
+        # scipy.fft.irfft/rfft promote them.
+        coeff_dtype, sample_dtype = dtypes
         rng = np.random.default_rng(seed)
         n = 2 * degree + 1 + extra
         shape = lead + (2 * degree + 1,)
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if coeff_dtype is np.float64:
+            coeffs = coeffs.real
         vals = synthesize_values(coeffs, n)
         assert np.array_equal(vals.view(np.uint64), padded_synthesis(coeffs, n).view(np.uint64))
         samples = rng.standard_normal(lead + (n,))
         if even:
             samples = 0.5 * (samples + np.roll(samples[..., ::-1], 1, axis=-1))
+        if sample_dtype is np.int64:
+            samples = np.rint(1000.0 * samples).astype(np.int64)
         got = coeffs_from_samples(samples, degree)
         want = assembled_analysis(samples, degree)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_kernels_bypass_public_scipy_fft(self, monkeypatch):
+        # the step, the L operator and the exact product transform through
+        # pocketfft's C core, never through scipy.fft's public functions
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.fft public transform called")
+
+        monkeypatch.setattr(scipy.fft, "irfft", refuse)
+        monkeypatch.setattr(scipy.fft, "rfft", refuse)
+        K = 16
+        u0, ud0 = power_law_initial_data(K)
+        cfg = IntegratorConfig(tau=0.01, K=K, filter=sinc_c(2.0))
+        out = evolve(StatePair(u0, ud0), model_problem(1.0), cfg, 3)
+        assert np.isfinite(out.norm(1.0))
+        margin = positivity_check(out.u, model_problem(1.0), cfg, n_samples=5,
+                                  rng=np.random.default_rng(3))
+        assert np.isfinite(margin)
+        prod = dealiased_product(u0, ud0)
+        assert prod.degree == 2 * K
 
     @settings(max_examples=40, deadline=None)
     @given(field_strategy())
