@@ -2,8 +2,9 @@
 
 Subcommands: simulate, conv-time, conv-space, filter-check, energy-check,
 local-error.  Configuration comes from a flat key-value file plus
-``-o key=value`` overrides; every run writes machine-readable CSV next to
-a short human summary.  Exit codes: 0 success, 1 malformed configuration,
+``-o key=value`` overrides, and one stderr line names the keys a run did
+not read; every run writes machine-readable CSV next to a short human
+summary.  Exit codes: 0 success, 1 malformed configuration,
 2 a check failed, 3 the integration diverged.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import filters as flt
 from .energy import identity_residual, positivity_eigen_margin, positivity_probes
-from .exceptions import DivergenceError, EstimationError, QlwaveError
+from .exceptions import ConfigurationError, DivergenceError, EstimationError, QlwaveError
 from .harness import (
     ConvergenceRow,
     ExperimentPlan,
@@ -63,6 +64,22 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
     return cfg
 
 
+class _ReadConfig(dict):
+    """A command's config that records the keys it looks up with ``in`` or ``[]``."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read: set[str] = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def _get(cfg, key, default=None, required=False):
     if key in cfg:
         return cfg[key]
@@ -97,40 +114,47 @@ def _filter_from(cfg, default="sinc:2"):
 
 
 def _ref_cfg_from(cfg) -> ReferenceConfig:
+    cross = _get(cfg, "reference.cross_check", "false").lower()
+    if cross not in ("1", "true", "yes", "0", "false", "no"):
+        raise ConfigurationError(f"reference.cross_check={cross!r} is not 1/0/true/false/yes/no")
     return ReferenceConfig(
         refine_factor=int(_get(cfg, "reference.refine_factor", "64")),
-        cross_check=_get(cfg, "reference.cross_check", "false").lower() in ("1", "true", "yes"),
+        cross_check=cross in ("1", "true", "yes"),
     )
 
 
-def _out_dir(args) -> str:
+def _out_path(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
-    return args.out
+    return os.path.join(args.out, name)
 
 
-def _print_order_table(rows: list[ConvergenceRow], spatial: bool = False) -> list[str]:
-    lines = []
+def _write_sweep(args, rows: list[ConvergenceRow], name: str, spatial: bool = False) -> int:
+    """Write a sweep's CSV to the output directory and print its order table."""
+    path = _out_path(args, name)
+    write_rows_csv(rows, path)
+    print(f"wrote {path} ({len(rows)} rows)")
     for (label, K), series in sorted(rows_by_series(rows).items()):
         try:
             est = estimate_spatial_order(series) if spatial else estimate_order(series)
-            lines.append(
-                f"{label:>10s}  K={K:<5d} order={est.slope:6.3f}  R^2={est.r_squared:.5f}"
-            )
+            print(f"{label:>10s}  K={K:<5d} order={est.slope:6.3f}  R^2={est.r_squared:.5f}")
         except EstimationError as exc:
-            lines.append(f"{label:>10s}  K={K:<5d} order=n/a ({exc})")
-    return lines
+            print(f"{label:>10s}  K={K:<5d} order=n/a ({exc})")
+    return EXIT_OK
 
 
 # -- subcommands -------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args.override)
+    cfg = args.cfg
     problem = _problem_from(cfg)
     K = int(_get(cfg, "grid.K", required=True))
     tau = float(_get(cfg, "time.tau", required=True))
     if "time.n_steps" in cfg:
         n_steps = int(cfg["time.n_steps"])
+        if "time.T" in cfg and n_steps != _n_steps(float(cfg["time.T"]), tau):
+            raise ConfigurationError(f"time.n_steps={n_steps} conflicts with "
+                                     f"time.T={cfg['time.T']} and time.tau={tau:g}")
     else:
         n_steps = _n_steps(float(_get(cfg, "time.T", required=True)), tau)
     spec = _filter_from(cfg)
@@ -140,7 +164,7 @@ def cmd_simulate(args) -> int:
     u0, ud0 = power_law_initial_data(K)
     state = StatePair(u0, ud0)
 
-    out = _out_dir(args)
+    path = _out_path(args, "trajectory.csv")
     # the H^2 x H^1 weights w^(2s) of pair_norm(u, udot, 1.0), tabulated
     # once; norm() is the same expression, so the CSV keeps its bits
     w = omega_weights(K)
@@ -161,7 +185,7 @@ def cmd_simulate(args) -> int:
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    with open(os.path.join(out, "trajectory.csv"), "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("n", "t", "pair_norm_h2h1"))
         for n, t, norm in rows:
@@ -171,7 +195,7 @@ def cmd_simulate(args) -> int:
         f"steps={n_steps} filter={spec.label}"
     )
     print(f"final |(u, u_t)|_1 = {final.norm(1.0):.12g} (initial {state.norm(1.0):.12g})")
-    print(f"wrote {os.path.join(out, 'trajectory.csv')}")
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -187,30 +211,15 @@ def _plan_from(cfg) -> ExperimentPlan:
 
 
 def cmd_conv_time(args) -> int:
-    cfg = load_config(args.config, args.override)
-    plan = _plan_from(cfg)
-    rows = run_convergence_time(plan, _ref_cfg_from(cfg))
-    out = _out_dir(args)
-    path = os.path.join(out, "conv_time.csv")
-    write_rows_csv(rows, path)
-    print(f"wrote {path} ({len(rows)} rows)")
-    for line in _print_order_table(rows):
-        print(line)
-    return EXIT_OK
+    plan = _plan_from(args.cfg)
+    rows = run_convergence_time(plan, _ref_cfg_from(args.cfg))
+    return _write_sweep(args, rows, "conv_time.csv")
 
 
 def cmd_conv_space(args) -> int:
-    cfg = load_config(args.config, args.override)
-    plan = _plan_from(cfg)
-    K_ref = int(_get(cfg, "grid.K_ref", required=True))
-    rows = run_convergence_space(plan, K_ref)
-    out = _out_dir(args)
-    path = os.path.join(out, "conv_space.csv")
-    write_rows_csv(rows, path)
-    print(f"wrote {path} ({len(rows)} rows)")
-    for line in _print_order_table(rows, spatial=True):
-        print(line)
-    return EXIT_OK
+    plan = _plan_from(args.cfg)
+    K_ref = int(_get(args.cfg, "grid.K_ref", required=True))
+    return _write_sweep(args, run_convergence_space(plan, K_ref), "conv_space.csv", spatial=True)
 
 
 def cmd_filter_check(args) -> int:
@@ -228,7 +237,7 @@ def cmd_filter_check(args) -> int:
 
 
 def cmd_energy_check(args) -> int:
-    cfg = load_config(args.config, args.override)
+    cfg = args.cfg
     problem = _problem_from(cfg)
     K = int(_get(cfg, "grid.K", "32"))
     tau = float(_get(cfg, "time.tau", "1e-3"))
@@ -244,8 +253,7 @@ def cmd_energy_check(args) -> int:
     delta = rep.delta_est
 
     probes = positivity_probes(u0, problem, icfg, n_probes, delta)
-    out = _out_dir(args)
-    path = os.path.join(out, "energy_margins.csv")
+    path = _out_path(args, "energy_margins.csv")
     worst = np.inf
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -274,7 +282,7 @@ def cmd_energy_check(args) -> int:
 
 
 def cmd_local_error(args) -> int:
-    cfg = load_config(args.config, args.override)
+    cfg = args.cfg
     problem = _problem_from(cfg)
     K = int(_get(cfg, "grid.K", "64"))
     spec = _filter_from(cfg)
@@ -283,8 +291,7 @@ def cmd_local_error(args) -> int:
     u0, ud0 = power_law_initial_data(K)
     state = StatePair(u0, ud0)
 
-    out = _out_dir(args)
-    path = os.path.join(out, "local_error.csv")
+    path = _out_path(args, "local_error.csv")
     rows = []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -342,13 +349,19 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        args.cfg = _ReadConfig(load_config(args.config, args.override) if "config" in args else {})
+        code = _COMMANDS[args.command](args)
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (QlwaveError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    unread = sorted(set(args.cfg) - args.cfg.read)
+    if unread:
+        print(f"warning: {args.command} did not read config keys: {', '.join(unread)}",
+              file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -20,17 +20,18 @@ of 1 + L with its exact eigenvalue cross-check, and the step-to-step
 energy-change identity for problems with g == 0.
 
 L(u) has one implementation, a private operator built once per snapshot
-u: it samples a(u) once on a grid of next_fast_len(2(K_a + K_v) + 1)
-nodes, which resolves every kept mode of the three products exactly, and
-applies L to a stack of degree-K_v spectra in four transform calls.  The
-positivity probes go through it in blocks of at most 32 rows.
+u: it samples a(u) once on a grid of next_fast_len(2(K + K_v) + 1)
+nodes, K = deg u, which resolves every kept mode of the three products
+exactly, and applies L to a stack of degree-K_v spectra in four
+transform calls.  The positivity probes go through it in blocks of at
+most 32 rows.
 
 Everything else reuses the scheme's own operators: the multipliers
 phi, psi1 and cos in tau*Om go through spectral.apply_multiplier, the
-products through spectral.dealiased_product, and the energy-change
-identity takes the quasilinear term P_K(a_K(x) x'') from
-integrator.nonlinear_term.  The interpolant of a(u) keeps its own
-helper, _a_field, because L needs it at a degree other than deg u.
+products through spectral.dealiased_product, the interpolant a_K(u) of
+U, L and R* is the step's own (_Engine.interpolants at K = deg u), and
+the energy-change identity takes the quasilinear term P_K(a_K(x) x'')
+from integrator.nonlinear_term.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import scipy.fft
 
 from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError
-from .integrator import IntegratorConfig, StatePair, nonlinear_term, step
+from .integrator import IntegratorConfig, StatePair, _interpolants, nonlinear_term, step
 from .problem import ProblemSpec, ellipticity_report
 from .spectral import (
     SpectralField,
@@ -71,12 +72,6 @@ class EnergyReport:
     identity_residual: Optional[float] = None
 
 
-def _a_field(u: SpectralField, problem: ProblemSpec, degree: int) -> SpectralField:
-    """Trigonometric-interpolant representation of a(u) at the given degree."""
-    vals = np.asarray(problem.a(synthesize_values(u.coeffs, 2 * degree + 1)), dtype=float)
-    return SpectralField(coeffs_from_samples(vals, degree))
-
-
 def apply_position_filter(f: SpectralField, cfg: IntegratorConfig) -> SpectralField:
     """Apply the position filter phi(tau*Om) as a Fourier multiplier."""
     return apply_multiplier(f, lambda w: flt.phi(cfg.filter, cfg.tau * w))
@@ -100,7 +95,7 @@ def u_term(
         raise ConfigurationError("e and u must have equal degrees")
     K = e.degree
     exx = derivative(e, 2)
-    aexx = dealiased_product(_a_field(u, problem, K), exx)
+    aexx = dealiased_product(SpectralField(_interpolants(u, problem)[0]), exx)
     if projected:
         aexx = project(aexx, K)
     term1 = inner_product(apply_multiplier(exx, lambda w: np.cos(cfg.tau * w)), aexx, s=0.0)
@@ -172,25 +167,19 @@ def identity_residual(
 class _LOperator:
     """L(u) for one field u, applied to stacks of degree-K_v spectra.
 
-    a(u) is interpolated at degree K_a and sampled once on n =
+    a(u) is interpolated at K_a = deg u and sampled once on n =
     next_fast_len(2(K_a + K_v) + 1) nodes.  The products a*(cos phi v) and
     a*(phi v) have degree K_a + K_v and are resolved exactly; the product
     a*(sin^2 phi^2 a phi v) has degree 2K_a + K_v and aliases only onto
     modes |m| > K_v, so every kept mode is exact.
     """
 
-    def __init__(
-        self,
-        u: SpectralField,
-        problem: ProblemSpec,
-        cfg: IntegratorConfig,
-        a_degree: Optional[int],
-        v_degree: int,
-    ):
-        ka = u.degree if a_degree is None else a_degree
+    def __init__(self, u: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig,
+                 v_degree: int):
+        ka = u.degree
         self.kappa, self.a_degree, self.v_degree = problem.kappa, ka, v_degree
         self.n = scipy.fft.next_fast_len(2 * (ka + v_degree) + 1, real=True)
-        self.a_vals = synthesize_values(_a_field(u, problem, ka).coeffs, self.n)
+        self.a_vals = synthesize_values(_interpolants(u, problem)[0], self.n)
         tau, spec = cfg.tau, cfg.filter
         wv = omega_weights(v_degree)
         self.phi_t = np.asarray(flt.phi(spec, tau * wv))
@@ -215,20 +204,16 @@ class _LOperator:
 
 
 def apply_l_operator(
-    u: SpectralField,
-    v: SpectralField,
-    problem: ProblemSpec,
-    cfg: IntegratorConfig,
-    a_degree: Optional[int] = None,
+    u: SpectralField, v: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig
 ) -> SpectralField:
     """Apply L(u) to v; the result is truncated to the degree of v.
 
-    All pointwise multiplications by a(u) are exact for the kept modes,
-    so modes up to deg(v) of the result are exact and <L(u) v, v>_0 equals
-    kappa*U(v_int, u) with v = v_int'' for the unprojected U variant.
-    ``a_degree`` sets the interpolation degree of a(u) (default: deg u).
+    a(u) is interpolated at deg u.  All pointwise multiplications by a(u)
+    are exact for the kept modes, so modes up to deg(v) of the result are
+    exact and <L(u) v, v>_0 equals kappa*U(v_int, u) with v = v_int'' for
+    the unprojected U variant.
     """
-    op = _LOperator(u, problem, cfg, a_degree, v.degree)
+    op = _LOperator(u, problem, cfg, v.degree)
     return SpectralField(op.apply(v.coeffs[np.newaxis])[0])
 
 
@@ -318,7 +303,7 @@ def positivity_probes(
     if rng is None:
         rng = np.random.default_rng(0)
     K = u.degree
-    op = _LOperator(apply_position_filter(u, cfg), problem, cfg, None, K)
+    op = _LOperator(apply_position_filter(u, cfg), problem, cfg, K)
     return _probe_margins(op, K, n_samples, delta, rng)
 
 
@@ -351,7 +336,7 @@ def positivity_eigen_margin(
     and never exceeds a sampled margin.
     """
     K = u.degree
-    op = _LOperator(apply_position_filter(u, cfg), problem, cfg, None, K)
+    op = _LOperator(apply_position_filter(u, cfg), problem, cfg, K)
     _, basis = _mode_probes(K)
     lb = np.concatenate([op.apply(basis[i : i + _BLOCK_ROWS])
                          for i in range(0, len(basis), _BLOCK_ROWS)])
@@ -373,8 +358,8 @@ def _g_terms(up: SpectralField, vp: SpectralField, problem: ProblemSpec,
     """
     K = up.degree
     e = up - vp
-    a_u = _a_field(up, problem, K)
-    a_v = _a_field(vp, problem, K)
+    a_u = SpectralField(_interpolants(up, problem)[0])
+    a_v = SpectralField(_interpolants(vp, problem)[0])
     A = project(dealiased_product(a_u, derivative(e, 2)), K)
     B = project(dealiased_product(a_u - a_v, derivative(vp, 2)), K)
     ce = apply_multiplier(e, lambda w: np.cos(cfg.tau * w))

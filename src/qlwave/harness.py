@@ -113,7 +113,7 @@ def run_convergence_time(
     references: dict[int, StatePair] = {}
     for K in plan.K_list:
         references[K] = reference_solution(
-            plan.problem, _initial_state(K), plan.T, K, ref_cfg, tau_min=tau_min
+            plan.problem, _initial_state(K), plan.T, ref_cfg, tau_min=tau_min
         )
     rows = []
     for K in plan.K_list:

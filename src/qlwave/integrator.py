@@ -86,15 +86,14 @@ class IntegratorConfig:
     K: int
     filter: flt.FilterSpec
     max_norm: float = 1e6
-    fsal: bool = True
-    admissibility_policy: str = "warn"  # warn | strict | ignore
+    admissibility_policy: str = "warn"  # warn | ignore
 
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ConfigurationError(f"tau must be positive, got {self.tau}")
         if self.K < 1:
             raise ConfigurationError("spectral degree K must be >= 1")
-        if self.admissibility_policy not in ("warn", "strict", "ignore"):
+        if self.admissibility_policy not in ("warn", "ignore"):
             raise ConfigurationError(
                 f"unknown admissibility policy {self.admissibility_policy!r}"
             )
@@ -117,8 +116,8 @@ class _Engine:
     """Precomputed multiplier tables and transform plan for one step size.
 
     Built from one config, the filter tables are 1-D and the engine steps
-    a 1-D state.  Built from a sequence of configs that share K, tau and
-    fsal, the filter tables have one row per config and the engine steps a
+    a 1-D state.  Built from a sequence of configs that share K and tau,
+    the filter tables have one row per config and the engine steps a
     (B, 2K+1) stack whose row i runs under config i; the tau tables are
     shared.  The same fhat and step_arrays serve both by broadcasting.
     """
@@ -129,8 +128,8 @@ class _Engine:
         self.problem = problem
         cfg = self.cfgs[0]
         K, tau = cfg.K, cfg.tau
-        if any((c.K, c.tau, c.fsal) != (K, tau, cfg.fsal) for c in self.cfgs):
-            raise ConfigurationError("stacked configs must share K, tau and fsal")
+        if any((c.K, c.tau) != (K, tau) for c in self.cfgs):
+            raise ConfigurationError("stacked configs must share K and tau")
         self.K = K
         self.tau = tau
         self.kappa = problem.kappa
@@ -177,15 +176,12 @@ class _Engine:
             return
         grid = flt.default_xi_grid(n=512, xi_max=max(4.0, 2.0 * self.tau * np.sqrt(self.K**2 + 1)))
         report = flt.check_assumptions(cfg.filter, delta=0.5, a0=0.0, xi_grid=grid)
-        if report.assumption1_ok and report.assumption2_ok:
-            return
-        msg = (
-            f"filter {cfg.filter.label!r} violates the sinc-compatibility/boundedness "
-            "conditions; expect step-size restrictions coupled to the spatial resolution"
-        )
-        if cfg.admissibility_policy == "strict":
-            raise ConfigurationError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=_caller_stacklevel())
+        if not (report.assumption1_ok and report.assumption2_ok):
+            warnings.warn(
+                f"filter {cfg.filter.label!r} violates the sinc-compatibility/boundedness "
+                "conditions; expect step-size restrictions coupled to the spatial resolution",
+                RuntimeWarning, stacklevel=_caller_stacklevel(),
+            )
 
     # -- nonlinearity -------------------------------------------------
 
@@ -254,8 +250,7 @@ def _cached_engine(problem: ProblemSpec, cfg: IntegratorConfig) -> _Engine:
 
     Both keys are frozen, and an engine is never mutated after it is
     built, so repeated step() calls share one build and its admissibility
-    sampling.  A failed build (strict policy) is not cached and raises on
-    every call.
+    sampling.
     """
     return _Engine(problem, cfg)
 
@@ -265,11 +260,16 @@ def _require_degree(state: StatePair, cfg: IntegratorConfig):
         raise ConfigurationError(f"state degree {state.degree} does not match config K={cfg.K}")
 
 
-def nonlinear_term(u: SpectralField, problem: ProblemSpec) -> SpectralField:
-    """Unfiltered interpolated nonlinearity aK(u)*u_xx + gK(u,u_x), degree 2K."""
+def _interpolants(u: SpectralField, problem: ProblemSpec) -> np.ndarray:
+    """_Engine.interpolants of u at K = deg u, unfiltered: rows a_K(u) and g_K(u, u_x)."""
     engine = _cached_engine(problem, IntegratorConfig(tau=1.0, K=u.degree, filter=flt.impulse(),
                                                       admissibility_policy="ignore"))
-    ag = engine.interpolants(u.coeffs)
+    return engine.interpolants(u.coeffs)
+
+
+def nonlinear_term(u: SpectralField, problem: ProblemSpec) -> SpectralField:
+    """Unfiltered interpolated nonlinearity aK(u)*u_xx + gK(u,u_x), degree 2K."""
+    ag = _interpolants(u, problem)
     out = dealiased_product(SpectralField(ag[0]), derivative(u, 2))
     return out + SpectralField(ag[1]) if ag.shape[0] > 1 else out
 
@@ -309,7 +309,7 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
     """Iterate the one-step map n_steps times from state0 under each of cfgs.
 
     ``cfgs`` is one config, run on 1-D states, or a sequence of configs
-    sharing K, tau and fsal, run as a (B, 2K+1) stack whose row i follows
+    sharing K and tau, run as a (B, 2K+1) stack whose row i follows
     cfgs[i].  After each step every running row is checked, in this order,
     for an overflowing nonlinearity, a non-finite state and the norm
     guard; a failing row retires with its DivergenceError or
@@ -321,7 +321,7 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
     engine = _Engine(problem, cfgs)
     u = np.broadcast_to(state0.u.coeffs, engine.dxx_t.shape)
     ud = np.broadcast_to(state0.udot.coeffs, engine.dxx_t.shape)
-    tau, fsal = engine.tau, engine.cfgs[0].fsal
+    tau = engine.tau
     row_cfgs = engine.cfgs
     max_sq = [c.max_norm * c.max_norm for c in row_cfgs]
     outcomes: list = [None] * len(row_cfgs)
@@ -347,7 +347,7 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
         """Step n of the running rows, retiring those whose nonlinearity overflows."""
         while True:
             try:
-                return engine.step_arrays(u, ud, fn if fsal else None)
+                return engine.step_arrays(u, ud, fn)
             except DivergenceError as exc:
                 failed = {}
                 for i in np.flatnonzero(exc.rows):
@@ -408,12 +408,13 @@ def evolve(
     """Iterate the one-step map n_steps times.
 
     The trailing nonlinearity evaluation of each step is reused as the
-    next step's leading one when cfg.fsal is set; both modes produce
-    bit-identical trajectories.  ``observer(n, t, state)`` is called after
-    the steps n with n % every == 0 (every step by default); other steps
-    build no state object.  Raises ConfigurationError for every < 1,
-    DivergenceError (with the failing step index) on non-finite states and
-    NormGuardError when the position/velocity norm exceeds cfg.max_norm.
+    next step's leading one, so n steps evaluate it n+1 times and the
+    trajectory is bitwise that of n step() calls.  ``observer(n, t,
+    state)`` is called after the steps n with n % every == 0 (every step
+    by default); other steps build no state object.  Raises
+    ConfigurationError for every < 1, DivergenceError (with the failing
+    step index) on non-finite states and NormGuardError when the
+    position/velocity norm exceeds cfg.max_norm.
     """
     if n_steps < 0:
         raise ConfigurationError("n_steps must be >= 0")

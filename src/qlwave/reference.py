@@ -55,11 +55,10 @@ def reference_solution(
     problem: ProblemSpec,
     state0: StatePair,
     T: float,
-    degree: int,
     ref_cfg: ReferenceConfig,
     tau_min: float,
 ) -> StatePair:
-    """Validated reference state at time T with spectral degree ``degree``.
+    """Validated reference state at time T, at the spectral degree of state0.
 
     Runs the sinc:2 scheme at tau_min/refine_factor and at half that step;
     the run pair must agree within self_check_rtol (relative to the state
@@ -72,11 +71,10 @@ def reference_solution(
         raise ConfigurationError("reference horizon T must be positive")
     if tau_min <= 0:
         raise ConfigurationError("tau_min must be positive")
-    state0 = _fit_degree(state0, degree)
     n_min = max(1, round(T / tau_min))
     n_ref = n_min * ref_cfg.refine_factor
     tau_ref = T / n_ref
-    cfg = IntegratorConfig(tau=tau_ref, K=degree, filter=flt.sinc_c(2.0))
+    cfg = IntegratorConfig(tau=tau_ref, K=state0.degree, filter=flt.sinc_c(2.0))
 
     coarse = evolve(state0, problem, cfg, n_ref)
     fine = evolve(state0, problem, replace(cfg, tau=0.5 * tau_ref), 2 * n_ref)
@@ -132,5 +130,5 @@ def local_error(
         ref_cfg = ReferenceConfig(refine_factor=64)
     cfg = IntegratorConfig(tau=tau, K=degree, filter=spec)
     one = step(state0, problem, cfg)
-    ref = reference_solution(problem, state0, tau, degree, ref_cfg, tau_min=tau)
+    ref = reference_solution(problem, state0, tau, ref_cfg, tau_min=tau)
     return error_h2h1(one, ref)

@@ -13,13 +13,14 @@ from qlwave.energy import (
     positivity_probes,
     u_term,
 )
-from qlwave.exceptions import ConfigurationError, PreconditionError
+from qlwave.exceptions import ConfigurationError, DivergenceError, PreconditionError
 from qlwave.filters import grimm_hochbruck, hairer_lubich, impulse, psi1, sinc_c
 from qlwave.integrator import IntegratorConfig, StatePair
 from qlwave.problem import ProblemSpec, ellipticity_report, model_problem, power_law_initial_data
 from qlwave.spectral import (
     SpectralField,
     derivative,
+    embed,
     inner_product,
     omega_weights,
     pair_norm,
@@ -42,6 +43,16 @@ def zero_a_problem():
 
 
 class TestUTerm:
+    def test_overflowing_a_raises_the_steps_divergence(self):
+        # U and L take a_K(u) from the step's interpolation, with its overflow check
+        p = quasilinear_only(1.0, a=lambda x: np.exp(1000.0 * x) - 1.0)
+        cfg = IntegratorConfig(tau=0.1, K=4, filter=sinc_c(2.0))
+        u = SpectralField.from_dict(4, {1: 0.5})
+        with np.errstate(over="ignore"):
+            for diagnostic in (u_term, apply_l_operator):
+                with pytest.raises(DivergenceError, match=r"a\(u\) or g"):
+                    diagnostic(u, u, p, cfg)
+
     def test_zero_error_field(self, rng):
         cfg = IntegratorConfig(tau=0.1, K=8, filter=sinc_c(2.0))
         u = hermitian_field(rng, 8)
@@ -173,29 +184,33 @@ class TestLOperator:
 
     @pytest.mark.parametrize("spec", ADMISSIBLE + (impulse(),), ids=lambda f: f.label)
     @pytest.mark.parametrize("ku,kv,ka", [(1, 1, 1), (6, 6, 6), (16, 16, 16), (5, 9, 5),
-                                          (9, 4, 9), (6, 6, 11), (4, 12, 7)])
+                                          (9, 4, 9), (11, 6, 11), (7, 12, 7), (6, 6, 11),
+                                          (4, 12, 7)])
     def test_matches_dense_oracle(self, rng, spec, ku, kv, ka):
+        # L interpolates a(u) at deg u; a field of degree ku reaches it at
+        # degree ka >= ku zero-extended, which the oracle computes as the
+        # degree-ka interpolant of a(u) for the degree-ku field
         p = quasilinear_only(0.8, a=lambda x: x + 0.5 * x * x)
-        cfg = IntegratorConfig(tau=0.3, K=ku, filter=spec, admissibility_policy="ignore")
+        cfg = IntegratorConfig(tau=0.3, K=ka, filter=spec, admissibility_policy="ignore")
         u, v = hermitian_field(rng, ku), hermitian_field(rng, kv)
-        got = apply_l_operator(u, v, p, cfg, a_degree=ka).coeffs
+        got = apply_l_operator(embed(u, ka), v, p, cfg).coeffs
         want = np.array(dense_l_operator(u.coeffs, v.coeffs, ku, kv, ka, cfg.tau, p.kappa,
                                          spec.kind, spec.c, p.a))
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 12), st.integers(0, 6),
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 18), st.integers(1, 12),
            st.integers(1, 5), st.sampled_from(ADMISSIBLE))
-    def test_stacked_rows_equal_single_rows(self, seed, ku, kv, extra, rows, spec):
+    def test_stacked_rows_equal_single_rows(self, seed, ku, kv, rows, spec):
         rng = np.random.default_rng(seed)
         p = model_problem(1.0)
         cfg = IntegratorConfig(tau=0.2, K=ku, filter=spec)
         u = hermitian_field(rng, ku)
-        op = _LOperator(u, p, cfg, ku + extra, kv)
+        op = _LOperator(u, p, cfg, kv)
         stack = np.stack([hermitian_field(rng, kv).coeffs for _ in range(rows)])
         out = op.apply(stack)
         for v, row in zip(stack, out):
-            alone = apply_l_operator(u, SpectralField(v), p, cfg, a_degree=ku + extra).coeffs
+            alone = apply_l_operator(u, SpectralField(v), p, cfg).coeffs
             assert np.array_equal(row, alone)
 
     def test_identity_fails_without_sinc_compatibility(self, rng):

@@ -124,7 +124,7 @@ class TestSweeps:
         ref_cfg = ReferenceConfig(refine_factor=2, self_check_rtol=np.inf)
         rows = run_convergence_time(plan, ref_cfg)
         state0 = StatePair(*power_law_initial_data(256))
-        ref = reference_solution(plan.problem, state0, plan.T, 256, ref_cfg, tau_min=2.0**-7)
+        ref = reference_solution(plan.problem, state0, plan.T, ref_cfg, tau_min=2.0**-7)
         expected = []
         for spec in plan.filters:
             for tau in plan.tau_list:
@@ -303,6 +303,43 @@ class TestCli:
         )
         code = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3
+
+    def test_simulate_rejects_conflicting_horizon(self, tmp_path, capsys):
+        # T/tau = 10 steps; an n_steps that disagrees is an error, one that agrees runs
+        base = ["simulate", "-o", "problem.name=linear", "-o", "grid.K=8", "-o", "time.tau=0.1",
+                "-o", "time.T=1", "--out"]
+        out = tmp_path / "out"
+        assert cli_main(base + [str(out), "-o", "time.n_steps=3"]) == 1
+        assert "time.n_steps=3 conflicts with time.T=1" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+        assert cli_main(base + [str(out), "-o", "time.n_steps=10"]) == 0
+        assert "steps=10" in capsys.readouterr().out
+
+    def test_unread_config_keys_named_on_stderr(self, tmp_path, capsys):
+        base = ["simulate", "-o", "problem.name=linear", "-o", "grid.K=8", "-o", "time.tau=0.25",
+                "-o", "time.T=1", "--out"]
+        assert cli_main(base + [str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().err == ""
+        # a misspelled key and one simulate has no use for: same run, one stderr line
+        code = cli_main(base + [str(tmp_path / "b"), "-o", "filter.knd=hl",
+                                "-o", "sweep.K=4"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "filter=sinc:2" in captured.out
+        assert captured.err == "warning: simulate did not read config keys: filter.knd, sweep.K\n"
+        assert ((tmp_path / "a" / "trajectory.csv").read_bytes()
+                == (tmp_path / "b" / "trajectory.csv").read_bytes())
+
+    @pytest.mark.parametrize("value,code", [("ture", 1), ("yess", 1), ("TRUE", 0), ("No", 0),
+                                            ("0", 0)])
+    def test_cross_check_takes_only_booleans(self, tmp_path, capsys, value, code):
+        args = ["conv-time", "-o", "problem.name=linear", "-o", "sweep.K=4",
+                "-o", "sweep.tau=0.5 0.25 0.125", "-o", "time.T=1",
+                "-o", "reference.refine_factor=2", "-o", f"reference.cross_check={value}",
+                "--out", str(tmp_path / "out")]
+        assert cli_main(args) == code
+        if code:
+            assert f"reference.cross_check={value!r} is not" in capsys.readouterr().err
 
     def test_conv_time_linear(self, tmp_path, capsys):
         cfg = tmp_path / "conv.cfg"

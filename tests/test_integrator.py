@@ -50,12 +50,14 @@ class TestConfig:
             IntegratorConfig(tau=0.0, K=4, filter=sinc_c(2.0))
 
     def test_admissibility_policy(self):
-        with pytest.raises(ConfigurationError):
-            step(
-                StatePair(COS_X, SpectralField.zeros(1)),
-                model_problem(1.0),
-                IntegratorConfig(tau=0.1, K=1, filter=impulse(), admissibility_policy="strict"),
-            )
+        with pytest.raises(ConfigurationError, match="unknown admissibility policy"):
+            IntegratorConfig(tau=0.1, K=1, filter=impulse(), admissibility_policy="strict")
+        # a caller that wants an inadmissible filter to fail turns the warning into an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="sinc-compatibility"):
+                evolve(StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0),
+                       IntegratorConfig(tau=0.1, K=1, filter=impulse()), 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             step(
@@ -93,11 +95,6 @@ class TestConfig:
         twice = step(state, p, cfg)
         assert len(builds) == 1
         assert np.array_equal(once.u.coeffs, twice.u.coeffs)
-
-        strict = IntegratorConfig(tau=0.1, K=1, filter=impulse(), admissibility_policy="strict")
-        for _ in range(2):
-            with pytest.raises(ConfigurationError):
-                step(StatePair(COS_X, SpectralField.zeros(1)), p, strict)
 
 
 class TestNonlinearTerm:
@@ -316,19 +313,31 @@ class TestEvolve:
         evolve(st, p, cfg, n)
         with_reuse = calls["n"]
         calls["n"] = 0
-        evolve(st, p, replace(cfg, fsal=False), n)
+        for _ in range(n):
+            st = step(st, p, cfg)
         without_reuse = calls["n"]
         assert with_reuse == n + 1
         assert without_reuse == 2 * n
 
-    def test_fsal_matches_no_cache_bitwise(self, rng):
-        p = model_problem(1.0)
-        st = smooth_state(rng, 8)
-        cfg = IntegratorConfig(tau=0.1, K=8, filter=sinc_c(2.0))
-        a = evolve(st, p, cfg, 30)
-        b = evolve(st, p, replace(cfg, fsal=False), 30)
-        assert np.array_equal(a.u.coeffs, b.u.coeffs)
-        assert np.array_equal(a.udot.coeffs, b.udot.coeffs)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([4, 8, 32, 128]),
+           st.sampled_from([0.01, 1.0]),
+           st.sampled_from([sinc_c(2.0), grimm_hochbruck(), hairer_lubich()]), st.booleans())
+    def test_evolve_matches_iterated_step_bitwise(self, seed, K, kappa, spec, power_law):
+        # evolve reuses each step's F(u') as the next step's F(u); step()
+        # evaluates it afresh, and the two trajectories agree bit for bit
+        p = model_problem(kappa)
+        if power_law:
+            state = StatePair(*power_law_initial_data(K))
+        else:
+            state = smooth_state(np.random.default_rng(seed), K)
+        cfg = IntegratorConfig(tau=0.01, K=K, filter=spec, admissibility_policy="ignore")
+        n = 40
+        a = evolve(state, p, cfg, n)
+        for _ in range(n):
+            state = step(state, p, cfg)
+        assert np.array_equal(bits(a.u.coeffs), bits(state.u.coeffs))
+        assert np.array_equal(bits(a.udot.coeffs), bits(state.udot.coeffs))
 
     def test_time_reversal(self, rng):
         p = model_problem(1.0)
@@ -434,16 +443,17 @@ class TestLeanStep:
            st.sampled_from([0.0, 0.01, 1.0]) | st.floats(-2.0, 2.0),
            st.floats(1e-3, 0.7), st.booleans(),
            st.none() | st.lists(st.sampled_from(FILTERS), min_size=1, max_size=4))
-    def test_step_arrays_bitwise_equal_unpremultiplied_step(self, seed, K, kappa, tau, fsal,
+    def test_step_arrays_bitwise_equal_unpremultiplied_step(self, seed, K, kappa, tau, reuse,
                                                             stack):
         # three steps of the engine against the step formulas with every
-        # factor applied at the call, reusing F(u') with fsal as evolve
-        # does; stack None is the one-config engine
+        # factor applied at the call, reusing F(u') as evolve does or
+        # evaluating it afresh as step() does; stack None is the
+        # one-config engine
         rng = np.random.default_rng(seed)
         problem = model_problem(kappa)
         specs = [sinc_c(2.0)] if stack is None else stack
-        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec, fsal=fsal,
-                                 admissibility_policy="ignore") for spec in specs]
+        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec, admissibility_policy="ignore")
+                for spec in specs]
         engine = integrator._Engine(problem, cfgs[0] if stack is None else cfgs)
         states = [smooth_state(rng, K, scale=0.5) for _ in specs]
         u = np.stack([s.u.coeffs for s in states])
@@ -460,7 +470,7 @@ class TestLeanStep:
                 assert mine[2] is None and ref[2] is None
             else:
                 assert np.array_equal(bits(mine[2]), bits(ref[2]))
-            if not fsal:
+            if not reuse:
                 mine, ref = (*mine[:2], None), (*ref[:2], None)
 
 

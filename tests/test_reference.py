@@ -47,7 +47,7 @@ class TestReferenceSolution:
     def test_linear_case_matches_closed_form(self):
         st = data_state(16)
         ref = reference_solution(
-            linear_problem(), st, T=2.0, degree=16,
+            linear_problem(), st, T=2.0,
             ref_cfg=ReferenceConfig(refine_factor=4), tau_min=0.25,
         )
         exact = linear_propagator(st, 2.0)
@@ -81,7 +81,7 @@ class TestReferenceSolution:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reference_solution(
-                p, st, T=0.5, degree=16,
+                p, st, T=0.5,
                 ref_cfg=ReferenceConfig(refine_factor=8, cross_check=True), tau_min=0.125,
             )
 
@@ -90,14 +90,14 @@ class TestReferenceSolution:
         st = data_state(16)
         rc = ReferenceConfig(refine_factor=2, self_check_rtol=1e-16)
         with pytest.raises(ReferenceFailure):
-            reference_solution(p, st, T=0.5, degree=16, ref_cfg=rc, tau_min=0.25)
+            reference_solution(p, st, T=0.5, ref_cfg=rc, tau_min=0.25)
 
     def test_determinism(self):
         p = model_problem(0.01)
         st = data_state(16)
         rc = ReferenceConfig(refine_factor=4)
-        a = reference_solution(p, st, T=0.5, degree=16, ref_cfg=rc, tau_min=0.125)
-        b = reference_solution(p, st, T=0.5, degree=16, ref_cfg=rc, tau_min=0.125)
+        a = reference_solution(p, st, T=0.5, ref_cfg=rc, tau_min=0.125)
+        b = reference_solution(p, st, T=0.5, ref_cfg=rc, tau_min=0.125)
         assert np.array_equal(a.u.coeffs, b.u.coeffs)
         assert np.array_equal(a.udot.coeffs, b.udot.coeffs)
 
