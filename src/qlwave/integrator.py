@@ -20,6 +20,15 @@ with the scalar factors written before it (tau*sinc, tau^2/2*kappa*sinc,
 above are written.  A step is then a dozen array operations besides the
 two nonlinearities, and rounds exactly as the formulas evaluated left to
 right.
+
+The kernel works on half spectra, modes 0..K of the real fields (see
+spectral.py): every table, state and nonlinearity holds K+1 modes, and
+modes 0..K of each array are bitwise those a full-spectrum kernel would
+compute, since no operation on them reads a mode below 0.  Spectra are
+mirrored to the full -K..K only at the boundaries: for an evolve
+observer, for the final StatePairs, and on the way out of step,
+filtered_nonlinear_term and _interpolants, which take the modes 0..K of
+their SpectralField arguments on the way in.
 """
 
 from __future__ import annotations
@@ -41,13 +50,14 @@ from .exceptions import ConfigurationError, DivergenceError, NormGuardError
 from .problem import ProblemSpec
 from .spectral import (
     SpectralField,
+    analyze_half,
     coeffs_from_samples,
     dealiased_product,
     derivative,
-    mode_numbers,
+    mirror_half,
     omega_weights,
     pair_norm,
-    synthesize_values,
+    synthesize_half,
 )
 
 
@@ -118,8 +128,9 @@ class _Engine:
     Built from one config, the filter tables are 1-D and the engine steps
     a 1-D state.  Built from a sequence of configs that share K and tau,
     the filter tables have one row per config and the engine steps a
-    (B, 2K+1) stack whose row i runs under config i; the tau tables are
+    (B, K+1) stack whose row i runs under config i; the tau tables are
     shared.  The same fhat and step_arrays serve both by broadcasting.
+    Every table, state and nonlinearity is a half spectrum, modes 0..K.
     """
 
     def __init__(self, problem: ProblemSpec, cfgs):
@@ -134,9 +145,14 @@ class _Engine:
         self.tau = tau
         self.kappa = problem.kappa
 
-        w1 = omega_weights(K)
-        self.w2_t = w1 * w1
-        self.w4_t = self.w2_t * self.w2_t
+        w1 = omega_weights(K)[K:]
+        j = np.arange(K + 1, dtype=float)
+        # norm-guard weights w^4 and w^2 of the half spectrum, one per real
+        # and one per imaginary part: a mode j >= 1 stands for j and -j,
+        # which have equal moduli
+        twice = np.where(j > 0, 2.0, 1.0)
+        self.w2_t = np.repeat(twice * (w1 * w1), 2)
+        self.w4_t = np.repeat(twice * ((w1 * w1) * (w1 * w1)), 2)
         # multipliers times their leading scalar factors (module docstring)
         sinc_t = flt.sinc(tau * w1)
         self.cos_t = np.cos(tau * w1)
@@ -151,8 +167,7 @@ class _Engine:
             phi_t, self.psi1_t = phi_t[0], self.psi1_t[0]
         # position filter times (1, d/dx) and times d^2/dx^2; the d/dx row is
         # only needed when the problem has a g(u, u_x)
-        j = mode_numbers(K).astype(float)
-        grad = np.stack((np.ones(2 * K + 1), 1j * j))[: 1 if problem.g is None else 2]
+        grad = np.stack((np.ones(K + 1), 1j * j))[: 1 if problem.g is None else 2]
         self.grad_t = phi_t * (grad[:, None] if stacked else grad)
         self.dxx_t = phi_t * -(j * j)
         self.n_interp = 2 * K + 1
@@ -190,10 +205,10 @@ class _Engine:
 
         a_K and g_K are the degree-K trigonometric interpolants of the
         pointwise nonlinearities on the 2K+1-node grid; one batched
-        synthesis and one batched analysis.  For a (B, 2K+1) stack c the
-        result has shape (rows, B, 2K+1).
+        synthesis and one batched analysis.  For a (B, K+1) stack c the
+        result has shape (rows, B, K+1).
         """
-        vals = synthesize_values(self.grad_t * c, self.n_interp)
+        vals = synthesize_half(self.grad_t * c, self.n_interp)
         rows = [self.problem.a(vals[0])]
         if self.problem.g is not None:
             rows.append(self.problem.g(vals[0], vals[1]))
@@ -207,18 +222,29 @@ class _Engine:
                 # which rows of a stack overflowed, for the step loop to retire
                 exc.rows = ~finite
                 raise exc
-        return coeffs_from_samples(f, self.K)
+        return analyze_half(f, self.K)
 
     def fhat(self, c: np.ndarray) -> np.ndarray:
         """Filtered nonlinearity psi1 * P_K(a_K(phi u) (phi u)_xx + g_K(phi u, (phi u)_x)).
 
         Four transform calls: the two of interpolants, one batched
         synthesis of (a_K, (phi u)_xx) on the product grid, and one
-        analysis of their pointwise product keeping modes -K..K.
+        analysis of their pointwise product keeping modes 0..K.  The
+        synthesis reads a fresh zeroed buffer of n_prod//2+1 modes per
+        call: engines are shared (_cached_engine), so they hold none.
+
+        The analysis goes through the full-spectrum coeffs_from_samples
+        and keeps its modes 0..K (analyze_half's, bit for bit), so that
+        the benchmark's traced runs, which count transforms by that name
+        and by synthesize_values, still see the step's transform work.
         """
         ag = self.interpolants(c)
-        vals = synthesize_values(np.concatenate((ag[:1], (self.dxx_t * c)[None])), self.n_prod)
-        f = coeffs_from_samples(vals[0] * vals[1], self.K)
+        uxx = self.dxx_t * c
+        spec = np.zeros((2,) + uxx.shape[:-1] + (self.n_prod // 2 + 1,), np.complex128)
+        spec[0, ..., : self.K + 1] = ag[0]
+        spec[1, ..., : self.K + 1] = uxx
+        vals = synthesize_half(spec, self.n_prod)
+        f = coeffs_from_samples(vals[0] * vals[1], self.K)[..., self.K :]
         if ag.shape[0] > 1:
             f += ag[1]
         return self.psi1_t * f
@@ -226,7 +252,7 @@ class _Engine:
     # -- one step ------------------------------------------------------
 
     def step_arrays(self, u, ud, fn=None):
-        """One step on raw coefficient arrays; returns (u', ud', F(u')).
+        """One step on half spectra; returns (u', ud', F(u')).
 
         Bitwise equal to the module docstring's formulas evaluated left to
         right, e.g. ``cos*u + tau*sinc*ud + 0.5*tau*tau*kappa*sinc*F(u)``,
@@ -242,6 +268,11 @@ class _Engine:
         fn1 = self.fhat(u1)
         ud1 = self.mwsin_t * u + self.cos_t * ud + self.kcos_t * fn + self.khalf * fn1
         return u1, ud1, fn1
+
+    def norm_sq(self, u, ud) -> float:
+        """|u|_2^2 + |ud|_1^2 of one contiguous half-spectrum state, the norm guard's measure."""
+        x, y = u.view(np.float64), ud.view(np.float64)
+        return float(self.w4_t @ (x * x) + self.w2_t @ (y * y))
 
 
 @functools.lru_cache(maxsize=8)
@@ -262,9 +293,10 @@ def _require_degree(state: StatePair, cfg: IntegratorConfig):
 
 def _interpolants(u: SpectralField, problem: ProblemSpec) -> np.ndarray:
     """_Engine.interpolants of u at K = deg u, unfiltered: rows a_K(u) and g_K(u, u_x)."""
-    engine = _cached_engine(problem, IntegratorConfig(tau=1.0, K=u.degree, filter=flt.impulse(),
+    K = u.degree
+    engine = _cached_engine(problem, IntegratorConfig(tau=1.0, K=K, filter=flt.impulse(),
                                                       admissibility_policy="ignore"))
-    return engine.interpolants(u.coeffs)
+    return mirror_half(engine.interpolants(u.coeffs[K:]))
 
 
 def nonlinear_term(u: SpectralField, problem: ProblemSpec) -> SpectralField:
@@ -281,7 +313,7 @@ def filtered_nonlinear_term(
     if u.degree != cfg.K:
         raise ConfigurationError(f"field degree {u.degree} does not match config K={cfg.K}")
     engine = _cached_engine(problem, cfg)
-    return SpectralField(engine.fhat(u.coeffs))
+    return SpectralField(mirror_half(engine.fhat(u.coeffs[cfg.K:])))
 
 
 def linear_propagator(state: StatePair, t: float) -> StatePair:
@@ -300,8 +332,9 @@ def step(state: StatePair, problem: ProblemSpec, cfg: IntegratorConfig) -> State
     """Advance one time step with the one-step form of the scheme."""
     _require_degree(state, cfg)
     engine = _cached_engine(problem, cfg)
-    u1, ud1, _ = engine.step_arrays(state.u.coeffs, state.udot.coeffs)
-    return StatePair(SpectralField(u1), SpectralField(ud1))
+    K = cfg.K
+    u1, ud1, _ = engine.step_arrays(state.u.coeffs[K:], state.udot.coeffs[K:])
+    return StatePair(SpectralField(mirror_half(u1)), SpectralField(mirror_half(ud1)))
 
 
 def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
@@ -309,24 +342,24 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
     """Iterate the one-step map n_steps times from state0 under each of cfgs.
 
     ``cfgs`` is one config, run on 1-D states, or a sequence of configs
-    sharing K and tau, run as a (B, 2K+1) stack whose row i follows
-    cfgs[i].  After each step every running row is checked, in this order,
-    for an overflowing nonlinearity, a non-finite state and the norm
-    guard; a failing row retires with its DivergenceError or
+    sharing K and tau, run as a (B, K+1) stack of half spectra whose row i
+    follows cfgs[i].  After each step every running row is checked, in
+    this order, for an overflowing nonlinearity, a non-finite state and
+    the norm guard; a failing row retires with its DivergenceError or
     NormGuardError (step and time set) and the other rows go on.
-    ``observer(n, t, u, ud)`` sees the states of the running rows after the
-    steps n with n % every == 0.  Returns one outcome per row: its final
-    StatePair or the exception that retired it.
+    ``observer(n, t, u, ud)`` sees the full spectra of the running rows
+    after the steps n with n % every == 0.  Returns one outcome per row:
+    its final StatePair or the exception that retired it.
     """
     engine = _Engine(problem, cfgs)
-    u = np.broadcast_to(state0.u.coeffs, engine.dxx_t.shape)
-    ud = np.broadcast_to(state0.udot.coeffs, engine.dxx_t.shape)
+    K = engine.K
+    u = np.broadcast_to(state0.u.coeffs[K:], engine.dxx_t.shape)
+    ud = np.broadcast_to(state0.udot.coeffs[K:], engine.dxx_t.shape)
     tau = engine.tau
     row_cfgs = engine.cfgs
     max_sq = [c.max_norm * c.max_norm for c in row_cfgs]
     outcomes: list = [None] * len(row_cfgs)
     live = list(range(len(row_cfgs)))
-    w4, w2 = engine.w4_t, engine.w2_t
     fn = None
 
     def retire(failed: dict) -> bool:
@@ -368,7 +401,7 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
         failed = {}
         for i, row in enumerate(live):
             ui, udi = u_rows[i], ud_rows[i]
-            norm_sq = float(w4 @ (ui.real**2 + ui.imag**2) + w2 @ (udi.real**2 + udi.imag**2))
+            norm_sq = engine.norm_sq(ui, udi)
             if norm_sq <= max_sq[row] and math.isfinite(norm_sq):
                 continue
             # a non-finite state makes norm_sq non-finite; a finite state may
@@ -389,9 +422,10 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
         if failed and not retire(failed):
             break
         if observer is not None and n % every == 0:
-            observer(n, n * tau, u, ud)
+            observer(n, n * tau, mirror_half(u), mirror_half(ud))
     if live:
-        u_rows, ud_rows = u.reshape(len(live), -1), ud.reshape(len(live), -1)
+        u_rows = mirror_half(u).reshape(len(live), -1)
+        ud_rows = mirror_half(ud).reshape(len(live), -1)
         for i, row in enumerate(live):
             outcomes[row] = StatePair(SpectralField(u_rows[i]), SpectralField(ud_rows[i]))
     return outcomes

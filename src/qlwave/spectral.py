@@ -9,24 +9,27 @@ together with weighted Sobolev norms built from the weights
 w_j = sqrt(j^2 + 1).  All operations are pure functions; fields are
 immutable values.
 
-The raw-array transforms synthesize_values and coeffs_from_samples are
-the one transform pair every kernel uses.  They work along the last axis,
-so a stack of spectra goes through in one call, and hand only modes
-0..K to the real FFTs: the inverse transform gets them zero-padded to
-n//2+1 only when n > 2K+1, and the analysis slices them before scaling
-and mirrors them with one conjugate.  Every other operation is built on
-them or on plain coefficient arithmetic: the exact product
-dealiased_product is a pointwise product on a grid that resolves all of
-its modes, and apply_multiplier is the one way to apply a Fourier
-multiplier m(Om).
+The half-spectrum transforms synthesize_half and analyze_half are the one
+transform pair; they alone call the real FFTs.  A half spectrum holds
+modes 0..K of a real field along the last axis (its other modes are
+their conjugates), so a stack of spectra goes through in one call.  The
+synthesis zero-pads the modes to n//2+1 only when fewer are given, and
+the analysis keeps modes 0..degree.  The step kernel in integrator.py
+works on half spectra throughout; mirror_half turns a half spectrum into
+the full one a SpectralField stores.  synthesize_values and
+coeffs_from_samples are the full-spectrum adapters over the pair that
+every other caller uses (and the kernel's product analysis, see
+_Engine.fhat): the exact product dealiased_product is a
+pointwise product on a grid that resolves all of its modes, and
+apply_multiplier is the one way to apply a Fourier multiplier m(Om).
 
 The pair calls pocketfft's C entry points c2r and r2c
 (scipy.fft._pocketfft.pypocketfft) directly, with one thread.  At the
 sizes a step uses (K <= 128), most of the time of a scipy.fft.irfft or
 rfft call is its Python dispatch (uarray, argument normalization, shape
 fixing): in a cProfile of a K=32 evolve, c2r/r2c took about 15% of the
-time spent in the transform calls.  The wrappers do exactly what that
-dispatch did for their inputs, so the results are bitwise equal to
+time spent in the transform calls.  The pair does exactly what that
+dispatch did for its inputs, so the results are bitwise equal to
 scipy.fft.irfft(modes 0..K, n=n) * n and to scipy.fft.rfft(values) / n.
 There is no fallback: if the private module moves, importing qlwave
 fails.  A scipy.fft.set_workers context does not reach these transforms.
@@ -184,48 +187,78 @@ def _check_order(s: float) -> float:
     return s
 
 
-def synthesize_values(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Values of sum c_j e^{ijx} at n equispaced nodes (raw-array core).
+def synthesize_half(half: np.ndarray, n: int) -> np.ndarray:
+    """Values at n equispaced nodes of the real field with modes 0..K ``half``.
 
-    Transforms along the last axis, so a stack of spectra of one degree
-    goes through in one call.  Runs pocketfft's c2r (1/n-normalized,
-    times n) on modes 0..degree, zero-padded to n//2+1 when n > 2K+1, so
-    the output is exactly real and bitwise equal to
-    scipy.fft.irfft(coeffs[..., degree:], n=n) * n.  Real-dtype
-    coefficients are promoted to complex, as irfft promotes them.
+    Transforms along the last axis.  Runs pocketfft's c2r (1/n-normalized,
+    times n) on the modes, zero-padded to n//2+1 only when fewer are
+    given, so the output is bitwise equal to
+    scipy.fft.irfft(half, n=n) * n.  Real-dtype modes are promoted to
+    complex, as irfft promotes them.
     """
-    degree = (coeffs.shape[-1] - 1) // 2
-    if n < 2 * degree + 1:
-        raise AliasingError(
-            f"{n} nodes cannot represent a degree-{degree} polynomial (need >= {2 * degree + 1})"
-        )
-    half = coeffs[..., degree:]
+    size = n // 2 + 1
+    if half.shape[-1] > size:
+        raise AliasingError(f"{n} nodes hold modes 0..{size - 1}, got 0..{half.shape[-1] - 1}")
     if half.dtype.kind != "c":
         half = half + 0.0j
-    if n > 2 * degree + 1:
-        padded = np.zeros(half.shape[:-1] + (n // 2 + 1,), half.dtype)
-        padded[..., : degree + 1] = half
+    if half.shape[-1] < size:
+        padded = np.zeros(half.shape[:-1] + (size,), half.dtype)
+        padded[..., : half.shape[-1]] = half
         half = padded
     return c2r(half, (-1,), n, False, 2, None, 1) * n
 
 
-def coeffs_from_samples(values: np.ndarray, degree: int) -> np.ndarray:
-    """Modes -degree..degree of the sampled polynomial (raw-array core).
+def analyze_half(values: np.ndarray, degree: int) -> np.ndarray:
+    """Modes 0..degree of the real samples along the last axis.
 
-    Transforms along the last axis, like synthesize_values.  Exact (no
-    aliasing) for modes |m| <= degree when the samples come from a
-    polynomial of degree D and the last axis has >= degree+D+1 samples.
-    Runs pocketfft's unnormalized r2c and divides the kept modes by n,
-    bitwise equal to scipy.fft.rfft(values)[..., :degree+1] / n mirrored.
-    Integer samples are promoted to float64, as rfft promotes them.
+    Exact (no aliasing) when the samples come from a polynomial of
+    degree D and the last axis has >= degree+D+1 samples.  Runs
+    pocketfft's unnormalized r2c and divides the kept modes by n, bitwise
+    equal to scipy.fft.rfft(values)[..., :degree+1] / n.  Integer samples
+    are promoted to float64, as rfft promotes them.
     """
     n = values.shape[-1]
     if n < 2 * degree + 1:
         raise AliasingError(f"need at least {2 * degree + 1} samples for degree {degree}")
     if values.dtype.kind not in "fc":
         values = values.astype(np.float64)
-    half = r2c(values, (-1,), True, 0, None, 1)[..., : degree + 1] / n
-    return np.concatenate((np.conj(half[..., :0:-1]), half), axis=-1)
+    return r2c(values, (-1,), True, 0, None, 1)[..., : degree + 1] / n
+
+
+def mirror_half(half: np.ndarray) -> np.ndarray:
+    """Full spectrum -K..K of the real field with modes 0..K ``half`` (last axis).
+
+    The result is a new C-contiguous array, also for a broadcast ``half``.
+    """
+    K = half.shape[-1] - 1
+    full = np.empty(half.shape[:-1] + (2 * K + 1,), half.dtype)
+    full[..., K:] = half
+    np.conjugate(half[..., :0:-1], out=full[..., :K])
+    return full
+
+
+def synthesize_values(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Values of sum c_j e^{ijx} at n equispaced nodes (full-spectrum adapter).
+
+    Transforms along the last axis, so a stack of spectra of one degree
+    goes through in one call: synthesize_half of modes 0..degree, bitwise
+    equal to scipy.fft.irfft(coeffs[..., degree:], n=n) * n.
+    """
+    degree = (coeffs.shape[-1] - 1) // 2
+    if n < 2 * degree + 1:
+        raise AliasingError(
+            f"{n} nodes cannot represent a degree-{degree} polynomial (need >= {2 * degree + 1})"
+        )
+    return synthesize_half(coeffs[..., degree:], n)
+
+
+def coeffs_from_samples(values: np.ndarray, degree: int) -> np.ndarray:
+    """Modes -degree..degree of the sampled polynomial (full-spectrum adapter).
+
+    analyze_half mirrored, so bitwise equal to
+    scipy.fft.rfft(values)[..., :degree+1] / n mirrored.
+    """
+    return mirror_half(analyze_half(values, degree))
 
 
 def synthesize(f: SpectralField, n: int) -> GridFunction:

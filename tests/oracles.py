@@ -5,10 +5,11 @@ summation, deliberately avoiding the package's FFT-based code paths, so
 that agreement between the two is a meaningful check.
 
 The reference forms at the end keep the textbook way of writing the
-transform wrappers and the step: an explicitly zero-padded half
-spectrum, an element-by-element assembled analysis, and the step
-formulas with every factor applied at the call.  The package's lean
-kernels must match them bit for bit.
+transform wrappers and the step kernel: an explicitly zero-padded half
+spectrum, an element-by-element assembled analysis, the filtered
+nonlinearity on full spectra -K..K, and the step formulas with every
+factor applied at the call.  The package's lean kernels must match them
+bit for bit.
 """
 
 import math
@@ -18,7 +19,13 @@ import scipy.fft
 
 from qlwave import filters
 from qlwave.integrator import StatePair, filtered_nonlinear_term
-from qlwave.spectral import SpectralField, omega_weights
+from qlwave.spectral import (
+    SpectralField,
+    coeffs_from_samples,
+    mode_numbers,
+    omega_weights,
+    synthesize_values,
+)
 
 
 def o_sinc(x: float) -> float:
@@ -167,6 +174,35 @@ def assembled_analysis(values, degree):
     return c
 
 
+def full_spectrum_fhat(problem, cfgs, c):
+    """The step kernel's filtered nonlinearity on full spectra -K..K.
+
+    psi1 * P_K(a_K(phi u) (phi u)_xx + g_K(phi u, (phi u)_x)) for the
+    (B, 2K+1) stack ``c`` whose row i runs under cfgs[i] (configs sharing
+    K and tau), in four transform calls through the full-spectrum
+    adapters, each table formed as the step kernel forms it.
+    """
+    K, tau = cfgs[0].K, cfgs[0].tau
+    w1 = omega_weights(K)
+    j = mode_numbers(K).astype(float)
+    phi_t = np.asarray([filters.phi(cfg.filter, tau * w1) for cfg in cfgs])
+    psi1_t = np.asarray([filters.psi1(cfg.filter, tau * w1) for cfg in cfgs])
+    grad = np.stack((np.ones(2 * K + 1), 1j * j))[: 1 if problem.g is None else 2]
+    grad_t = phi_t * grad[:, None]
+    dxx_t = phi_t * -(j * j)
+    vals = synthesize_values(grad_t * c, 2 * K + 1)
+    rows = [problem.a(vals[0])]
+    if problem.g is not None:
+        rows.append(problem.g(vals[0], vals[1]))
+    ag = coeffs_from_samples(np.asarray(rows, dtype=float), K)
+    n_prod = scipy.fft.next_fast_len(3 * K + 1, real=True)
+    vals = synthesize_values(np.concatenate((ag[:1], (dxx_t * c)[None])), n_prod)
+    f = coeffs_from_samples(vals[0] * vals[1], K)
+    if ag.shape[0] > 1:
+        f += ag[1]
+    return psi1_t * f
+
+
 def step_tables(K, tau):
     """cos(tau*Om), sinc(tau*Om) and Om*sin(tau*Om) on modes -K..K."""
     w1 = omega_weights(K)
@@ -176,9 +212,10 @@ def step_tables(K, tau):
 def unpremultiplied_step(fhat, u, ud, K, tau, kappa, fn=None):
     """One step with every scalar factor applied at the call; (u', ud', F(u')).
 
-    ``fhat`` is the filtered nonlinearity; ``fn``, when given, is F(u).
+    Works on half spectra, modes 0..K, like the step kernel.  ``fhat`` is
+    the filtered nonlinearity; ``fn``, when given, is F(u).
     """
-    cos_t, sinc_t, wsin_t = step_tables(K, tau)
+    cos_t, sinc_t, wsin_t = (table[K:] for table in step_tables(K, tau))
     if kappa == 0.0:
         u1 = cos_t * u + tau * sinc_t * ud
         ud1 = -wsin_t * u + cos_t * ud

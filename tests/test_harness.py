@@ -304,6 +304,18 @@ class TestCli:
         code = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3
 
+    def test_simulate_divergence_reported_once_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli_main(["simulate", "-o", "problem.name=model", "-o", "problem.kappa=1",
+                         "-o", "grid.K=8", "-o", "time.tau=0.25", "-o", "time.T=100",
+                         "-o", "filter.kind=impulse", "-o", "guard.max_norm=1e-6",
+                         "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: norm guard tripped at step 1 (t=0.25): |state| = ")
+        assert err.count("\n") == 1 and err.endswith(" > 1.000e-06\n")
+        assert not (out / "trajectory.csv").exists()
+
     def test_simulate_rejects_conflicting_horizon(self, tmp_path, capsys):
         # T/tau = 10 steps; an n_steps that disagrees is an error, one that agrees runs
         base = ["simulate", "-o", "problem.name=linear", "-o", "grid.K=8", "-o", "time.tau=0.1",

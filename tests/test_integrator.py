@@ -28,7 +28,7 @@ from qlwave.spectral import (
 )
 
 from conftest import hermitian_field
-from oracles import dense_one_step, step_three_stage, unpremultiplied_step
+from oracles import dense_one_step, full_spectrum_fhat, step_three_stage, unpremultiplied_step
 
 COS_X = SpectralField.from_dict(1, {1: 0.5})
 
@@ -446,9 +446,9 @@ class TestLeanStep:
     def test_step_arrays_bitwise_equal_unpremultiplied_step(self, seed, K, kappa, tau, reuse,
                                                             stack):
         # three steps of the engine against the step formulas with every
-        # factor applied at the call, reusing F(u') as evolve does or
-        # evaluating it afresh as step() does; stack None is the
-        # one-config engine
+        # factor applied at the call, both on half spectra, reusing F(u')
+        # as evolve does or evaluating it afresh as step() does; stack
+        # None is the one-config engine
         rng = np.random.default_rng(seed)
         problem = model_problem(kappa)
         specs = [sinc_c(2.0)] if stack is None else stack
@@ -456,8 +456,8 @@ class TestLeanStep:
                 for spec in specs]
         engine = integrator._Engine(problem, cfgs[0] if stack is None else cfgs)
         states = [smooth_state(rng, K, scale=0.5) for _ in specs]
-        u = np.stack([s.u.coeffs for s in states])
-        ud = np.stack([s.udot.coeffs for s in states])
+        u = np.stack([s.u.coeffs[K:] for s in states])
+        ud = np.stack([s.udot.coeffs[K:] for s in states])
         if stack is None:
             u, ud = u[0], ud[0]
         mine = ref = (u, ud, None)
@@ -472,6 +472,69 @@ class TestLeanStep:
                 assert np.array_equal(bits(mine[2]), bits(ref[2]))
             if not reuse:
                 mine, ref = (*mine[:2], None), (*ref[:2], None)
+
+
+def assert_exactly_hermitian(f):
+    """Modes -j mirror modes j bit for bit; mode 0 is real.
+
+    Mode 0's imaginary part is a zero whose conjugate is a zero of the
+    other sign, so it is compared by value.
+    """
+    c, K = f.coeffs, f.degree
+    assert np.array_equal(bits(c[K + 1:]), bits(np.conj(c[:K][::-1])))
+    assert c[K].imag == 0.0
+
+
+class TestHalfSpectrumKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 24), st.floats(1e-3, 0.7), st.booleans(),
+           st.none() | st.lists(st.sampled_from(FILTERS), min_size=1, max_size=4))
+    def test_fhat_equals_full_spectrum_fhat_on_modes_0_to_K(self, seed, K, tau, with_g, stack):
+        # stack None is the one-config engine on a 1-D half spectrum
+        rng = np.random.default_rng(seed)
+        problem = model_problem(1.0) if with_g else quasilinear_only(1.0)
+        specs = [sinc_c(2.0)] if stack is None else stack
+        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec, admissibility_policy="ignore")
+                for spec in specs]
+        engine = integrator._Engine(problem, cfgs[0] if stack is None else cfgs)
+        c = np.stack([hermitian_field(rng, K, scale=0.5, decay=3.0).coeffs for _ in specs])
+        full = full_spectrum_fhat(problem, cfgs, c)[..., K:]
+        half = engine.fhat(c[0, K:] if stack is None else c[..., K:])
+        assert np.array_equal(bits(half), bits(full[0] if stack is None else full))
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0])
+    def test_outcomes_exactly_hermitian(self, rng, kappa):
+        problem = model_problem(kappa) if kappa else linear_problem()
+        state = smooth_state(rng, 12, scale=0.5)
+        cfgs = [IntegratorConfig(tau=0.2, K=12, filter=spec, admissibility_policy="ignore")
+                for spec in FILTERS]
+        seen = []
+        final = evolve(state, problem, cfgs[3], 6, observer=lambda n, t, s: seen.append(s))
+        outcomes = integrator._evolve_stack(state, problem, cfgs, 6)
+        fields = [step(state, problem, cfgs[0]), final, *seen, *outcomes]
+        assert len(fields) == 13 and all(isinstance(o, StatePair) for o in fields)
+        for pair in fields:
+            assert_exactly_hermitian(pair.u)
+            assert_exactly_hermitian(pair.udot)
+
+    @pytest.mark.parametrize("K", [1, 8, 64, 256])
+    def test_guard_norm_matches_full_spectrum_norm(self, K):
+        rng = np.random.default_rng(K)
+        engine = integrator._Engine(linear_problem(), IntegratorConfig(
+            tau=0.1, K=K, filter=impulse(), admissibility_policy="ignore"))
+        w2 = omega_weights(K) ** 2
+        for decay in (0.0, 1.0, 3.0):
+            state = smooth_state(rng, K, scale=10.0, decay=decay)
+            u, ud = state.u.coeffs, state.udot.coeffs
+            full = float(np.sum(w2 * w2 * np.abs(u) ** 2) + np.sum(w2 * np.abs(ud) ** 2))
+            half = engine.norm_sq(u[K:], ud[K:])
+            assert abs(half - full) <= 1e-15 * full
+        # a finite state whose norm overflows
+        u = SpectralField.from_dict(K, {K: 1e200}).coeffs
+        zero = np.zeros(2 * K + 1, dtype=complex)
+        with np.errstate(over="ignore"):
+            full = float(np.sum(w2 * w2 * np.abs(u) ** 2) + np.sum(w2 * np.abs(zero) ** 2))
+            assert engine.norm_sq(u[K:], zero[K:]) == full == np.inf
 
 
 def run_alone(state, problem, cfg, n_steps):

@@ -18,10 +18,12 @@ from qlwave.spectral import (
     embed,
     inner_product,
     interpolate,
+    mirror_half,
     pair_norm,
     project,
     sobolev_norm,
     synthesize,
+    synthesize_half,
     synthesize_values,
 )
 
@@ -158,6 +160,26 @@ class TestInterpolate:
         want = assembled_analysis(samples, degree)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [7, 8, 100])
+    def test_half_synthesis_takes_up_to_n_half_plus_one_modes(self, rng, n):
+        # a half spectrum shorter than n//2+1 is zero-padded, one of exactly
+        # n//2+1 modes (the Nyquist mode included when n is even) goes to
+        # c2r as it is, and a longer one cannot be represented
+        for size in (1, 3, n // 2 + 1):
+            half = rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))
+            want = scipy.fft.irfft(half, n=n) * n
+            assert np.array_equal(synthesize_half(half, n).view(np.uint64), want.view(np.uint64))
+        with pytest.raises(AliasingError):
+            synthesize_half(np.ones(n // 2 + 2, dtype=complex), n)
+
+    def test_mirror_is_contiguous_conjugate_extension(self, rng):
+        half = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        for stack in (half, np.broadcast_to(half, (3, 4)), np.broadcast_to(half[:2], (2, 2))):
+            full = mirror_half(stack)
+            want = np.concatenate((np.conj(stack[..., :0:-1]), stack), axis=-1)
+            assert full.flags.c_contiguous
+            assert np.array_equal(full.view(np.uint64), np.ascontiguousarray(want).view(np.uint64))
 
     def test_kernels_bypass_public_scipy_fft(self, monkeypatch):
         # the step, the L operator and the exact product transform through
