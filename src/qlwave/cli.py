@@ -170,15 +170,15 @@ def cmd_simulate(args) -> int:
     w = omega_weights(K)
     w_u, w_ud = w ** (2.0 * 2.0), w ** (2.0 * 1.0)
 
-    def norm(s: StatePair) -> float:
-        return float(np.hypot(float(np.sqrt(np.sum(w_u * np.abs(s.u.coeffs) ** 2))),
-                              float(np.sqrt(np.sum(w_ud * np.abs(s.udot.coeffs) ** 2)))))
+    def norm(u: np.ndarray, ud: np.ndarray) -> float:
+        return float(np.hypot(float(np.sqrt(np.sum(w_u * np.abs(u) ** 2))),
+                              float(np.sqrt(np.sum(w_ud * np.abs(ud) ** 2)))))
 
-    rows = [(0, 0.0, norm(state))]
+    rows = [(0, 0.0, norm(u0.coeffs, ud0.coeffs))]
     every = int(_get(cfg, "output.every", "1"))
 
-    def observer(n, t, s):
-        rows.append((n, t, norm(s)))
+    def observer(n, t, u, ud):
+        rows.append((n, t, norm(u, ud)))
 
     final = evolve(state, problem, icfg, n_steps, observer=observer, every=every)
     with open(path, "w", newline="") as fh:

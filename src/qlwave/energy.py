@@ -228,8 +228,6 @@ def positivity_check(
     problem: ProblemSpec,
     cfg: IntegratorConfig,
     n_samples: int = 1000,
-    delta: Optional[float] = None,
-    a0: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> float:
     """Worst sampled Rayleigh margin of 1 + L(Phi u) against delta/8.
@@ -237,31 +235,14 @@ def positivity_check(
     Samples (|v|_0^2 + <L(Phi u) v, v>_0) / |v|_0^2 - delta/8 over
     ``n_samples`` random real fields plus the deterministic single-mode
     probes cos(jx), sin(jx) for all |j| <= K; a non-negative result
-    certifies the sampled lower bound.  ``delta``/``a0`` default to the
-    ellipticity estimates of the supplied snapshot; explicitly supplied
-    values are checked against those estimates first.  Raises
-    ConfigurationError for n_samples < 0 or when only one of ``delta``
-    and ``a0`` is supplied.
+    certifies the sampled lower bound.  delta is the hyperbolicity margin
+    min 1 + kappa*a(u) of the snapshot (problem.ellipticity_report).
+    Raises PreconditionError when that margin is <= 0 and
+    ConfigurationError for n_samples < 0.
     """
-    if (delta is None) != (a0 is None):
-        raise ConfigurationError("delta and a0 must be supplied together")
-    rep = ellipticity_report(problem, u)
-    if delta is None:
-        if rep.delta_est <= 0.0:
-            raise PreconditionError(
-                f"hyperbolicity lost: min 1 + kappa*a(u) = {rep.delta_est:.3e} <= 0"
-            )
-        delta = rep.delta_est
-    else:
-        if rep.delta_est < 0.5 * delta:
-            raise PreconditionError(
-                f"min 1 + kappa*a(u) = {rep.delta_est:.3e} < delta/2 = {0.5 * delta:.3e}"
-            )
-        if rep.A0_est > a0 + 0.5 * delta:
-            raise PreconditionError(
-                f"max kappa*a(u) = {rep.A0_est:.3e} > A0 + delta/2 = {a0 + 0.5 * delta:.3e}"
-            )
-
+    delta = ellipticity_report(problem, u).delta_est
+    if delta <= 0.0:
+        raise PreconditionError(f"hyperbolicity lost: min 1 + kappa*a(u) = {delta:.3e} <= 0")
     margins = [m for _, m in positivity_probes(u, problem, cfg, n_samples, delta, rng)]
     return float(min(margins))
 

@@ -45,17 +45,25 @@ def sinc(xi):
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One catalog filter: kind, sinc parameter c, and bound constant c0."""
+    """One catalog filter: its kind and, for sinc, the parameter c."""
 
     kind: str
     c: float = 0.0
-    c0: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown filter kind {self.kind!r}")
         if self.c < 0 or not np.isfinite(self.c):
             raise ConfigurationError("filter parameter c must be finite and >= 0")
+        if self.c != 0.0 and self.kind != KIND_SINC_C:
+            raise ConfigurationError(f"filter kind {self.kind!r} takes no parameter c")
+
+    @property
+    def c0(self) -> float:
+        """The constant of |1-phi(xi)| <= c0*xi^2 (same for psi1) that the kind and c fix."""
+        if self.kind == KIND_SINC_C:
+            return max(1.0, (self.c * self.c + 1.0) / 6.0)
+        return 0.0 if self.kind == KIND_IMPULSE else 1.0
 
     @property
     def label(self) -> str:
@@ -65,19 +73,19 @@ class FilterSpec:
 
 
 def impulse() -> FilterSpec:
-    return FilterSpec(KIND_IMPULSE, c0=0.0)
+    return FilterSpec(KIND_IMPULSE)
 
 
 def hairer_lubich() -> FilterSpec:
-    return FilterSpec(KIND_HAIRER_LUBICH, c0=1.0)
+    return FilterSpec(KIND_HAIRER_LUBICH)
 
 
 def grimm_hochbruck() -> FilterSpec:
-    return FilterSpec(KIND_GRIMM_HOCHBRUCK, c0=1.0)
+    return FilterSpec(KIND_GRIMM_HOCHBRUCK)
 
 
 def sinc_c(c: float) -> FilterSpec:
-    return FilterSpec(KIND_SINC_C, c=float(c), c0=max(1.0, (c * c + 1.0) / 6.0))
+    return FilterSpec(KIND_SINC_C, c=float(c))
 
 
 def parse_filter(text: str) -> FilterSpec:

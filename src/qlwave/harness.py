@@ -41,6 +41,12 @@ class ExperimentPlan:
             raise ConfigurationError("T must be positive")
         for tau in self.tau_list:
             _n_steps(self.T, tau)
+        # a repeated value would rerun its cells and count them twice in the order fit
+        for name, values in (("K", self.K_list), ("tau", self.tau_list),
+                             ("filter", [spec.label for spec in self.filters])):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigurationError(f"sweep {name} {repeated[0]} is repeated")
 
 
 @dataclass(frozen=True)
@@ -184,32 +190,30 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> OrderEstimate:
     )
 
 
+def _fit_usable(rows: Sequence[ConvergenceRow], name: str) -> OrderEstimate:
+    """Log-log fit of err against the row field ``name`` (tau or K); see estimate_order."""
+    ok = [r for r in rows if r.status == STATUS_OK and r.err > 0 and math.isfinite(r.err)]
+    if len(ok) < 3:
+        raise EstimationError(f"need >= 3 usable rows, got {len(ok)}")
+    x = np.array([getattr(r, name) for r in ok], dtype=float)
+    err = np.array([r.err for r in ok])
+    if np.max(x) / np.min(x) < 4.0:
+        raise EstimationError(f"{name} range must span at least a factor of 4")
+    return _loglog_fit(x, err)
+
+
 def estimate_order(rows: Sequence[ConvergenceRow]) -> OrderEstimate:
     """Temporal order from the ok rows of one (filter, K) series.
 
     Needs at least 3 usable rows spanning at least a factor 4 in tau;
     rows with non-ok status or non-positive error are excluded.
     """
-    ok = [r for r in rows if r.status == STATUS_OK and r.err > 0 and math.isfinite(r.err)]
-    if len(ok) < 3:
-        raise EstimationError(f"need >= 3 usable rows, got {len(ok)}")
-    tau = np.array([r.tau for r in ok])
-    err = np.array([r.err for r in ok])
-    if np.max(tau) / np.min(tau) < 4.0:
-        raise EstimationError("tau range must span at least a factor of 4")
-    return _loglog_fit(tau, err)
+    return _fit_usable(rows, "tau")
 
 
 def estimate_spatial_order(rows: Sequence[ConvergenceRow]) -> OrderEstimate:
     """Spatial order (positive for decaying error) of one filter series."""
-    ok = [r for r in rows if r.status == STATUS_OK and r.err > 0 and math.isfinite(r.err)]
-    if len(ok) < 3:
-        raise EstimationError(f"need >= 3 usable rows, got {len(ok)}")
-    K = np.array([r.K for r in ok], dtype=float)
-    err = np.array([r.err for r in ok])
-    if np.max(K) / np.min(K) < 4.0:
-        raise EstimationError("K range must span at least a factor of 4")
-    fit = _loglog_fit(K, err)
+    fit = _fit_usable(rows, "K")
     return OrderEstimate(
         slope=-fit.slope,
         intercept=fit.intercept,

@@ -436,30 +436,27 @@ def evolve(
     problem: ProblemSpec,
     cfg: IntegratorConfig,
     n_steps: int,
-    observer: Optional[Callable[[int, float, StatePair], None]] = None,
+    observer: Optional[Callable[[int, float, np.ndarray, np.ndarray], None]] = None,
     every: int = 1,
 ) -> StatePair:
     """Iterate the one-step map n_steps times.
 
     The trailing nonlinearity evaluation of each step is reused as the
     next step's leading one, so n steps evaluate it n+1 times and the
-    trajectory is bitwise that of n step() calls.  ``observer(n, t,
-    state)`` is called after the steps n with n % every == 0 (every step
-    by default); other steps build no state object.  Raises
-    ConfigurationError for every < 1, DivergenceError (with the failing
-    step index) on non-finite states and NormGuardError when the
-    position/velocity norm exceeds cfg.max_norm.
+    trajectory is bitwise that of n step() calls.  ``observer(n, t, u,
+    udot)`` is called after the steps n with n % every == 0 (every step
+    by default) with fresh full coefficient arrays (modes -K..K) of the
+    state; other steps build none.  Raises ConfigurationError for
+    every < 1, DivergenceError (with the failing step index) on
+    non-finite states and NormGuardError when the position/velocity norm
+    exceeds cfg.max_norm.
     """
     if n_steps < 0:
         raise ConfigurationError("n_steps must be >= 0")
     if every < 1:
         raise ConfigurationError(f"observer interval every must be >= 1, got {every}")
     _require_degree(state0, cfg)
-    watch = None
-    if observer is not None:
-        def watch(n, t, u, ud):
-            observer(n, t, StatePair(SpectralField(u), SpectralField(ud)))
-    [outcome] = _evolve_stack(state0, problem, cfg, n_steps, watch, every)
+    [outcome] = _evolve_stack(state0, problem, cfg, n_steps, observer, every)
     if isinstance(outcome, DivergenceError):
         raise outcome
     return outcome

@@ -20,13 +20,16 @@ from .problem import ProblemSpec
 from .spectral import embed, pair_norm, project, sobolev_norm
 
 
+# Bound on the reference's step-halving drift, relative to the state norm
+_SELF_CHECK_RTOL = 1e-4
+
+
 @dataclass(frozen=True)
 class ReferenceConfig:
     """How much finer than the finest measured step the reference runs."""
 
     refine_factor: int = 64
     cross_check: bool = False
-    self_check_rtol: float = 1e-4
 
     def __post_init__(self):
         if self.refine_factor < 2:
@@ -61,8 +64,8 @@ def reference_solution(
     """Validated reference state at time T, at the spectral degree of state0.
 
     Runs the sinc:2 scheme at tau_min/refine_factor and at half that step;
-    the run pair must agree within self_check_rtol (relative to the state
-    norm), otherwise a ReferenceFailure is raised.  The finer of the two
+    the run pair must agree within 1e-4 (_SELF_CHECK_RTOL) relative to the
+    state norm, otherwise a ReferenceFailure is raised.  The finer of the two
     runs is returned.  With ``cross_check`` a Grimm-Hochbruck run at the
     same step must agree within 10x the self-refinement error, otherwise
     the reference is flagged unreliable via a warning.
@@ -80,10 +83,10 @@ def reference_solution(
     fine = evolve(state0, problem, replace(cfg, tau=0.5 * tau_ref), 2 * n_ref)
     drift = error_h2h1(coarse, fine)
     scale = max(fine.norm(1.0), 1.0)
-    if drift > ref_cfg.self_check_rtol * scale:
+    if drift > _SELF_CHECK_RTOL * scale:
         raise ReferenceFailure(
             f"halving the reference step changed the state by {drift:.3e} "
-            f"(> {ref_cfg.self_check_rtol:.1e} x |state| = {ref_cfg.self_check_rtol * scale:.3e})"
+            f"(> {_SELF_CHECK_RTOL:.1e} x |state| = {_SELF_CHECK_RTOL * scale:.3e})"
         )
     if ref_cfg.cross_check:
         other = evolve(state0, problem, replace(cfg, filter=flt.grimm_hochbruck()), n_ref)

@@ -257,16 +257,20 @@ class TestPositivity:
         assert margin < 0.0
 
     def test_hypothesis_violation_named(self):
+        # delta is the snapshot's own hyperbolicity margin: the error names
+        # it, and a valid snapshot's margin is taken against it
+        cfg = IntegratorConfig(tau=0.1, K=4, filter=sinc_c(2.0))
+        lost = ProblemSpec(kappa=-1.0, a=lambda u: u, g=None)
+        with pytest.raises(PreconditionError, match=r"hyperbolicity lost: min 1 \+ kappa\*a\(u\)"):
+            positivity_check(SpectralField.constant(2.0, degree=4), lost, cfg, n_samples=5)
         p = model_problem(1.0)
         u = SpectralField.constant(0.5, degree=4)
-        cfg = IntegratorConfig(tau=0.1, K=4, filter=sinc_c(2.0))
-        with pytest.raises(PreconditionError, match="delta/2"):
-            positivity_check(u, p, cfg, n_samples=5, delta=3.9, a0=10.0)
-        with pytest.raises(PreconditionError, match="A0"):
+        delta = ellipticity_report(p, u).delta_est
+        probes = positivity_probes(u, p, cfg, 5, delta, np.random.default_rng(1))
+        assert positivity_check(u, p, cfg, n_samples=5, rng=np.random.default_rng(1)) == min(
+            m for _, m in probes)
+        with pytest.raises(TypeError):
             positivity_check(u, p, cfg, n_samples=5, delta=0.2, a0=0.01)
-        for partial in ({"a0": 0.01}, {"delta": 0.2}):
-            with pytest.raises(ConfigurationError, match="together"):
-                positivity_check(u, p, cfg, n_samples=5, **partial)
 
     def test_negative_sample_count_rejected(self):
         p = model_problem(1.0)

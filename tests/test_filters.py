@@ -83,6 +83,21 @@ class TestCatalog:
         with pytest.raises(ConfigurationError):
             FilterSpec("sinc", c=-1.0)
 
+    def test_spec_is_its_kind_and_c(self):
+        # c0 follows from kind and c, so a spec built field by field equals
+        # the catalog's and cannot be given another c0
+        assert FilterSpec("sinc", c=3.0) == sinc_c(3.0) == parse_filter("sinc:3")
+        assert FilterSpec("sinc", c=3.0).c0 == 10.0 / 6.0
+        assert FilterSpec("impulse") == impulse()
+        assert (FilterSpec("hl"), FilterSpec("gh")) == (hairer_lubich(), grimm_hochbruck())
+        with pytest.raises(TypeError):
+            FilterSpec("sinc", c=3.0, c0=1.0)
+
+    @pytest.mark.parametrize("kind", ["impulse", "hl", "gh"])
+    def test_c_on_non_sinc_kind_rejected(self, kind):
+        with pytest.raises(ConfigurationError, match="takes no parameter c"):
+            FilterSpec(kind, c=2.0)
+
 
 class TestCheckAssumptions:
     def test_hairer_lubich_all_pass_with_zero_amplitude(self):

@@ -1,13 +1,17 @@
 import csv
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qlwave.cli import cli_main
+from qlwave import reference
+from qlwave.cli import cli_main, load_config
 from qlwave.exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
-from qlwave.filters import grimm_hochbruck, hairer_lubich, impulse, sinc_c
+from qlwave.filters import (
+    FilterSpec, grimm_hochbruck, hairer_lubich, impulse, parse_filter, sinc_c,
+)
 from qlwave.harness import (
     CSV_HEADER,
     ConvergenceRow,
@@ -22,7 +26,20 @@ from qlwave.harness import (
 from qlwave.integrator import IntegratorConfig, StatePair, evolve
 from qlwave.problem import linear_problem, model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, reference_solution
-from qlwave.spectral import embed
+from qlwave.spectral import SpectralField, embed
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# each shipped config's subcommand, and overrides that shrink its run
+SHIPPED_CONFIGS = {
+    "conv_space.cfg": ("conv-space", ["sweep.K=2 4 8", "grid.K_ref=32", "time.T=0.01"]),
+    "conv_time_nonsmall_kappa.cfg": ("conv-time",
+                                     ["sweep.K=8", "sweep.tau=0.0625 0.03125 0.015625"]),
+    "conv_time_small_kappa.cfg": ("conv-time",
+                                  ["sweep.K=8", "sweep.tau=0.5 0.25 0.125", "time.T=1"]),
+    "simulate_long.cfg": ("simulate", ["grid.K=16", "time.T=1"]),
+}
 
 
 def linear_plan(**kw):
@@ -45,6 +62,20 @@ class TestPlanValidation:
     def test_empty_lists(self):
         with pytest.raises(ConfigurationError):
             linear_plan(K_list=[])
+
+    def test_repeated_K_rejected(self):
+        with pytest.raises(ConfigurationError, match="sweep K 8 is repeated"):
+            linear_plan(K_list=[8, 16, 8])
+
+    def test_repeated_tau_rejected(self):
+        with pytest.raises(ConfigurationError, match="sweep tau 0.25 is repeated"):
+            linear_plan(tau_list=[0.5, 0.25, 0.125, 0.25])
+
+    def test_repeated_filter_rejected(self):
+        # the same filter built two ways has one label, and is one filter
+        with pytest.raises(ConfigurationError, match="sweep filter sinc:2 is repeated"):
+            linear_plan(filters=[FilterSpec("sinc", c=2.0), hairer_lubich(),
+                                 parse_filter("sinc:2.0")])
 
 
 class TestEstimateOrder:
@@ -109,10 +140,10 @@ class TestSweeps:
             filters=[sinc_c(2.0)],
             max_norm=1e-300,
         )
-        rows = run_convergence_time(plan, ReferenceConfig(refine_factor=2, self_check_rtol=np.inf))
+        rows = run_convergence_time(plan, ReferenceConfig(refine_factor=4))
         assert all(r.status == "guard" for r in rows)
 
-    def test_batched_rows_equal_per_cell_evolve(self):
+    def test_batched_rows_equal_per_cell_evolve(self, monkeypatch):
         # kappa = 1, K = 256, T = 1/2: hl trips the guard at tau = 2^-6 and
         # 2^-7 beside ok rows; each stacked row must equal its cell run
         # alone through evolve, error and status alike
@@ -120,8 +151,10 @@ class TestSweeps:
             problem=model_problem(1.0), K_list=[256], tau_list=[2.0**-6, 2.0**-7], T=0.5,
             filters=[sinc_c(2.0), sinc_c(3.0), hairer_lubich(), grimm_hochbruck()],
         )
-        # a coarse reference: its accuracy is not what is compared here
-        ref_cfg = ReferenceConfig(refine_factor=2, self_check_rtol=np.inf)
+        # a coarse reference, exempt from the drift bound: its accuracy is
+        # not what is compared here
+        monkeypatch.setattr(reference, "_SELF_CHECK_RTOL", np.inf)
+        ref_cfg = ReferenceConfig(refine_factor=2)
         rows = run_convergence_time(plan, ref_cfg)
         state0 = StatePair(*power_law_initial_data(256))
         ref = reference_solution(plan.problem, state0, plan.T, ref_cfg, tau_min=2.0**-7)
@@ -265,7 +298,8 @@ class TestCli:
         state = StatePair(*power_law_initial_data(8))
         expected = [_fmt(state.norm(1.0))]
         evolve(state, linear_problem(), IntegratorConfig(tau=0.25, K=8, filter=sinc_c(2.0)), 8,
-               observer=lambda n, t, s: expected.append(_fmt(s.norm(1.0))))
+               observer=lambda n, t, u, ud: expected.append(
+                   _fmt(StatePair(SpectralField(u), SpectralField(ud)).norm(1.0))))
         assert [line.split(",")[2] for line in lines[1:]] == expected
 
     @pytest.mark.parametrize("every", ["0", "-3"])
@@ -366,6 +400,27 @@ class TestCli:
             reader = csv.DictReader(fh)
             errs = [float(row["err_h2h1"]) for row in reader]
         assert all(e <= 1e-11 for e in errs)
+
+    def test_conv_time_rejects_repeated_sweep_values(self, tmp_path, capsys):
+        # a repeated value would rerun its cells and count them twice in the order fit
+        out = tmp_path / "out"
+        code = cli_main(["conv-time", "-o", "problem.name=linear", "-o", "sweep.K=8 8",
+                         "-o", "sweep.tau=0.25,0.25,0.125,0.0625", "-o", "time.T=1",
+                         "-o", "reference.refine_factor=16", "--out", str(out)])
+        assert code == 1
+        assert "sweep K 8 is repeated" in capsys.readouterr().err
+        assert not (out / "conv_time.csv").exists()
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_config_runs(self, tmp_path, capsys, path):
+        # shrunk only through keys the file sets, so each of its keys is still read
+        command, overrides = SHIPPED_CONFIGS[path.name]
+        assert {o.split("=", 1)[0] for o in overrides} <= set(load_config(str(path), []))
+        args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        for o in overrides:
+            args += ["-o", o]
+        assert cli_main(args) == 0
+        assert "did not read config keys" not in capsys.readouterr().err
 
     def test_separate_filter_c_key(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

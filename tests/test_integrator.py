@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from qlwave import integrator
 from qlwave.exceptions import ConfigurationError, DivergenceError, NormGuardError
-from qlwave.filters import grimm_hochbruck, hairer_lubich, impulse, phi, psi1, sinc_c
+from qlwave.filters import (
+    FilterSpec, grimm_hochbruck, hairer_lubich, impulse, phi, psi1, sinc_c,
+)
 from qlwave.integrator import (
     IntegratorConfig,
     StatePair,
@@ -67,6 +69,12 @@ class TestConfig:
             )
         assert any("sinc-compatibility" in str(w.message) for w in caught)
 
+    def test_sinc_spec_built_from_fields_is_admissible(self):
+        # its c0 is (c^2+1)/6, so it passes the boundedness condition and warns nothing
+        cfg = IntegratorConfig(tau=0.2, K=1, filter=FilterSpec("sinc", c=3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evolve(StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0), cfg, 2)
 
     @pytest.mark.parametrize("run", [
         lambda state, p, cfg: evolve(state, p, cfg, 1),
@@ -358,17 +366,20 @@ class TestEvolve:
         st = smooth_state(rng, 4)
         cfg = IntegratorConfig(tau=0.25, K=4, filter=sinc_c(2.0))
         seen = []
-        evolve(st, model_problem(0.1), cfg, 10, observer=lambda *a: seen.append(a))
-        assert [n for n, _, _ in seen] == list(range(1, 11))
+        final = evolve(st, model_problem(0.1), cfg, 10, observer=lambda *a: seen.append(a))
+        assert [n for n, _, _, _ in seen] == list(range(1, 11))
         assert np.isclose(seen[4][1], 1.25)
+        # the observer sees the full coefficient arrays of the state
+        assert np.array_equal(seen[-1][2], final.u.coeffs)
+        assert np.array_equal(seen[-1][3], final.udot.coeffs)
         sparse = []
         evolve(st, model_problem(0.1), cfg, 10, observer=lambda *a: sparse.append(a), every=3)
-        assert [n for n, _, _ in sparse] == [3, 6, 9]
-        for n, t, s in sparse:
-            _, t1, s1 = seen[n - 1]
+        assert [n for n, _, _, _ in sparse] == [3, 6, 9]
+        for n, t, u, ud in sparse:
+            _, t1, u1, ud1 = seen[n - 1]
             assert t == t1
-            assert np.array_equal(s.u.coeffs, s1.u.coeffs)
-            assert np.array_equal(s.udot.coeffs, s1.udot.coeffs)
+            assert np.array_equal(u, u1)
+            assert np.array_equal(ud, ud1)
 
     @pytest.mark.parametrize("every", [0, -3])
     def test_observer_interval_must_be_positive(self, rng, every):
@@ -474,13 +485,13 @@ class TestLeanStep:
                 mine, ref = (*mine[:2], None), (*ref[:2], None)
 
 
-def assert_exactly_hermitian(f):
-    """Modes -j mirror modes j bit for bit; mode 0 is real.
+def assert_exactly_hermitian(c):
+    """Modes -j of the coefficients c[-K..K] mirror modes j bit for bit; mode 0 is real.
 
     Mode 0's imaginary part is a zero whose conjugate is a zero of the
     other sign, so it is compared by value.
     """
-    c, K = f.coeffs, f.degree
+    K = (c.size - 1) // 2
     assert np.array_equal(bits(c[K + 1:]), bits(np.conj(c[:K][::-1])))
     assert c[K].imag == 0.0
 
@@ -508,14 +519,16 @@ class TestHalfSpectrumKernel:
         state = smooth_state(rng, 12, scale=0.5)
         cfgs = [IntegratorConfig(tau=0.2, K=12, filter=spec, admissibility_policy="ignore")
                 for spec in FILTERS]
+        # the observer's raw arrays, before any SpectralField symmetrizes them
         seen = []
-        final = evolve(state, problem, cfgs[3], 6, observer=lambda n, t, s: seen.append(s))
+        final = evolve(state, problem, cfgs[3], 6,
+                       observer=lambda n, t, u, ud: seen.extend((u, ud)))
         outcomes = integrator._evolve_stack(state, problem, cfgs, 6)
-        fields = [step(state, problem, cfgs[0]), final, *seen, *outcomes]
-        assert len(fields) == 13 and all(isinstance(o, StatePair) for o in fields)
-        for pair in fields:
-            assert_exactly_hermitian(pair.u)
-            assert_exactly_hermitian(pair.udot)
+        pairs = [step(state, problem, cfgs[0]), final, *outcomes]
+        assert len(seen) == 12 and len(pairs) == 7
+        assert all(isinstance(o, StatePair) for o in pairs)
+        for c in [*seen, *(f.coeffs for pair in pairs for f in (pair.u, pair.udot))]:
+            assert_exactly_hermitian(c)
 
     @pytest.mark.parametrize("K", [1, 8, 64, 256])
     def test_guard_norm_matches_full_spectrum_norm(self, K):

@@ -86,11 +86,13 @@ class TestReferenceSolution:
             )
 
     def test_self_inconsistency_raises(self):
-        p = model_problem(1.0)
-        st = data_state(16)
-        rc = ReferenceConfig(refine_factor=2, self_check_rtol=1e-16)
-        with pytest.raises(ReferenceFailure):
-            reference_solution(p, st, T=0.5, ref_cfg=rc, tau_min=0.25)
+        # refine 2 of tau_min = 1/8: halving the step moves the state by
+        # 8.2e-4, beyond the bound 1e-4 x |state| = 2.8e-4
+        p = model_problem(0.01)
+        st = data_state(8)
+        rc = ReferenceConfig(refine_factor=2)
+        with pytest.raises(ReferenceFailure, match="halving the reference step"):
+            reference_solution(p, st, T=1.0, ref_cfg=rc, tau_min=0.125)
 
     def test_determinism(self):
         p = model_problem(0.01)
