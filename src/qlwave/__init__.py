@@ -15,18 +15,15 @@ from .exceptions import (
     ReferenceFailure,
 )
 from .spectral import (
-    GridFunction,
     SpectralField,
     apply_multiplier,
     dealiased_product,
     derivative,
     embed,
     inner_product,
-    interpolate,
     pair_norm,
     project,
     sobolev_norm,
-    synthesize,
 )
 from .filters import (
     AdmissibilityReport,

@@ -133,12 +133,21 @@ def _write_sweep(args, rows: list[ConvergenceRow], name: str, spatial: bool = Fa
     path = _out_path(args, name)
     write_rows_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
-    for (label, K), series in sorted(rows_by_series(rows).items()):
+    if spatial:
+        # a spatial series runs over K at one (filter, tau)
+        groups: dict = {}
+        for r in rows:
+            groups.setdefault((r.filter, r.tau), []).append(r)
+        fixed = "tau={:<8g}"
+    else:
+        groups, fixed = rows_by_series(rows), "K={:<5d}"
+    for (label, value), series in sorted(groups.items()):
+        where = fixed.format(value)
         try:
             est = estimate_spatial_order(series) if spatial else estimate_order(series)
-            print(f"{label:>10s}  K={K:<5d} order={est.slope:6.3f}  R^2={est.r_squared:.5f}")
+            print(f"{label:>10s}  {where} order={est.slope:6.3f}  R^2={est.r_squared:.5f}")
         except EstimationError as exc:
-            print(f"{label:>10s}  K={K:<5d} order=n/a ({exc})")
+            print(f"{label:>10s}  {where} order=n/a ({exc})")
     return EXIT_OK
 
 

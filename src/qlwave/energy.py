@@ -22,9 +22,11 @@ energy-change identity for problems with g == 0.
 L(u) has one implementation, a private operator built once per snapshot
 u: it samples a(u) once on a grid of next_fast_len(2(K + K_v) + 1)
 nodes, K = deg u, which resolves every kept mode of the three products
-exactly, and applies L to a stack of degree-K_v spectra in four
-transform calls.  The positivity probes go through it in blocks of at
-most 32 rows.
+exactly, and applies L to a stack of degree-K_v spectra in four calls
+of the transform pair, on modes 0..K_v (the half spectra of the pair)
+with one mirror of the result.  The positivity probes go through it in
+blocks of at most 32 rows, as full spectra, so the Rayleigh sums run
+over modes -K_v..K_v.
 
 Everything else reuses the scheme's own operators: the multipliers
 phi, psi1 and cos in tau*Om go through spectral.apply_multiplier, the
@@ -53,6 +55,7 @@ from .spectral import (
     dealiased_product,
     derivative,
     inner_product,
+    mirror_half,
     omega_weights,
     pair_norm,
     project,
@@ -95,7 +98,7 @@ def u_term(
         raise ConfigurationError("e and u must have equal degrees")
     K = e.degree
     exx = derivative(e, 2)
-    aexx = dealiased_product(SpectralField(_interpolants(u, problem)[0]), exx)
+    aexx = dealiased_product(_a_field(u, problem), exx)
     if projected:
         aexx = project(aexx, K)
     term1 = inner_product(apply_multiplier(exx, lambda w: np.cos(cfg.tau * w)), aexx, s=0.0)
@@ -164,6 +167,11 @@ def identity_residual(
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
+def _a_field(u: SpectralField, problem: ProblemSpec) -> SpectralField:
+    """The interpolant a_K(u) at K = deg u, the step's own."""
+    return SpectralField(mirror_half(_interpolants(u, problem)[0]))
+
+
 class _LOperator:
     """L(u) for one field u, applied to stacks of degree-K_v spectra.
 
@@ -171,7 +179,8 @@ class _LOperator:
     next_fast_len(2(K_a + K_v) + 1) nodes.  The products a*(cos phi v) and
     a*(phi v) have degree K_a + K_v and are resolved exactly; the product
     a*(sin^2 phi^2 a phi v) has degree 2K_a + K_v and aliases only onto
-    modes |m| > K_v, so every kept mode is exact.
+    modes |m| > K_v, so every kept mode is exact.  The tables and the
+    transforms hold half spectra, modes 0..K_v and 0..K_a+K_v.
     """
 
     def __init__(self, u: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig,
@@ -181,26 +190,27 @@ class _LOperator:
         self.n = scipy.fft.next_fast_len(2 * (ka + v_degree) + 1, real=True)
         self.a_vals = synthesize_values(_interpolants(u, problem)[0], self.n)
         tau, spec = cfg.tau, cfg.filter
-        wv = omega_weights(v_degree)
+        wv = omega_weights(v_degree)[v_degree:]
         self.phi_t = np.asarray(flt.phi(spec, tau * wv))
         self.cos_t = np.cos(tau * wv)
-        wm = omega_weights(ka + v_degree)
+        wm = omega_weights(ka + v_degree)[ka + v_degree :]
         self.sin2phi2_t = np.sin(tau * wm) ** 2 * np.asarray(flt.phi(spec, tau * wm)) ** 2
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """L(u) applied to each row of a (rows, 2K_v+1) array, truncated to degree K_v.
 
-        Four transform calls per stack; each row of the result is bitwise
-        what that row gives alone.
+        Four transform calls per stack on modes 0..K_v of v; the result
+        is mirrored once.  Each row of the result is bitwise what that
+        row gives alone.
         """
         kappa, ka, kv = self.kappa, self.a_degree, self.v_degree
-        t1 = self.phi_t * v
+        t1 = self.phi_t * v[..., kv:]
         vals = synthesize_values(np.stack((self.cos_t * t1, t1)), self.n)
         prods = coeffs_from_samples(vals * self.a_vals, ka + kv)
-        branch_a = self.phi_t * prods[0, :, ka : ka + 2 * kv + 1]
+        branch_a = self.phi_t * prods[0, :, : kv + 1]
         inner = synthesize_values(self.sin2phi2_t * prods[1], self.n)
         branch_b = self.phi_t * coeffs_from_samples(inner * self.a_vals, kv)
-        return kappa * branch_a - 0.25 * kappa * kappa * branch_b
+        return mirror_half(kappa * branch_a - 0.25 * kappa * kappa * branch_b)
 
 
 def apply_l_operator(
@@ -339,8 +349,7 @@ def _g_terms(up: SpectralField, vp: SpectralField, problem: ProblemSpec,
     """
     K = up.degree
     e = up - vp
-    a_u = SpectralField(_interpolants(up, problem)[0])
-    a_v = SpectralField(_interpolants(vp, problem)[0])
+    a_u, a_v = _a_field(up, problem), _a_field(vp, problem)
     A = project(dealiased_product(a_u, derivative(e, 2)), K)
     B = project(dealiased_product(a_u - a_v, derivative(vp, 2)), K)
     ce = apply_multiplier(e, lambda w: np.cos(cfg.tau * w))

@@ -24,11 +24,13 @@ right.
 The kernel works on half spectra, modes 0..K of the real fields (see
 spectral.py): every table, state and nonlinearity holds K+1 modes, and
 modes 0..K of each array are bitwise those a full-spectrum kernel would
-compute, since no operation on them reads a mode below 0.  Spectra are
-mirrored to the full -K..K only at the boundaries: for an evolve
-observer, for the final StatePairs, and on the way out of step,
-filtered_nonlinear_term and _interpolants, which take the modes 0..K of
-their SpectralField arguments on the way in.
+compute, since no operation on them reads a mode below 0.  All of its
+transforms go through spectral's one pair.  Spectra are mirrored to the
+full -K..K only at the boundaries: for an evolve observer, for the final
+StatePairs, and on the way out of step, filtered_nonlinear_term and
+nonlinear_term, which take the modes 0..K of their SpectralField
+arguments on the way in.  _interpolants hands its half spectra to the
+energy diagnostics as they are.
 """
 
 from __future__ import annotations
@@ -50,14 +52,13 @@ from .exceptions import ConfigurationError, DivergenceError, NormGuardError
 from .problem import ProblemSpec
 from .spectral import (
     SpectralField,
-    analyze_half,
     coeffs_from_samples,
     dealiased_product,
     derivative,
     mirror_half,
     omega_weights,
     pair_norm,
-    synthesize_half,
+    synthesize_values,
 )
 
 
@@ -187,11 +188,10 @@ class _Engine:
         return sub
 
     def _check_filter(self, cfg: IntegratorConfig):
-        if cfg.admissibility_policy == "ignore":
-            return
-        grid = flt.default_xi_grid(n=512, xi_max=max(4.0, 2.0 * self.tau * np.sqrt(self.K**2 + 1)))
-        report = flt.check_assumptions(cfg.filter, delta=0.5, a0=0.0, xi_grid=grid)
-        if not (report.assumption1_ok and report.assumption2_ok):
+        # Assumptions 1-2 in closed form.  Every kind meets assumption 1 with
+        # the c0 it derives, and psi1 = sinc*phi holds for every kind but
+        # impulse, whose psi1 is 1; filters.check_assumptions samples the same.
+        if cfg.admissibility_policy == "warn" and cfg.filter.kind == flt.KIND_IMPULSE:
             warnings.warn(
                 f"filter {cfg.filter.label!r} violates the sinc-compatibility/boundedness "
                 "conditions; expect step-size restrictions coupled to the spatial resolution",
@@ -208,7 +208,7 @@ class _Engine:
         synthesis and one batched analysis.  For a (B, K+1) stack c the
         result has shape (rows, B, K+1).
         """
-        vals = synthesize_half(self.grad_t * c, self.n_interp)
+        vals = synthesize_values(self.grad_t * c, self.n_interp)
         rows = [self.problem.a(vals[0])]
         if self.problem.g is not None:
             rows.append(self.problem.g(vals[0], vals[1]))
@@ -222,7 +222,7 @@ class _Engine:
                 # which rows of a stack overflowed, for the step loop to retire
                 exc.rows = ~finite
                 raise exc
-        return analyze_half(f, self.K)
+        return coeffs_from_samples(f, self.K)
 
     def fhat(self, c: np.ndarray) -> np.ndarray:
         """Filtered nonlinearity psi1 * P_K(a_K(phi u) (phi u)_xx + g_K(phi u, (phi u)_x)).
@@ -232,19 +232,14 @@ class _Engine:
         analysis of their pointwise product keeping modes 0..K.  The
         synthesis reads a fresh zeroed buffer of n_prod//2+1 modes per
         call: engines are shared (_cached_engine), so they hold none.
-
-        The analysis goes through the full-spectrum coeffs_from_samples
-        and keeps its modes 0..K (analyze_half's, bit for bit), so that
-        the benchmark's traced runs, which count transforms by that name
-        and by synthesize_values, still see the step's transform work.
         """
         ag = self.interpolants(c)
         uxx = self.dxx_t * c
         spec = np.zeros((2,) + uxx.shape[:-1] + (self.n_prod // 2 + 1,), np.complex128)
         spec[0, ..., : self.K + 1] = ag[0]
         spec[1, ..., : self.K + 1] = uxx
-        vals = synthesize_half(spec, self.n_prod)
-        f = coeffs_from_samples(vals[0] * vals[1], self.K)[..., self.K :]
+        vals = synthesize_values(spec, self.n_prod)
+        f = coeffs_from_samples(vals[0] * vals[1], self.K)
         if ag.shape[0] > 1:
             f += ag[1]
         return self.psi1_t * f
@@ -280,8 +275,7 @@ def _cached_engine(problem: ProblemSpec, cfg: IntegratorConfig) -> _Engine:
     """The engine of one (problem, cfg) for the one-call entry points.
 
     Both keys are frozen, and an engine is never mutated after it is
-    built, so repeated step() calls share one build and its admissibility
-    sampling.
+    built, so repeated step() calls share one build.
     """
     return _Engine(problem, cfg)
 
@@ -292,16 +286,19 @@ def _require_degree(state: StatePair, cfg: IntegratorConfig):
 
 
 def _interpolants(u: SpectralField, problem: ProblemSpec) -> np.ndarray:
-    """_Engine.interpolants of u at K = deg u, unfiltered: rows a_K(u) and g_K(u, u_x)."""
+    """_Engine.interpolants of u at K = deg u, unfiltered: rows a_K(u) and g_K(u, u_x).
+
+    Half spectra, modes 0..K.
+    """
     K = u.degree
     engine = _cached_engine(problem, IntegratorConfig(tau=1.0, K=K, filter=flt.impulse(),
                                                       admissibility_policy="ignore"))
-    return mirror_half(engine.interpolants(u.coeffs[K:]))
+    return engine.interpolants(u.coeffs[K:])
 
 
 def nonlinear_term(u: SpectralField, problem: ProblemSpec) -> SpectralField:
     """Unfiltered interpolated nonlinearity aK(u)*u_xx + gK(u,u_x), degree 2K."""
-    ag = _interpolants(u, problem)
+    ag = mirror_half(_interpolants(u, problem))
     out = dealiased_product(SpectralField(ag[0]), derivative(u, 2))
     return out + SpectralField(ag[1]) if ag.shape[0] > 1 else out
 

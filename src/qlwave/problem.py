@@ -157,13 +157,14 @@ def ellipticity_report(
     if n < 2 * u.degree + 1:
         raise ConfigurationError(f"grid of {n} nodes cannot resolve degree {u.degree}")
     xs = 2.0 * np.pi * np.arange(n) / n
-    uvals = synthesize_values(u.coeffs, n)
+    half = u.coeffs[u.degree :]
+    uvals = synthesize_values(half, n)
     svals = problem.kappa * np.asarray(problem.a(uvals), dtype=float)
 
     # u(x) = c_0 + 2 Re sum_{j>=1} c_j e^{ijx} at arbitrary points, since
     # c_{-j} = conj(c_j)
     j = np.arange(u.degree + 1.0)
-    half = u.coeffs[u.degree :] * np.where(j == 0.0, 1.0, 2.0)
+    half = half * np.where(j == 0.0, 1.0, 2.0)
 
     def s_of_x(x):
         uvals = np.real(np.exp(np.multiply.outer(x, 1j * j)) @ half)

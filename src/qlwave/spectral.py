@@ -9,19 +9,17 @@ together with weighted Sobolev norms built from the weights
 w_j = sqrt(j^2 + 1).  All operations are pure functions; fields are
 immutable values.
 
-The half-spectrum transforms synthesize_half and analyze_half are the one
-transform pair; they alone call the real FFTs.  A half spectrum holds
-modes 0..K of a real field along the last axis (its other modes are
-their conjugates), so a stack of spectra goes through in one call.  The
-synthesis zero-pads the modes to n//2+1 only when fewer are given, and
-the analysis keeps modes 0..degree.  The step kernel in integrator.py
-works on half spectra throughout; mirror_half turns a half spectrum into
-the full one a SpectralField stores.  synthesize_values and
-coeffs_from_samples are the full-spectrum adapters over the pair that
-every other caller uses (and the kernel's product analysis, see
-_Engine.fhat): the exact product dealiased_product is a
-pointwise product on a grid that resolves all of its modes, and
-apply_multiplier is the one way to apply a Fourier multiplier m(Om).
+synthesize_values and coeffs_from_samples are the one transform pair;
+they alone call the real FFTs.  Both work on half spectra: a half
+spectrum holds modes 0..K of a real field along the last axis (its other
+modes are their conjugates), so a stack of spectra goes through in one
+call.  The synthesis zero-pads the modes to n//2+1 only when fewer are
+given, and the analysis keeps modes 0..degree.  Every caller hands the
+pair modes 0..K of its fields (coeffs[K:]) and mirrors a result once,
+with mirror_half, where it becomes a SpectralField.  The exact product
+dealiased_product is a pointwise product on a grid that resolves all of
+its modes, and apply_multiplier is the one way to apply a Fourier
+multiplier m(Om).
 
 The pair calls pocketfft's C entry points c2r and r2c
 (scipy.fft._pocketfft.pypocketfft) directly, with one thread.  At the
@@ -146,30 +144,6 @@ class SpectralField:
         return SpectralField(-self.coeffs)
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Real samples at the equispaced nodes x_k = 2*pi*k/N."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise ConfigurationError("grid values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(v)):
-            raise NumericsError("non-finite grid values")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def nodes(self) -> int:
-        return self.values.size
-
-    @property
-    def x(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.nodes) / self.nodes
-
-
 def _padded(f: SpectralField, degree: int) -> np.ndarray:
     """Coefficients of f zero-extended to the given (>=) degree."""
     if degree < f.degree:
@@ -187,35 +161,37 @@ def _check_order(s: float) -> float:
     return s
 
 
-def synthesize_half(half: np.ndarray, n: int) -> np.ndarray:
-    """Values at n equispaced nodes of the real field with modes 0..K ``half``.
+def synthesize_values(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Values at n equispaced nodes of the real field with modes 0..K ``coeffs``.
 
-    Transforms along the last axis.  Runs pocketfft's c2r (1/n-normalized,
-    times n) on the modes, zero-padded to n//2+1 only when fewer are
-    given, so the output is bitwise equal to
-    scipy.fft.irfft(half, n=n) * n.  Real-dtype modes are promoted to
-    complex, as irfft promotes them.
+    Transforms along the last axis, so a stack of half spectra goes
+    through in one call.  Runs pocketfft's c2r (1/n-normalized, times n)
+    on the modes, zero-padded to n//2+1 only when fewer are given, so the
+    output is bitwise equal to scipy.fft.irfft(coeffs, n=n) * n.  More
+    than n//2+1 modes raise AliasingError.  Real-dtype modes are promoted
+    to complex, as irfft promotes them.
     """
     size = n // 2 + 1
-    if half.shape[-1] > size:
-        raise AliasingError(f"{n} nodes hold modes 0..{size - 1}, got 0..{half.shape[-1] - 1}")
-    if half.dtype.kind != "c":
-        half = half + 0.0j
-    if half.shape[-1] < size:
-        padded = np.zeros(half.shape[:-1] + (size,), half.dtype)
-        padded[..., : half.shape[-1]] = half
-        half = padded
-    return c2r(half, (-1,), n, False, 2, None, 1) * n
+    if coeffs.shape[-1] > size:
+        raise AliasingError(f"{n} nodes hold modes 0..{size - 1}, got 0..{coeffs.shape[-1] - 1}")
+    if coeffs.dtype.kind != "c":
+        coeffs = coeffs + 0.0j
+    if coeffs.shape[-1] < size:
+        padded = np.zeros(coeffs.shape[:-1] + (size,), coeffs.dtype)
+        padded[..., : coeffs.shape[-1]] = coeffs
+        coeffs = padded
+    return c2r(coeffs, (-1,), n, False, 2, None, 1) * n
 
 
-def analyze_half(values: np.ndarray, degree: int) -> np.ndarray:
+def coeffs_from_samples(values: np.ndarray, degree: int) -> np.ndarray:
     """Modes 0..degree of the real samples along the last axis.
 
     Exact (no aliasing) when the samples come from a polynomial of
-    degree D and the last axis has >= degree+D+1 samples.  Runs
-    pocketfft's unnormalized r2c and divides the kept modes by n, bitwise
-    equal to scipy.fft.rfft(values)[..., :degree+1] / n.  Integer samples
-    are promoted to float64, as rfft promotes them.
+    degree D and the last axis has >= degree+D+1 samples; fewer than
+    2*degree+1 samples raise AliasingError.  Runs pocketfft's unnormalized
+    r2c and divides the kept modes by n, bitwise equal to
+    scipy.fft.rfft(values)[..., :degree+1] / n.  Integer samples are
+    promoted to float64, as rfft promotes them.
     """
     n = values.shape[-1]
     if n < 2 * degree + 1:
@@ -235,51 +211,6 @@ def mirror_half(half: np.ndarray) -> np.ndarray:
     full[..., K:] = half
     np.conjugate(half[..., :0:-1], out=full[..., :K])
     return full
-
-
-def synthesize_values(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Values of sum c_j e^{ijx} at n equispaced nodes (full-spectrum adapter).
-
-    Transforms along the last axis, so a stack of spectra of one degree
-    goes through in one call: synthesize_half of modes 0..degree, bitwise
-    equal to scipy.fft.irfft(coeffs[..., degree:], n=n) * n.
-    """
-    degree = (coeffs.shape[-1] - 1) // 2
-    if n < 2 * degree + 1:
-        raise AliasingError(
-            f"{n} nodes cannot represent a degree-{degree} polynomial (need >= {2 * degree + 1})"
-        )
-    return synthesize_half(coeffs[..., degree:], n)
-
-
-def coeffs_from_samples(values: np.ndarray, degree: int) -> np.ndarray:
-    """Modes -degree..degree of the sampled polynomial (full-spectrum adapter).
-
-    analyze_half mirrored, so bitwise equal to
-    scipy.fft.rfft(values)[..., :degree+1] / n mirrored.
-    """
-    return mirror_half(analyze_half(values, degree))
-
-
-def synthesize(f: SpectralField, n: int) -> GridFunction:
-    """Evaluate f at the n equispaced nodes x_k = 2*pi*k/n.
-
-    Requires n >= 2*degree+1 so that the samples determine the field.
-    """
-    return GridFunction(synthesize_values(f.coeffs, n))
-
-
-def interpolate(g: GridFunction, degree: int) -> SpectralField:
-    """Trigonometric interpolation through 2*degree+1 equispaced samples.
-
-    The node count is pinned to 2K+1 so that the degree-K interpolant is
-    uniquely defined with no asymmetric half-represented top mode.
-    """
-    if g.nodes != 2 * degree + 1:
-        raise ConfigurationError(
-            f"interpolation of degree {degree} requires exactly {2 * degree + 1} nodes, got {g.nodes}"
-        )
-    return SpectralField(coeffs_from_samples(g.values, degree))
 
 
 def project(f: SpectralField, degree: int) -> SpectralField:
@@ -331,9 +262,9 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """
     deg = f.degree + g.degree
     n = scipy.fft.next_fast_len(2 * deg + 1, real=True)
-    vf = synthesize_values(f.coeffs, n)
-    vg = synthesize_values(g.coeffs, n)
-    return SpectralField(coeffs_from_samples(vf * vg, deg))
+    vf = synthesize_values(f.coeffs[f.degree :], n)
+    vg = synthesize_values(g.coeffs[g.degree :], n)
+    return SpectralField(mirror_half(coeffs_from_samples(vf * vg, deg)))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:

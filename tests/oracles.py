@@ -5,11 +5,12 @@ summation, deliberately avoiding the package's FFT-based code paths, so
 that agreement between the two is a meaningful check.
 
 The reference forms at the end keep the textbook way of writing the
-transform wrappers and the step kernel: an explicitly zero-padded half
-spectrum, an element-by-element assembled analysis, the filtered
-nonlinearity on full spectra -K..K, and the step formulas with every
-factor applied at the call.  The package's lean kernels must match them
-bit for bit.
+transforms and the kernels on full spectra -K..K, through scipy.fft's
+public irfft/rfft only: an explicitly zero-padded half spectrum, an
+element-by-element assembled analysis, the filtered nonlinearity, the
+operator L of the energy diagnostics, and the step formulas with every
+factor applied at the call.  The package's lean half-spectrum kernels
+must match them bit for bit.
 """
 
 import math
@@ -19,13 +20,7 @@ import scipy.fft
 
 from qlwave import filters
 from qlwave.integrator import StatePair, filtered_nonlinear_term
-from qlwave.spectral import (
-    SpectralField,
-    coeffs_from_samples,
-    mode_numbers,
-    omega_weights,
-    synthesize_values,
-)
+from qlwave.spectral import SpectralField, mode_numbers, omega_weights
 
 
 def o_sinc(x: float) -> float:
@@ -157,7 +152,8 @@ def quadrature_inner_product(values_a, values_b):
 
 
 def padded_synthesis(coeffs, n):
-    """synthesize_values through an explicitly zero-padded half spectrum."""
+    """Values of the full spectra ``coeffs`` (last axis) at n nodes, through an
+    explicitly zero-padded half spectrum."""
     degree = (coeffs.shape[-1] - 1) // 2
     half = np.zeros(coeffs.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
     half[..., : degree + 1] = coeffs[..., degree:]
@@ -165,7 +161,8 @@ def padded_synthesis(coeffs, n):
 
 
 def assembled_analysis(values, degree):
-    """coeffs_from_samples assembled element-wise into a preallocated spectrum."""
+    """Full spectra -degree..degree of the samples, assembled element-wise into
+    a preallocated spectrum."""
     n = values.shape[-1]
     half = scipy.fft.rfft(values) / n
     c = np.empty(values.shape[:-1] + (2 * degree + 1,), dtype=np.complex128)
@@ -179,8 +176,8 @@ def full_spectrum_fhat(problem, cfgs, c):
 
     psi1 * P_K(a_K(phi u) (phi u)_xx + g_K(phi u, (phi u)_x)) for the
     (B, 2K+1) stack ``c`` whose row i runs under cfgs[i] (configs sharing
-    K and tau), in four transform calls through the full-spectrum
-    adapters, each table formed as the step kernel forms it.
+    K and tau), in four full-spectrum transforms, each table formed as the
+    step kernel forms it.
     """
     K, tau = cfgs[0].K, cfgs[0].tau
     w1 = omega_weights(K)
@@ -190,17 +187,42 @@ def full_spectrum_fhat(problem, cfgs, c):
     grad = np.stack((np.ones(2 * K + 1), 1j * j))[: 1 if problem.g is None else 2]
     grad_t = phi_t * grad[:, None]
     dxx_t = phi_t * -(j * j)
-    vals = synthesize_values(grad_t * c, 2 * K + 1)
+    vals = padded_synthesis(grad_t * c, 2 * K + 1)
     rows = [problem.a(vals[0])]
     if problem.g is not None:
         rows.append(problem.g(vals[0], vals[1]))
-    ag = coeffs_from_samples(np.asarray(rows, dtype=float), K)
+    ag = assembled_analysis(np.asarray(rows, dtype=float), K)
     n_prod = scipy.fft.next_fast_len(3 * K + 1, real=True)
-    vals = synthesize_values(np.concatenate((ag[:1], (dxx_t * c)[None])), n_prod)
-    f = coeffs_from_samples(vals[0] * vals[1], K)
+    vals = padded_synthesis(np.concatenate((ag[:1], (dxx_t * c)[None])), n_prod)
+    f = assembled_analysis(vals[0] * vals[1], K)
     if ag.shape[0] > 1:
         f += ag[1]
     return psi1_t * f
+
+
+def full_spectrum_l_operator(u, problem, cfg, v_degree, v):
+    """L(u) applied to the (rows, 2*v_degree+1) stack ``v`` on full spectra.
+
+    a(u) is interpolated at deg u through 2*deg u + 1 samples, and each
+    table and product is formed as the energy diagnostics' operator forms
+    it, in four full-spectrum transforms per stack.
+    """
+    ka, kv = u.degree, v_degree
+    a_k = assembled_analysis(problem.a(padded_synthesis(u.coeffs, 2 * ka + 1)), ka)
+    n = scipy.fft.next_fast_len(2 * (ka + kv) + 1, real=True)
+    a_vals = padded_synthesis(a_k, n)
+    wv, wm = omega_weights(kv), omega_weights(ka + kv)
+    phi_t = np.asarray(filters.phi(cfg.filter, cfg.tau * wv))
+    cos_t = np.cos(cfg.tau * wv)
+    sin2phi2_t = np.sin(cfg.tau * wm) ** 2 * np.asarray(filters.phi(cfg.filter, cfg.tau * wm)) ** 2
+    t1 = phi_t * v
+    vals = padded_synthesis(np.stack((cos_t * t1, t1)), n)
+    prods = assembled_analysis(vals * a_vals, ka + kv)
+    branch_a = phi_t * prods[0, :, ka : ka + 2 * kv + 1]
+    inner = padded_synthesis(sin2phi2_t * prods[1], n)
+    branch_b = phi_t * assembled_analysis(inner * a_vals, kv)
+    kappa = problem.kappa
+    return kappa * branch_a - 0.25 * kappa * kappa * branch_b
 
 
 def step_tables(K, tau):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlwave.energy import (
     _LOperator,
+    _mode_probes,
     apply_l_operator,
     apply_position_filter,
     energy_change_residual,
@@ -29,7 +30,7 @@ from qlwave.spectral import (
 )
 
 from conftest import hermitian_field
-from oracles import dense_l_operator, quadrature_inner_product
+from oracles import dense_l_operator, full_spectrum_l_operator, quadrature_inner_product
 
 ADMISSIBLE = (hairer_lubich(), grimm_hochbruck(), sinc_c(2.0), sinc_c(3.0))
 
@@ -80,9 +81,9 @@ class TestUTerm:
         n = 256
         w1 = omega_weights(K)
         exx = derivative(e, 2)
-        cos_exx_vals = synthesize_values(np.cos(cfg.tau * w1) * exx.coeffs, n)
-        a_vals = synthesize_values(u.coeffs, n)  # a(u) = u
-        exx_vals = synthesize_values(exx.coeffs, n)
+        cos_exx_vals = synthesize_values((np.cos(cfg.tau * w1) * exx.coeffs)[K:], n)
+        a_vals = synthesize_values(u.coeffs[K:], n)  # a(u) = u
+        exx_vals = synthesize_values(exx.coeffs[K:], n)
         term1 = quadrature_inner_product(cos_exx_vals, a_vals * exx_vals)
 
         w2 = omega_weights(2 * K)
@@ -212,6 +213,21 @@ class TestLOperator:
         for v, row in zip(stack, out):
             alone = apply_l_operator(u, SpectralField(v), p, cfg).coeffs
             assert np.array_equal(row, alone)
+
+    @pytest.mark.parametrize("spec", ADMISSIBLE + (impulse(), sinc_c(0.7)), ids=lambda f: f.label)
+    def test_bitwise_equal_full_spectrum_operator(self, rng, spec):
+        # half-spectrum transforms with one mirror give the bits of L on full
+        # spectra -K_v..K_v, on the mode basis and on random real rows
+        for kappa in (0.01, 0.3, 1.0):
+            p = model_problem(kappa)
+            for ku, kv in [(4, 4), (8, 8), (17, 17), (64, 64), (6, 11), (11, 6)]:
+                cfg = IntegratorConfig(tau=0.3, K=ku, filter=spec, admissibility_policy="ignore")
+                u = hermitian_field(rng, ku)
+                op = _LOperator(u, p, cfg, kv)
+                rows = np.stack([hermitian_field(rng, kv).coeffs for _ in range(8)])
+                for v in (_mode_probes(kv)[1], rows):
+                    want = full_spectrum_l_operator(u, p, cfg, kv, v)
+                    assert np.array_equal(op.apply(v).view(np.uint64), want.view(np.uint64))
 
     def test_identity_fails_without_sinc_compatibility(self, rng):
         K = 12

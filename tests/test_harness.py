@@ -457,6 +457,22 @@ class TestCli:
         assert (out / "conv_space.csv").exists()
         assert "order" in capsys.readouterr().out
 
+    def test_conv_space_prints_spatial_order(self, tmp_path, capsys):
+        # a spatial series runs over K at one (filter, tau): the shipped config
+        # prints one sinc:2 line, whose order is the log-log fit of its CSV
+        out = tmp_path / "out"
+        code = cli_main(["conv-space", "--config", str(CONFIG_DIR / "conv_space.cfg"),
+                         "--out", str(out)])
+        assert code == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines() if "order=" in line]
+        assert [line[:2] for line in lines] == [["sinc:2", "tau=0.001"]]
+        order = float(lines[0][lines[0].index("order=") + 1])
+        with open(out / "conv_space.csv") as fh:
+            rows = [ConvergenceRow(r["filter"], int(r["K"]), float(r["tau"]), float(r["err_h2h1"]),
+                                   r["status"]) for r in csv.DictReader(fh)]
+        assert [r.K for r in rows] == [16, 32, 64, 128]
+        assert order == round(estimate_spatial_order(rows).slope, 3) == 2.970
+
     def test_energy_check_quick(self, tmp_path, capsys):
         cfg = tmp_path / "en.cfg"
         cfg.write_text(

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from qlwave import integrator
 from qlwave.exceptions import ConfigurationError, DivergenceError, NormGuardError
 from qlwave.filters import (
-    FilterSpec, grimm_hochbruck, hairer_lubich, impulse, phi, psi1, sinc_c,
+    FilterSpec, catalog, check_assumptions, default_xi_grid, grimm_hochbruck, hairer_lubich,
+    impulse, phi, psi1, sinc_c,
 )
 from qlwave.integrator import (
     IntegratorConfig,
@@ -23,6 +24,7 @@ from qlwave.problem import ProblemSpec, linear_problem, model_problem, power_law
 from qlwave.spectral import (
     SpectralField,
     coeffs_from_samples,
+    mirror_half,
     omega_weights,
     pair_norm,
     project,
@@ -75,6 +77,24 @@ class TestConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             evolve(StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0), cfg, 2)
+
+    def test_warning_is_the_sampled_verdict_on_assumptions_1_and_2(self):
+        # the engine warns in closed form, for impulse only; sampling both
+        # assumptions as filters.check_assumptions does stays the cross-check,
+        # on a 512-point grid out to twice the largest tau*Om of each (tau, K)
+        rng = np.random.default_rng(11)
+        cs = [0.0, 1e-3, 0.5, 1.0, 1.2, 2.0, 3.0, 100.0, 1e4, *rng.uniform(0.0, 50.0, 20)]
+        specs = [*catalog(), *(FilterSpec("sinc", c=float(c)) for c in cs)]
+        for spec in specs:
+            for tau, K in [(0.1, 1), (1e-3, 16), (0.25, 64), (1.0, 128), (0.5, 512)]:
+                grid = default_xi_grid(n=512, xi_max=max(4.0, 2.0 * tau * np.sqrt(K**2 + 1)))
+                report = check_assumptions(spec, delta=0.5, a0=0.0, xi_grid=grid)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    integrator._Engine(quasilinear_only(1.0), IntegratorConfig(tau, K, spec))
+                warned = any("sinc-compatibility" in str(w.message) for w in caught)
+                assert warned == (spec.kind == "impulse"), (spec.label, tau, K)
+                assert warned != (report.assumption1_ok and report.assumption2_ok)
 
     @pytest.mark.parametrize("run", [
         lambda state, p, cfg: evolve(state, p, cfg, 1),
@@ -177,14 +197,14 @@ class TestFilteredNonlinearTerm:
         w1 = omega_weights(K)
         up = SpectralField(u.coeffs * np.asarray(phi(cfg.filter, cfg.tau * w1)))
         n = 4 * K + 1
-        a_k = SpectralField(coeffs_from_samples(p.a(synthesize_values(up.coeffs, 2 * K + 1)), K))
-        prod_vals = synthesize_values(a_k.coeffs, n) * synthesize_values(
-            (-(np.arange(-K, K + 1.0) ** 2)) * up.coeffs, n
-        )
-        uvals = synthesize_values(up.coeffs, 2 * K + 1)
-        uxvals = synthesize_values(1j * np.arange(-K, K + 1.0) * up.coeffs, 2 * K + 1)
-        g_k = coeffs_from_samples(p.g(uvals, uxvals), K)
-        f2k = coeffs_from_samples(prod_vals, 2 * K)
+        # the transform pair on modes 0..K, mirrored once at the end
+        half, j = up.coeffs[K:], np.arange(K + 1.0)
+        uvals = synthesize_values(half, 2 * K + 1)
+        a_k = coeffs_from_samples(p.a(uvals), K)
+        prod_vals = synthesize_values(a_k, n) * synthesize_values(-(j**2) * half, n)
+        uxvals = synthesize_values(1j * j * half, 2 * K + 1)
+        g_k = mirror_half(coeffs_from_samples(p.g(uvals, uxvals), K))
+        f2k = mirror_half(coeffs_from_samples(prod_vals, 2 * K))
         f2k[K : 3 * K + 1] += g_k
         w2 = omega_weights(2 * K)
         filtered = np.asarray(psi1(cfg.filter, cfg.tau * w2)) * f2k

@@ -1,15 +1,18 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from qlwave.energy import positivity_check
+from qlwave import spectral
+from qlwave.energy import _LOperator, positivity_check
 from qlwave.exceptions import AliasingError, ConfigurationError, NumericsError
 from qlwave.filters import sinc_c
-from qlwave.integrator import IntegratorConfig, StatePair, evolve
-from qlwave.problem import model_problem, power_law_initial_data
+from qlwave.integrator import IntegratorConfig, StatePair, _Engine, evolve
+from qlwave.problem import ellipticity_report, model_problem, power_law_initial_data
 from qlwave.spectral import (
-    GridFunction,
     SpectralField,
     apply_multiplier,
     coeffs_from_samples,
@@ -17,13 +20,10 @@ from qlwave.spectral import (
     derivative,
     embed,
     inner_product,
-    interpolate,
     mirror_half,
     pair_norm,
     project,
     sobolev_norm,
-    synthesize,
-    synthesize_half,
     synthesize_values,
 )
 
@@ -31,6 +31,16 @@ from conftest import hermitian_field
 from oracles import assembled_analysis, dense_convolution, dense_synthesize, padded_synthesis
 
 COS_X = SpectralField.from_dict(1, {1: 0.5})
+
+
+def values_of(f: SpectralField, n: int) -> np.ndarray:
+    """Values of f at n equispaced nodes, through the pair on modes 0..K."""
+    return synthesize_values(f.coeffs[f.degree :], n)
+
+
+def field_of(values: np.ndarray, degree: int) -> SpectralField:
+    """The degree-``degree`` field of the samples, through the pair and one mirror."""
+    return SpectralField(mirror_half(coeffs_from_samples(values, degree)))
 
 
 def field_strategy(max_degree=10, decay=1.0):
@@ -69,58 +79,68 @@ class TestSpectralField:
 class TestSynthesize:
     def test_constant(self):
         f = SpectralField.constant(1.0)
-        assert np.allclose(synthesize(f, 8).values, 1.0)
+        assert np.allclose(values_of(f, 8), 1.0)
 
     def test_cos_nodes(self):
-        g = synthesize(COS_X, 5)
-        assert np.allclose(g.values, np.cos(2 * np.pi * np.arange(5) / 5), atol=1e-15)
+        g = values_of(COS_X, 5)
+        assert np.allclose(g, np.cos(2 * np.pi * np.arange(5) / 5), atol=1e-15)
 
     def test_matches_dense_summation(self, rng):
         f = hermitian_field(rng, 4)
-        g = synthesize(f, 9)
+        g = values_of(f, 9)
         dense = dense_synthesize(f.coeffs, 4, 9)
-        assert np.max(np.abs(g.values - dense)) < 1e-13
+        assert np.max(np.abs(g - dense)) < 1e-13
 
     def test_too_few_nodes(self, rng):
-        with pytest.raises(AliasingError):
-            synthesize(hermitian_field(rng, 4), 8)
+        # n nodes hold modes 0..n//2; one mode more cannot be represented,
+        # and a full spectrum -K..K handed over by mistake has 2K+1 > n//2+1
+        # modes at n = 2K+1
+        for n in (7, 8, 9):
+            size = n // 2 + 1
+            assert synthesize_values(rng.standard_normal(size) + 0j, n).shape == (n,)
+            with pytest.raises(AliasingError):
+                synthesize_values(rng.standard_normal(size + 1) + 0j, n)
+            with pytest.raises(AliasingError):
+                synthesize_values(hermitian_field(rng, (n - 1) // 2).coeffs, n)
 
 
 class TestInterpolate:
     def test_recovers_cos(self):
-        f = interpolate(synthesize(COS_X, 3), 1)
+        f = field_of(values_of(COS_X, 3), 1)
         assert np.allclose(f.coeffs, COS_X.coeffs, atol=1e-15)
 
     def test_aliasing_of_unresolved_mode(self):
         # cos(2x) sampled on 3 nodes has the same samples as cos(x)
         cos_2x = SpectralField.from_dict(2, {2: 0.5})
-        g = GridFunction(np.cos(2.0 * 2 * np.pi * np.arange(3) / 3))
-        f = interpolate(g, 1)
+        g = np.cos(2.0 * 2 * np.pi * np.arange(3) / 3)
+        f = field_of(g, 1)
         assert np.allclose(f.coeffs, COS_X.coeffs, atol=1e-14)
-        assert np.allclose(g.values, np.cos(2 * np.pi * np.arange(3) / 3), atol=1e-14)
+        assert np.allclose(g, np.cos(2 * np.pi * np.arange(3) / 3), atol=1e-14)
         assert cos_2x.degree == 2
 
     def test_wrong_node_count(self):
-        with pytest.raises(ConfigurationError):
-            interpolate(GridFunction(np.zeros(6)), 2)
+        # fewer than 2*degree+1 samples cannot determine modes 0..degree
+        coeffs_from_samples(np.zeros(5), 2)
+        with pytest.raises(AliasingError):
+            coeffs_from_samples(np.zeros(4), 2)
 
     def test_matches_vandermonde_solve(self, rng):
         # least-degree interpolant of u^2 samples via an explicit linear solve
         u = hermitian_field(rng, 2)
         n = 5
-        vals = synthesize(u, n).values ** 2
+        vals = values_of(u, n) ** 2
         x = 2 * np.pi * np.arange(n) / n
         js = np.arange(-2, 3)
         vmat = np.exp(1j * np.outer(x, js))
         expected = np.linalg.solve(vmat, vals.astype(complex))
-        got = interpolate(GridFunction(vals), 2)
+        got = field_of(vals, 2)
         assert np.max(np.abs(got.coeffs - expected)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(0, 24), st.integers(1, 4), st.integers(0, 40))
     def test_stacked_transforms_equal_row_by_row(self, seed, K, rows, extra):
         rng = np.random.default_rng(seed)
-        stack = np.stack([hermitian_field(rng, K).coeffs for _ in range(rows)])
+        stack = np.stack([hermitian_field(rng, K).coeffs[K:] for _ in range(rows)])
         n = 2 * K + 1 + extra
         vals = synthesize_values(stack, n)
         assert vals.shape == (rows, n)
@@ -137,11 +157,12 @@ class TestInterpolate:
            st.tuples(st.sampled_from([np.complex128, np.float64]),
                      st.sampled_from([np.float64, np.int64])))
     def test_wrappers_bitwise_equal_reference_forms(self, seed, degree, extra, lead, even, dtypes):
-        # bit patterns, not values, are compared: signed zeros count.  Even
-        # samples give spectra with exactly zero imaginary parts, where a
-        # conjugate taken after the 1/n scaling flips the sign of a zero.
-        # Real coefficients and integer samples must be promoted as
-        # scipy.fft.irfft/rfft promote them.
+        # the pair on modes 0..degree against the full-spectrum forms on
+        # scipy.fft.irfft/rfft.  Bit patterns, not values, are compared:
+        # signed zeros count.  Even samples give spectra with exactly zero
+        # imaginary parts, where a conjugate taken after the 1/n scaling
+        # flips the sign of a zero.  Real coefficients and integer samples
+        # must be promoted as scipy.fft.irfft/rfft promote them.
         coeff_dtype, sample_dtype = dtypes
         rng = np.random.default_rng(seed)
         n = 2 * degree + 1 + extra
@@ -149,14 +170,14 @@ class TestInterpolate:
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         if coeff_dtype is np.float64:
             coeffs = coeffs.real
-        vals = synthesize_values(coeffs, n)
+        vals = synthesize_values(coeffs[..., degree:], n)
         assert np.array_equal(vals.view(np.uint64), padded_synthesis(coeffs, n).view(np.uint64))
         samples = rng.standard_normal(lead + (n,))
         if even:
             samples = 0.5 * (samples + np.roll(samples[..., ::-1], 1, axis=-1))
         if sample_dtype is np.int64:
             samples = np.rint(1000.0 * samples).astype(np.int64)
-        got = coeffs_from_samples(samples, degree)
+        got = mirror_half(coeffs_from_samples(samples, degree))
         want = assembled_analysis(samples, degree)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -169,9 +190,9 @@ class TestInterpolate:
         for size in (1, 3, n // 2 + 1):
             half = rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))
             want = scipy.fft.irfft(half, n=n) * n
-            assert np.array_equal(synthesize_half(half, n).view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(synthesize_values(half, n).view(np.uint64), want.view(np.uint64))
         with pytest.raises(AliasingError):
-            synthesize_half(np.ones(n // 2 + 2, dtype=complex), n)
+            synthesize_values(np.ones(n // 2 + 2, dtype=complex), n)
 
     def test_mirror_is_contiguous_conjugate_extension(self, rng):
         half = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -204,7 +225,7 @@ class TestInterpolate:
     @given(field_strategy())
     def test_round_trip(self, f):
         K = f.degree
-        back = interpolate(synthesize(f, 2 * K + 1), K)
+        back = field_of(values_of(f, 2 * K + 1), K)
         tol = 1e-12 * max(sobolev_norm(f, 0.0), 1e-30)
         assert np.max(np.abs(back.coeffs - f.coeffs)) <= tol
 
@@ -290,10 +311,10 @@ class TestDerivative:
     def test_against_finite_differences(self, rng):
         f = hermitian_field(rng, 4)
         n = 2**14
-        vals = synthesize(f, n).values
+        vals = values_of(f, n)
         h = 2 * np.pi / n
         fd = (np.roll(vals, -1) - 2 * vals + np.roll(vals, 1)) / h**2
-        exact = synthesize(derivative(f, 2), n).values
+        exact = values_of(derivative(f, 2), n)
         rel = np.max(np.abs(exact - fd)) / np.max(np.abs(exact))
         assert rel < 1e-6
 
@@ -390,3 +411,66 @@ class TestInnerProduct:
         for s in (0.0, 1.0):
             a, b = inner_product(f, g, s), inner_product(g, f, s)
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """Counts calls of the pair ("pair") and of pocketfft's c2r/r2c ("core").
+
+    Each function is wrapped at every qlwave module attribute that holds
+    it, as the benchmark's traced runs wrap the pair.
+    """
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    targets = [(spectral.synthesize_values, "pair"), (spectral.coeffs_from_samples, "pair"),
+               (spectral.c2r, "core"), (spectral.r2c, "core")]
+    for name, module in list(sys.modules.items()):
+        if name != "qlwave" and not name.startswith("qlwave."):
+            continue
+        for attr, value in list(vars(module).items()):
+            for fn, key in targets:
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted(key, fn))
+    return calls
+
+
+class TestTransformPair:
+    # every transform goes through synthesize_values/coeffs_from_samples,
+    # the names the benchmark counts, and each pair call is one C-core call
+
+    def test_fhat_makes_four(self, rng, transform_calls):
+        K = 12
+        cfg = IntegratorConfig(tau=0.1, K=K, filter=sinc_c(2.0))
+        engine = _Engine(model_problem(1.0), cfg)
+        transform_calls.clear()
+        engine.fhat(hermitian_field(rng, K, scale=0.5).coeffs[K:])
+        assert transform_calls == {"pair": 4, "core": 4}
+
+    def test_l_operator_apply_makes_four(self, rng, transform_calls):
+        K = 9
+        cfg = IntegratorConfig(tau=0.2, K=K, filter=sinc_c(2.0))
+        op = _LOperator(hermitian_field(rng, K), model_problem(1.0), cfg, K)
+        transform_calls.clear()
+        op.apply(np.stack([hermitian_field(rng, K).coeffs for _ in range(3)]))
+        assert transform_calls == {"pair": 4, "core": 4}
+
+    def test_dealiased_product_makes_three(self, rng, transform_calls):
+        dealiased_product(hermitian_field(rng, 5), hermitian_field(rng, 8))
+        assert transform_calls == {"pair": 3, "core": 3}
+
+    def test_core_only_through_the_pair(self, transform_calls):
+        K = 8
+        problem = model_problem(1.0)
+        cfg = IntegratorConfig(tau=0.05, K=K, filter=sinc_c(2.0))
+        u0, ud0 = power_law_initial_data(K)
+        out = evolve(StatePair(u0, ud0), problem, cfg, 3)
+        ellipticity_report(problem, out.u)
+        positivity_check(out.u, problem, cfg, n_samples=5)
+        assert transform_calls["pair"] > 0
+        assert transform_calls["core"] == transform_calls["pair"]
