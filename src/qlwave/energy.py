@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.fft
 
 from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError
@@ -56,6 +55,7 @@ from .spectral import (
     derivative,
     inner_product,
     mirror_half,
+    next_fast_len,
     omega_weights,
     pair_norm,
     project,
@@ -187,7 +187,7 @@ class _LOperator:
                  v_degree: int):
         ka = u.degree
         self.kappa, self.a_degree, self.v_degree = problem.kappa, ka, v_degree
-        self.n = scipy.fft.next_fast_len(2 * (ka + v_degree) + 1, real=True)
+        self.n = next_fast_len(2 * (ka + v_degree) + 1)
         self.a_vals = synthesize_values(_interpolants(u, problem)[0], self.n)
         tau, spec = cfg.tau, cfg.filter
         wv = omega_weights(v_degree)[v_degree:]

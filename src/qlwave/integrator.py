@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.fft
 
 from . import filters as flt
 from .exceptions import ConfigurationError, DivergenceError, NormGuardError
@@ -56,6 +55,7 @@ from .spectral import (
     dealiased_product,
     derivative,
     mirror_half,
+    next_fast_len,
     omega_weights,
     pair_norm,
     synthesize_values,
@@ -173,7 +173,7 @@ class _Engine:
         self.dxx_t = phi_t * -(j * j)
         self.n_interp = 2 * K + 1
         # 3K+1 nodes resolve modes |m| <= K of the degree-2K product exactly
-        self.n_prod = scipy.fft.next_fast_len(3 * K + 1, real=True)
+        self.n_prod = next_fast_len(3 * K + 1)
 
         for c in self.cfgs:
             self._check_filter(c)

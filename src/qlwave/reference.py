@@ -15,7 +15,7 @@ import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError, ReferenceFailure
-from .integrator import IntegratorConfig, StatePair, evolve, step
+from .integrator import IntegratorConfig, StatePair, _caller_stacklevel, evolve, step
 from .problem import ProblemSpec
 from .spectral import embed, pair_norm, project, sobolev_norm
 
@@ -96,7 +96,7 @@ def reference_solution(
                 f"independent filter disagrees with the reference by {cross:.3e} "
                 f"(self-refinement error {drift:.3e}); reference may be unreliable",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
     return fine
 

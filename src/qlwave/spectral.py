@@ -21,27 +21,76 @@ dealiased_product is a pointwise product on a grid that resolves all of
 its modes, and apply_multiplier is the one way to apply a Fourier
 multiplier m(Om).
 
-The pair calls pocketfft's C entry points c2r and r2c
-(scipy.fft._pocketfft.pypocketfft) directly, with one thread.  At the
-sizes a step uses (K <= 128), most of the time of a scipy.fft.irfft or
-rfft call is its Python dispatch (uarray, argument normalization, shape
-fixing): in a cProfile of a K=32 evolve, c2r/r2c took about 15% of the
-time spent in the transform calls.  The pair does exactly what that
-dispatch did for its inputs, so the results are bitwise equal to
-scipy.fft.irfft(modes 0..K, n=n) * n and to scipy.fft.rfft(values) / n.
-There is no fallback: if the private module moves, importing qlwave
-fails.  A scipy.fft.set_workers context does not reach these transforms.
+The pair calls pocketfft's C entry points c2r and r2c directly, with one
+thread.  At the sizes a step uses (K <= 128), most of the time of a
+scipy.fft.irfft or rfft call is its Python dispatch (uarray, argument
+normalization, shape fixing): in a cProfile of a K=32 evolve, c2r/r2c
+took about 15% of the time spent in the transform calls.  The pair does
+exactly what that dispatch did for its inputs, so the results are
+bitwise equal to scipy.fft.irfft(modes 0..K, n=n) * n and to
+scipy.fft.rfft(values) / n, and next_fast_len(n) is
+scipy.fft.next_fast_len(n, real=True).  A scipy.fft.set_workers context
+does not reach these transforms.
+
+The C extension is loaded by file path, without importing the package
+scipy.fft: scipy.fft's __init__ pulls in scipy.special, the array-API
+layer and uarray, which qlwave does not use, and that import was about
+0.33 s of the 0.51 s `import qlwave.cli` on a 2-core box.
+importlib.util.find_spec("scipy") locates scipy's directory without
+importing it, and the first fft/_pocketfft/pypocketfft<suffix> over the
+interpreter's extension suffixes is loaded under the private name
+qlwave._pocketfft.pypocketfft (its last component must stay pypocketfft:
+the loader calls PyInit_<last component>).
+sys.modules is left untouched, so scipy.fft, if the caller imports it,
+loads its own copy as usual.  There is no fallback: if scipy moves or
+renames fft/_pocketfft/pypocketfft<suffix>, importing qlwave raises
+ImportError naming the directory it searched.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-from scipy.fft._pocketfft.pypocketfft import c2r, r2c
 
 from .exceptions import AliasingError, ConfigurationError, NumericsError
+
+
+def _load_pocketfft():
+    """scipy's pypocketfft extension module, loaded without importing scipy.fft."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("qlwave needs scipy, which is not installed")
+    directory = os.path.join(os.path.dirname(scipy_spec.origin), "fft", "_pocketfft")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no pypocketfft extension module in {directory}")
+    name = "qlwave._pocketfft.pypocketfft"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    spec = importlib.machinery.ModuleSpec(name, loader, origin=path)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
+_pocketfft = _load_pocketfft()
+c2r, r2c = _pocketfft.c2r, _pocketfft.r2c
+
+# Freeing one 4 MiB block, which glibc's malloc serves by mmap, raises its
+# dynamic mmap threshold to 4 MiB and its heap-trim threshold to 8 MiB;
+# importing scipy.fft used to do this as a side effect.  Without it the
+# ~140 kB transform stacks of a K=64 L operator or a K=512 step shrink and
+# regrow the heap on every call: 33k minor page faults per run of the
+# bench's energy_check workload instead of none, and about a quarter more
+# CPU time.  With other allocators this is one allocation and one free.
+_heap_probe = np.empty(1 << 19)
+del _heap_probe
 
 # Tolerance (relative to the largest coefficient) for accepting nearly
 # Hermitian input before it is symmetrized exactly.
@@ -201,6 +250,15 @@ def coeffs_from_samples(values: np.ndarray, degree: int) -> np.ndarray:
     return r2c(values, (-1,), True, 0, None, 1)[..., : degree + 1] / n
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest size >= n that pocketfft's real transforms handle fast.
+
+    pocketfft's good_size(n, True), which is what
+    scipy.fft.next_fast_len(n, real=True) returns.
+    """
+    return _pocketfft.good_size(n, True)
+
+
 def mirror_half(half: np.ndarray) -> np.ndarray:
     """Full spectrum -K..K of the real field with modes 0..K ``half`` (last axis).
 
@@ -261,7 +319,7 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     which resolve every mode of the product.
     """
     deg = f.degree + g.degree
-    n = scipy.fft.next_fast_len(2 * deg + 1, real=True)
+    n = next_fast_len(2 * deg + 1)
     vf = synthesize_values(f.coeffs[f.degree :], n)
     vg = synthesize_values(g.coeffs[g.degree :], n)
     return SpectralField(mirror_half(coeffs_from_samples(vf * vg, deg)))

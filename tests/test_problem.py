@@ -1,12 +1,5 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-import qlwave
 
 from qlwave.exceptions import ConfigurationError
 from qlwave.problem import (
@@ -144,19 +137,3 @@ class TestEllipticity:
         s_min, s_max = rep.delta_est - 1.0, rep.A0_est
         assert dense.min() - 1e-8 <= s_min <= dense.min() + 1e-13
         assert dense.max() - 1e-13 <= s_max <= dense.max() + 1e-8
-
-    def test_energy_check_does_not_import_scipy_optimize(self, tmp_path):
-        src = str(Path(qlwave.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        code = (
-            "import sys\n"
-            "from qlwave.cli import cli_main\n"
-            f"rc = cli_main(['energy-check', '--out', {str(tmp_path)!r},"
-            " '-o', 'grid.K=8', '-o', 'energy.probes=4'])\n"
-            "print(rc, 'scipy.optimize' in sys.modules)\n"
-        )
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[-1] == "0 False"

@@ -1,11 +1,16 @@
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+import qlwave
 from qlwave import spectral
 from qlwave.energy import _LOperator, positivity_check
 from qlwave.exceptions import AliasingError, ConfigurationError, NumericsError
@@ -474,3 +479,77 @@ class TestTransformPair:
         positivity_check(out.u, problem, cfg, n_samples=5)
         assert transform_calls["pair"] > 0
         assert transform_calls["core"] == transform_calls["pair"]
+
+
+SRC = str(Path(qlwave.__file__).resolve().parents[1])
+
+ENTRY_POINTS = {
+    "energy-check": ["energy-check", "-o", "grid.K=8", "-o", "energy.probes=4"],
+    "conv-time": ["conv-time", "-o", "sweep.K=8", "-o", "sweep.tau=0.25 0.125 0.0625",
+                  "-o", "time.T=1", "-o", "reference.refine_factor=4"],
+    "simulate": ["simulate", "-o", "grid.K=8", "-o", "time.tau=0.1", "-o", "time.T=1"],
+    "filter-check": ["filter-check", "--filter", "sinc:2", "--A0", "13", "--delta", "0.15"],
+}
+
+# runs one CLI command, lists the heavy scipy subpackages it loaded, then
+# compares the pair bitwise with public scipy.fft on a random stack
+ENTRY_POINT_SCRIPT = """
+import json
+import sys
+{first}from qlwave.cli import cli_main
+rc = cli_main({argv!r})
+loaded = [m for m in ("scipy.fft", "scipy.special", "scipy.optimize") if m in sys.modules]
+import numpy as np
+import scipy.fft
+from qlwave.spectral import coeffs_from_samples, synthesize_values
+rng = np.random.default_rng(11)
+half = rng.standard_normal((2, 3, 129)) + 1j * rng.standard_normal((2, 3, 129))
+values = rng.standard_normal((2, 3, 257))
+bits = lambda a: a.view(np.uint64)
+same = (np.array_equal(bits(synthesize_values(half, 257)), bits(scipy.fft.irfft(half, n=257) * 257))
+        and np.array_equal(bits(coeffs_from_samples(values, 128)), bits(scipy.fft.rfft(values) / 257)))
+print(json.dumps([rc, loaded, same]))
+"""
+
+
+def run_python(code: str, pythonpath: list) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(pythonpath + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+class TestExtensionLoading:
+    # pocketfft's extension is loaded by file path: no entry point imports
+    # scipy.fft (or scipy.special, scipy.optimize), and the pair stays
+    # bitwise equal to public scipy.fft whichever is imported first
+
+    @pytest.mark.parametrize("command,scipy_fft_first", [
+        ("energy-check", False), ("conv-time", False), ("simulate", False),
+        ("filter-check", False), ("conv-time", True),
+    ])
+    def test_entry_point_imports_no_scipy_fft(self, tmp_path, command, scipy_fft_first):
+        argv = ENTRY_POINTS[command]
+        if command != "filter-check":
+            argv = argv + ["--out", str(tmp_path)]
+        first = "import scipy.fft\n" if scipy_fft_first else ""
+        run = run_python(ENTRY_POINT_SCRIPT.format(first=first, argv=argv), [SRC])
+        assert run.returncode == 0, run.stderr
+        rc, loaded, same = json.loads(run.stdout.splitlines()[-1])
+        assert rc == 0 and same
+        assert scipy_fft_first or loaded == []
+
+    def test_next_fast_len_is_scipys(self):
+        # covers every product, L-operator and dealiasing grid of the
+        # shipped and bench configs
+        for n in range(1, 10001):
+            assert spectral.next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
+
+    def test_missing_extension_fails_loudly(self, tmp_path):
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        run = run_python("import qlwave", [str(tmp_path), SRC])
+        error = run.stderr.splitlines()[-1]
+        assert run.returncode != 0
+        assert error.startswith("ImportError:")
+        assert str(tmp_path / "scipy" / "fft" / "_pocketfft") in error
