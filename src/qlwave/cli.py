@@ -31,8 +31,9 @@ from .harness import (
     write_rows_csv,
     _fmt,
     _n_steps,
+    _require_distinct,
 )
-from .integrator import IntegratorConfig, StatePair, evolve
+from .integrator import IntegratorConfig, StatePair, _require_positive_tau, evolve
 from .problem import ellipticity_report, linear_problem, model_problem, power_law_initial_data
 from .reference import ReferenceConfig, local_error
 from .spectral import SpectralField, omega_weights
@@ -159,13 +160,7 @@ def cmd_simulate(args) -> int:
     problem = _problem_from(cfg)
     K = int(_get(cfg, "grid.K", required=True))
     tau = float(_get(cfg, "time.tau", required=True))
-    if "time.n_steps" in cfg:
-        n_steps = int(cfg["time.n_steps"])
-        if "time.T" in cfg and n_steps != _n_steps(float(cfg["time.T"]), tau):
-            raise ConfigurationError(f"time.n_steps={n_steps} conflicts with "
-                                     f"time.T={cfg['time.T']} and time.tau={tau:g}")
-    else:
-        n_steps = _n_steps(float(_get(cfg, "time.T", required=True)), tau)
+    n_steps = _n_steps(float(_get(cfg, "time.T", required=True)), tau)
     spec = _filter_from(cfg)
     icfg = IntegratorConfig(
         tau=tau, K=K, filter=spec, max_norm=float(_get(cfg, "guard.max_norm", "1e6"))
@@ -292,20 +287,22 @@ def cmd_local_error(args) -> int:
     K = int(_get(cfg, "grid.K", "64"))
     spec = _filter_from(cfg)
     taus = _floats(_get(cfg, "local.tau", "0.0625 0.03125 0.015625 0.0078125"))
+    for tau in taus:
+        _require_positive_tau(tau)
+    _require_distinct("local.tau", taus)
     ref_cfg = _ref_cfg_from(cfg)
     u0, ud0 = power_law_initial_data(K)
     state = StatePair(u0, ud0)
 
+    # every row before the file, so a failing step or fit leaves none
+    rows = [ConvergenceRow(spec.label, K, tau, local_error(problem, state, tau, K, spec, ref_cfg))
+            for tau in sorted(taus, reverse=True)]
+    est = estimate_order(rows)
     path = _out_path(args, "local_error.csv")
-    rows = []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("tau", "err_h2h1"))
-        for tau in sorted(taus, reverse=True):
-            err = local_error(problem, state, tau, K, spec, ref_cfg)
-            rows.append(ConvergenceRow(spec.label, K, tau, err))
-            writer.writerow((_fmt(tau), _fmt(err)))
-    est = estimate_order(rows)
+        writer.writerows((_fmt(r.tau), _fmt(r.err)) for r in rows)
     print(f"local-error: K={K} filter={spec.label} kappa={problem.kappa:g}")
     print(f"  one-step order {est.slope:.3f} (R^2={est.r_squared:.5f})")
     print(f"  wrote {path}")

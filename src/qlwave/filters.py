@@ -141,9 +141,9 @@ def min_c_for(a0: float, delta: float) -> float:
     return 0.5 * np.sqrt(a0 / (1.0 - delta))
 
 
-def default_xi_grid(n: int = 10_000, xi_max: float = 1e3) -> np.ndarray:
-    """Default sampling grid for the pointwise admissibility conditions."""
-    return np.concatenate(([0.0], np.geomspace(1e-6, xi_max, n)))
+def default_xi_grid() -> np.ndarray:
+    """The sampling grid of check_assumptions: 0 and 10 000 geometric points from 1e-6 to 1e3."""
+    return np.concatenate(([0.0], np.geomspace(1e-6, 1e3, 10_000)))
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,8 @@ class AdmissibilityReport:
         return self.assumption1_ok and self.assumption2_ok and self.assumption3_ok
 
 
-def check_assumptions(
-    spec: FilterSpec,
-    delta: float,
-    a0: float,
-    xi_grid: np.ndarray | None = None,
-) -> AdmissibilityReport:
-    """Sample the three admissibility conditions on a xi grid.
+def check_assumptions(spec: FilterSpec, delta: float, a0: float) -> AdmissibilityReport:
+    """Sample the three admissibility conditions on default_xi_grid().
 
     The conditions are universally quantified in xi; this is a desk-scale
     certification on the sampled grid, not a proof.
@@ -182,10 +177,7 @@ def check_assumptions(
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
     if a0 < 0 or not np.isfinite(a0):
         raise ConfigurationError(f"A0 must be finite and >= 0, got {a0}")
-    xi = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
-    if xi.size == 0:
-        raise ConfigurationError("xi grid must be non-empty")
-
+    xi = default_xi_grid()
     ph = np.asarray(phi(spec, xi))
     ps = np.asarray(psi1(spec, xi))
     tol = 1e-12

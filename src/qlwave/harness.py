@@ -12,7 +12,7 @@ import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
-from .integrator import IntegratorConfig, StatePair, _evolve_stack
+from .integrator import IntegratorConfig, StatePair, _evolve_stack, _require_positive_tau
 from .problem import ProblemSpec, power_law_initial_data
 from .reference import ReferenceConfig, error_h2h1, reference_solution, _fit_degree
 
@@ -39,14 +39,13 @@ class ExperimentPlan:
             raise ConfigurationError("K, tau and filter lists must be non-empty")
         if self.T <= 0:
             raise ConfigurationError("T must be positive")
+        if not self.max_norm > 0:
+            raise ConfigurationError(f"max_norm must be positive, got {self.max_norm}")
         for tau in self.tau_list:
             _n_steps(self.T, tau)
-        # a repeated value would rerun its cells and count them twice in the order fit
         for name, values in (("K", self.K_list), ("tau", self.tau_list),
                              ("filter", [spec.label for spec in self.filters])):
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:
-                raise ConfigurationError(f"sweep {name} {repeated[0]} is repeated")
+            _require_distinct(f"sweep {name}", values)
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,16 @@ class ConvergenceRow:
     status: str = STATUS_OK
 
 
+def _require_distinct(name: str, values: Sequence) -> None:
+    """Reject a repeated value, which would run twice and count twice in an order fit."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigurationError(f"{name} {repeated[0]} is repeated")
+
+
 def _n_steps(T: float, tau: float) -> int:
     """The step count T/tau; raises ConfigurationError unless it is an integer."""
-    if not (math.isfinite(tau) and tau > 0):
-        raise ConfigurationError(f"tau must be positive, got {tau}")
+    _require_positive_tau(tau)
     n = T / tau
     if abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ConfigurationError(f"T/tau must be an integer; T={T}, tau={tau} gives {n}")
@@ -82,8 +87,7 @@ def _run_filters(plan: ExperimentPlan, K: int, tau: float) -> list:
     stopped the run.
     """
     cfgs = [
-        IntegratorConfig(tau=tau, K=K, filter=spec, max_norm=plan.max_norm,
-                         admissibility_policy="ignore")
+        IntegratorConfig(tau=tau, K=K, filter=spec, max_norm=plan.max_norm)
         for spec in plan.filters
     ]
     return _evolve_stack(_initial_state(K), plan.problem, cfgs, _n_steps(plan.T, tau))

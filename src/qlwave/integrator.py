@@ -97,17 +97,19 @@ class IntegratorConfig:
     K: int
     filter: flt.FilterSpec
     max_norm: float = 1e6
-    admissibility_policy: str = "warn"  # warn | ignore
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ConfigurationError(f"tau must be positive, got {self.tau}")
+        _require_positive_tau(self.tau)
         if self.K < 1:
             raise ConfigurationError("spectral degree K must be >= 1")
-        if self.admissibility_policy not in ("warn", "ignore"):
-            raise ConfigurationError(
-                f"unknown admissibility policy {self.admissibility_policy!r}"
-            )
+        # NaN would switch the guard off, and 0 would trip it at once
+        if not self.max_norm > 0:
+            raise ConfigurationError(f"max_norm must be positive, got {self.max_norm}")
+
+
+def _require_positive_tau(tau: float):
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigurationError(f"tau must be positive, got {tau}")
 
 
 def _caller_stacklevel() -> int:
@@ -123,6 +125,22 @@ def _caller_stacklevel() -> int:
     return level
 
 
+def _warn_if_inadmissible(cfg: IntegratorConfig):
+    """Warn, blaming the first frame outside qlwave, if cfg's filter is inadmissible.
+
+    Assumptions 1-2 in closed form: with its derived c0 every kind meets
+    assumption 1, and only impulse (psi1 = 1) breaks psi1 = sinc*phi, as
+    filters.check_assumptions samples.  Only the entry points that take a
+    caller's config call it, on every call, so it obeys the caller's filters.
+    """
+    if cfg.filter.kind == flt.KIND_IMPULSE:
+        warnings.warn(
+            f"filter {cfg.filter.label!r} violates the sinc-compatibility/boundedness "
+            "conditions; expect step-size restrictions coupled to the spatial resolution",
+            RuntimeWarning, stacklevel=_caller_stacklevel(),
+        )
+
+
 class _Engine:
     """Precomputed multiplier tables and transform plan for one step size.
 
@@ -132,6 +150,7 @@ class _Engine:
     (B, K+1) stack whose row i runs under config i; the tau tables are
     shared.  The same fhat and step_arrays serve both by broadcasting.
     Every table, state and nonlinearity is a half spectrum, modes 0..K.
+    Building one checks no filter (see _warn_if_inadmissible).
     """
 
     def __init__(self, problem: ProblemSpec, cfgs):
@@ -175,9 +194,6 @@ class _Engine:
         # 3K+1 nodes resolve modes |m| <= K of the degree-2K product exactly
         self.n_prod = next_fast_len(3 * K + 1)
 
-        for c in self.cfgs:
-            self._check_filter(c)
-
     def take(self, rows: np.ndarray) -> "_Engine":
         """The engine of the stack rows selected by a boolean mask."""
         sub = copy.copy(self)
@@ -186,17 +202,6 @@ class _Engine:
         sub.dxx_t = self.dxx_t[rows]
         sub.psi1_t = self.psi1_t[rows]
         return sub
-
-    def _check_filter(self, cfg: IntegratorConfig):
-        # Assumptions 1-2 in closed form.  Every kind meets assumption 1 with
-        # the c0 it derives, and psi1 = sinc*phi holds for every kind but
-        # impulse, whose psi1 is 1; filters.check_assumptions samples the same.
-        if cfg.admissibility_policy == "warn" and cfg.filter.kind == flt.KIND_IMPULSE:
-            warnings.warn(
-                f"filter {cfg.filter.label!r} violates the sinc-compatibility/boundedness "
-                "conditions; expect step-size restrictions coupled to the spatial resolution",
-                RuntimeWarning, stacklevel=_caller_stacklevel(),
-            )
 
     # -- nonlinearity -------------------------------------------------
 
@@ -291,8 +296,7 @@ def _interpolants(u: SpectralField, problem: ProblemSpec) -> np.ndarray:
     Half spectra, modes 0..K.
     """
     K = u.degree
-    engine = _cached_engine(problem, IntegratorConfig(tau=1.0, K=K, filter=flt.impulse(),
-                                                      admissibility_policy="ignore"))
+    engine = _cached_engine(problem, IntegratorConfig(tau=1.0, K=K, filter=flt.impulse()))
     return engine.interpolants(u.coeffs[K:])
 
 
@@ -306,9 +310,10 @@ def nonlinear_term(u: SpectralField, problem: ProblemSpec) -> SpectralField:
 def filtered_nonlinear_term(
     u: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig
 ) -> SpectralField:
-    """Filtered degree-K nonlinearity used inside one step."""
+    """Filtered degree-K nonlinearity used inside one step; warns if cfg's filter is impulse."""
     if u.degree != cfg.K:
         raise ConfigurationError(f"field degree {u.degree} does not match config K={cfg.K}")
+    _warn_if_inadmissible(cfg)
     engine = _cached_engine(problem, cfg)
     return SpectralField(mirror_half(engine.fhat(u.coeffs[cfg.K:])))
 
@@ -326,8 +331,9 @@ def linear_propagator(state: StatePair, t: float) -> StatePair:
 
 
 def step(state: StatePair, problem: ProblemSpec, cfg: IntegratorConfig) -> StatePair:
-    """Advance one time step with the one-step form of the scheme."""
+    """Advance one time step of the scheme; warns on every call if cfg's filter is impulse."""
     _require_degree(state, cfg)
+    _warn_if_inadmissible(cfg)
     engine = _cached_engine(problem, cfg)
     K = cfg.K
     u1, ud1, _ = engine.step_arrays(state.u.coeffs[K:], state.udot.coeffs[K:])
@@ -446,13 +452,14 @@ def evolve(
     state; other steps build none.  Raises ConfigurationError for
     every < 1, DivergenceError (with the failing step index) on
     non-finite states and NormGuardError when the position/velocity norm
-    exceeds cfg.max_norm.
+    exceeds cfg.max_norm.  Warns on every call if cfg's filter is impulse.
     """
     if n_steps < 0:
         raise ConfigurationError("n_steps must be >= 0")
     if every < 1:
         raise ConfigurationError(f"observer interval every must be >= 1, got {every}")
     _require_degree(state0, cfg)
+    _warn_if_inadmissible(cfg)
     [outcome] = _evolve_stack(state0, problem, cfg, n_steps, observer, every)
     if isinstance(outcome, DivergenceError):
         raise outcome

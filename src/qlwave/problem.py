@@ -144,18 +144,13 @@ def _refine_extrema(fn, xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]
     return float(min(np.min(vals), np.min(low))), float(max(np.max(vals), -np.min(high)))
 
 
-def ellipticity_report(
-    problem: ProblemSpec, u: SpectralField, n: int | None = None
-) -> EllipticityReport:
+def ellipticity_report(problem: ProblemSpec, u: SpectralField) -> EllipticityReport:
     """Estimate the hyperbolicity margin and amplitude bound for a snapshot.
 
-    Samples kappa*a(u(x)) on an n-point grid (default 4K+1) and polishes
-    the sampled extrema so the estimates are stable under grid refinement.
+    Samples kappa*a(u(x)) on the 4K+1 equispaced nodes and polishes the
+    sampled extrema so the estimates are stable under grid refinement.
     """
-    if n is None:
-        n = 4 * u.degree + 1
-    if n < 2 * u.degree + 1:
-        raise ConfigurationError(f"grid of {n} nodes cannot resolve degree {u.degree}")
+    n = 4 * u.degree + 1
     xs = 2.0 * np.pi * np.arange(n) / n
     half = u.coeffs[u.degree :]
     uvals = synthesize_values(half, n)

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 from pathlib import Path
 
@@ -21,3 +22,10 @@ def hermitian_field(rng, degree, scale=1.0, decay=0.0) -> SpectralField:
     if decay:
         c = c * omega_weights(degree) ** (-decay)
     return SpectralField(scale * c)
+
+
+def warns_if_inadmissible(spec):
+    """Expect the entry points' admissibility warning if spec is impulse; else a no-op context."""
+    if spec.kind == "impulse":
+        return pytest.warns(RuntimeWarning, match="sinc-compatibility")
+    return contextlib.nullcontext()

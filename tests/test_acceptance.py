@@ -40,7 +40,7 @@ from qlwave.integrator import IntegratorConfig, StatePair, evolve, linear_propag
 from qlwave.problem import ProblemSpec, linear_problem, model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, local_error
 from qlwave.spectral import SpectralField, derivative, inner_product
-from conftest import hermitian_field
+from conftest import hermitian_field, warns_if_inadmissible
 from oracles import dense_one_step
 
 
@@ -89,9 +89,10 @@ def test_criterion_01_linear_exactness():
     exact = linear_propagator(state0, n * tau)
     scale = state0.norm(1.0)
     for spec in catalog():
-        cfg = IntegratorConfig(tau=tau, K=K, filter=spec, admissibility_policy="ignore")
+        cfg = IntegratorConfig(tau=tau, K=K, filter=spec)
         t0 = time.perf_counter()
-        final = evolve(state0, linear_problem(), cfg, n)
+        with warns_if_inadmissible(spec):
+            final = evolve(state0, linear_problem(), cfg, n)
         elapsed = time.perf_counter() - t0
         rel = error_h2h1(final, exact) / scale
         assert rel <= 1e-10, (spec.label, rel)
@@ -282,8 +283,9 @@ def test_criterion_12_oracle_equivalence():
         cud = SpectralField(0.25 * (c + np.conj(c[::-1])))
         st = StatePair(cu, cud)
         for spec in catalog():
-            cfg = IntegratorConfig(tau=0.1, K=K, filter=spec, admissibility_policy="ignore")
-            out = step(st, p, cfg)
+            cfg = IntegratorConfig(tau=0.1, K=K, filter=spec)
+            with warns_if_inadmissible(spec):
+                out = step(st, p, cfg)
             label = "sinc" if spec.kind == "sinc" else spec.kind
             ou, od = dense_one_step(
                 list(cu.coeffs), list(cud.coeffs), K, 0.1, kappa, label, spec.c,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,8 @@ from qlwave.energy import (
     apply_l_operator,
     apply_position_filter,
     energy_change_residual,
+    energy_report,
+    identity_residual,
     modified_energy,
     positivity_check,
     positivity_eigen_margin,
@@ -192,7 +196,7 @@ class TestLOperator:
         # degree ka >= ku zero-extended, which the oracle computes as the
         # degree-ka interpolant of a(u) for the degree-ku field
         p = quasilinear_only(0.8, a=lambda x: x + 0.5 * x * x)
-        cfg = IntegratorConfig(tau=0.3, K=ka, filter=spec, admissibility_policy="ignore")
+        cfg = IntegratorConfig(tau=0.3, K=ka, filter=spec)
         u, v = hermitian_field(rng, ku), hermitian_field(rng, kv)
         got = apply_l_operator(embed(u, ka), v, p, cfg).coeffs
         want = np.array(dense_l_operator(u.coeffs, v.coeffs, ku, kv, ka, cfg.tau, p.kappa,
@@ -221,7 +225,7 @@ class TestLOperator:
         for kappa in (0.01, 0.3, 1.0):
             p = model_problem(kappa)
             for ku, kv in [(4, 4), (8, 8), (17, 17), (64, 64), (6, 11), (11, 6)]:
-                cfg = IntegratorConfig(tau=0.3, K=ku, filter=spec, admissibility_policy="ignore")
+                cfg = IntegratorConfig(tau=0.3, K=ku, filter=spec)
                 u = hermitian_field(rng, ku)
                 op = _LOperator(u, p, cfg, kv)
                 rows = np.stack([hermitian_field(rng, kv).coeffs for _ in range(8)])
@@ -232,7 +236,7 @@ class TestLOperator:
     def test_identity_fails_without_sinc_compatibility(self, rng):
         K = 12
         p = model_problem(1.0)
-        cfg = IntegratorConfig(tau=0.4, K=K, filter=impulse(), admissibility_policy="ignore")
+        cfg = IntegratorConfig(tau=0.4, K=K, filter=impulse())
         e, u = hermitian_field(rng, K), hermitian_field(rng, K)
         ef, uf = apply_position_filter(e, cfg), apply_position_filter(u, cfg)
         lhs = p.kappa * u_term(ef, uf, p, cfg, projected=False)
@@ -267,7 +271,6 @@ class TestPositivity:
         u = SpectralField.from_dict(K, {0: 3.0})
         cfg = IntegratorConfig(
             tau=np.pi / np.sqrt(K * K + 1.0), K=K, filter=impulse(),
-            admissibility_policy="ignore",
         )
         margin = positivity_check(u, p, cfg, n_samples=50)
         assert margin < 0.0
@@ -417,10 +420,37 @@ class TestEnergyChange:
     def test_identity_fails_without_sinc_compatibility(self, rng):
         # impulse: psi1 = 1 != sinc * phi, so the remainder formula does not close
         p = quasilinear_only(1.0)
-        cfg = IntegratorConfig(tau=0.05, K=8, filter=impulse(), admissibility_policy="ignore")
+        cfg = IntegratorConfig(tau=0.05, K=8, filter=impulse())
         worst = 0.0
         for _ in range(15):
             un = StatePair(hermitian_field(rng, 8, 0.3), hermitian_field(rng, 8, 0.3))
             vn = StatePair(hermitian_field(rng, 8, 0.3), hermitian_field(rng, 8, 0.3))
-            worst = max(worst, energy_change_residual(un, vn, p, cfg))
+            # it steps the caller's config, so impulse warns as step() does
+            with pytest.warns(RuntimeWarning, match="sinc-compatibility"):
+                worst = max(worst, energy_change_residual(un, vn, p, cfg))
         assert worst > 1e-4
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("spec", [sinc_c(2.0), impulse()], ids=lambda f: f.label)
+    def test_diagnostics_warn_nothing(self, rng, spec):
+        # their interpolation of a(u) is the step's, unfiltered, and warns
+        # nothing; only the one-step identity steps the caller's config,
+        # whose impulse warning test_identity_fails_without_sinc_compatibility
+        # asserts
+        p = quasilinear_only(1.0)
+        cfg = IntegratorConfig(tau=0.1, K=8, filter=spec)
+        e, ed, u = (hermitian_field(rng, 8, 0.3, decay=2.0) for _ in range(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            apply_position_filter(e, cfg)
+            u_term(e, u, p, cfg)
+            modified_energy(e, ed, u, p, cfg)
+            energy_report(e, ed, u, p, cfg, n_probes=4, rng=rng)
+            identity_residual(e, u, p, cfg)
+            apply_l_operator(u, e, p, cfg)
+            positivity_check(u, p, cfg, n_samples=4, rng=rng)
+            list(positivity_probes(u, p, cfg, 4, 0.5, rng))
+            positivity_eigen_margin(u, p, cfg, 0.5)
+            if spec.kind != "impulse":
+                energy_change_residual(StatePair(e, ed), StatePair(u, ed), p, cfg)

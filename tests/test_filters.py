@@ -74,7 +74,7 @@ class TestCatalog:
         assert np.max(np.abs(np.asarray(psi1(s1, xi)) - np.asarray(psi1(gh, xi)))) <= 1e-15
 
     def test_psi1_is_sinc_times_phi(self):
-        xi = default_xi_grid(10_000, 1e3)
+        xi = default_xi_grid()
         for spec in ADMISSIBLE:
             dev = np.abs(np.asarray(psi1(spec, xi)) - np.asarray(sinc(xi)) * np.asarray(phi(spec, xi)))
             assert np.max(dev) <= 1e-15
@@ -123,9 +123,11 @@ class TestCheckAssumptions:
             assert report.worst_margin < 0.0
 
     def test_worst_xi_in_grid(self):
+        # the fixed grid: 0 and 10 000 geometric points from 1e-6 to 1e3
         grid = default_xi_grid()
-        report = check_assumptions(hairer_lubich(), delta=0.15, a0=13.0, xi_grid=grid)
-        assert grid.min() <= report.worst_xi <= grid.max()
+        assert grid.size == 10_001 and grid[0] == 0.0 and grid[1] == 1e-6 and grid[-1] == 1e3
+        report = check_assumptions(hairer_lubich(), delta=0.15, a0=13.0)
+        assert report.worst_xi in grid
 
     def test_parameter_validation(self):
         for delta, a0 in ((0.0, 1.0), (1.0, 1.0), (0.5, -1.0)):
@@ -143,7 +145,7 @@ class TestCheckAssumptions:
 
     def test_damping_chain_bound_for_sinc_c(self):
         # sin(xi/2)^2 phi(xi)^2 <= 1/(4 c^2) pointwise
-        xi = default_xi_grid(5000, 1e3)
+        xi = default_xi_grid()
         for c in (2.0, 3.0):
             vals = np.sin(0.5 * xi) ** 2 * np.asarray(phi(sinc_c(c), xi)) ** 2
             assert np.max(vals) <= 1.0 / (4.0 * c * c) + 1e-14

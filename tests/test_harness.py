@@ -1,12 +1,14 @@
 import csv
 import math
 import os
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qlwave import reference
+from qlwave import cli, reference
 from qlwave.cli import cli_main, load_config
 from qlwave.exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
 from qlwave.filters import (
@@ -27,6 +29,8 @@ from qlwave.integrator import IntegratorConfig, StatePair, evolve
 from qlwave.problem import linear_problem, model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, reference_solution
 from qlwave.spectral import SpectralField, embed
+
+from conftest import warns_if_inadmissible
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -62,6 +66,12 @@ class TestPlanValidation:
     def test_empty_lists(self):
         with pytest.raises(ConfigurationError):
             linear_plan(K_list=[])
+
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, np.nan])
+    def test_max_norm_positive(self, max_norm):
+        with pytest.raises(ConfigurationError, match="max_norm must be positive"):
+            linear_plan(max_norm=max_norm)
+        linear_plan(max_norm=np.inf)
 
     def test_repeated_K_rejected(self):
         with pytest.raises(ConfigurationError, match="sweep K 8 is repeated"):
@@ -129,6 +139,17 @@ class TestSweeps:
         keys = [(r.filter, r.K, r.tau) for r in rows]
         assert keys == sorted(keys)
 
+    def test_sweeps_with_impulse_warn_nothing(self):
+        # a sweep compares filters on purpose, so impulse runs without the
+        # warning that evolve gives a caller's own config
+        plan = ExperimentPlan(problem=model_problem(0.01), K_list=[4, 8], tau_list=[0.25],
+                              T=0.5, filters=[impulse(), sinc_c(2.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_convergence_time(replace(plan, tau_list=[0.25, 0.125, 0.0625]),
+                                 ReferenceConfig(refine_factor=4))
+            run_convergence_space(plan, K_ref=32)
+
     def test_guard_cells_recorded_not_fatal(self):
         # tiny per-cell guard: every cell reports guard status, the sweep
         # and its reference still complete
@@ -161,10 +182,10 @@ class TestSweeps:
         expected = []
         for spec in plan.filters:
             for tau in plan.tau_list:
-                cfg = IntegratorConfig(tau=tau, K=256, filter=spec, max_norm=plan.max_norm,
-                                       admissibility_policy="ignore")
+                cfg = IntegratorConfig(tau=tau, K=256, filter=spec, max_norm=plan.max_norm)
                 try:
-                    final = evolve(state0, plan.problem, cfg, round(plan.T / tau))
+                    with warns_if_inadmissible(spec):
+                        final = evolve(state0, plan.problem, cfg, round(plan.T / tau))
                 except NormGuardError:
                     expected.append((spec.label, 256, tau, "guard", None))
                 except DivergenceError:
@@ -184,8 +205,9 @@ class TestSweeps:
         rows = run_convergence_space(plan, K_ref=64)
 
         def alone(K, spec):
-            cfg = IntegratorConfig(tau=2.0**-5, K=K, filter=spec, admissibility_policy="ignore")
-            return evolve(StatePair(*power_law_initial_data(K)), plan.problem, cfg, 16)
+            cfg = IntegratorConfig(tau=2.0**-5, K=K, filter=spec)
+            with warns_if_inadmissible(spec):
+                return evolve(StatePair(*power_law_initial_data(K)), plan.problem, cfg, 16)
 
         expected = []
         for spec in plan.filters:
@@ -285,7 +307,7 @@ class TestCli:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
             "problem.name = linear\nproblem.kappa = 0\ngrid.K = 8\n"
-            "time.tau = 0.25\ntime.n_steps = 8\nfilter.kind = sinc:2\n"
+            "time.tau = 0.25\ntime.T = 2\nfilter.kind = sinc:2\n"
         )
         out = tmp_path / "out"
         code = cli_main(["simulate", "--config", str(cfg), "--out", str(out)])
@@ -307,7 +329,7 @@ class TestCli:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
             "problem.name = linear\ngrid.K = 8\ntime.tau = 0.25\n"
-            "time.n_steps = 8\nfilter.kind = sinc:2\n"
+            "time.T = 2\nfilter.kind = sinc:2\n"
         )
         out = tmp_path / "out"
         code = cli_main(
@@ -332,47 +354,53 @@ class TestCli:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
             "problem.name = model\nproblem.kappa = 1\ngrid.K = 8\n"
-            "time.tau = 0.25\ntime.n_steps = 400\nfilter.kind = impulse\n"
+            "time.tau = 0.25\ntime.T = 100\nfilter.kind = impulse\n"
             "guard.max_norm = 1e-6\n"
         )
-        code = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        with pytest.warns(RuntimeWarning, match="sinc-compatibility"):
+            code = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3
 
     def test_simulate_divergence_reported_once_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
-        code = cli_main(["simulate", "-o", "problem.name=model", "-o", "problem.kappa=1",
-                         "-o", "grid.K=8", "-o", "time.tau=0.25", "-o", "time.T=100",
-                         "-o", "filter.kind=impulse", "-o", "guard.max_norm=1e-6",
-                         "--out", str(out)])
+        with pytest.warns(RuntimeWarning, match="sinc-compatibility"):
+            code = cli_main(["simulate", "-o", "problem.name=model", "-o", "problem.kappa=1",
+                             "-o", "grid.K=8", "-o", "time.tau=0.25", "-o", "time.T=100",
+                             "-o", "filter.kind=impulse", "-o", "guard.max_norm=1e-6",
+                             "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("diverged: norm guard tripped at step 1 (t=0.25): |state| = ")
         assert err.count("\n") == 1 and err.endswith(" > 1.000e-06\n")
         assert not (out / "trajectory.csv").exists()
 
-    def test_simulate_rejects_conflicting_horizon(self, tmp_path, capsys):
-        # T/tau = 10 steps; an n_steps that disagrees is an error, one that agrees runs
-        base = ["simulate", "-o", "problem.name=linear", "-o", "grid.K=8", "-o", "time.tau=0.1",
-                "-o", "time.T=1", "--out"]
+    @pytest.mark.parametrize("command,max_norm", [("simulate", "0"), ("simulate", "-1"),
+                                                  ("simulate", "nan"), ("conv-time", "0")])
+    def test_guard_must_be_positive(self, tmp_path, capsys, command, max_norm):
+        # a NaN guard would never trip, and a non-positive one would fail every run at step 1
         out = tmp_path / "out"
-        assert cli_main(base + [str(out), "-o", "time.n_steps=3"]) == 1
-        assert "time.n_steps=3 conflicts with time.T=1" in capsys.readouterr().err
-        assert not (out / "trajectory.csv").exists()
-        assert cli_main(base + [str(out), "-o", "time.n_steps=10"]) == 0
-        assert "steps=10" in capsys.readouterr().out
+        code = cli_main([command, "-o", "grid.K=8", "-o", "time.tau=0.1", "-o", "time.T=1",
+                         "-o", "sweep.K=8", "-o", "sweep.tau=0.25 0.125 0.0625",
+                         "-o", "reference.refine_factor=4", "-o", f"guard.max_norm={max_norm}",
+                         "--out", str(out)])
+        assert code == 1
+        assert "max_norm must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unread_config_keys_named_on_stderr(self, tmp_path, capsys):
         base = ["simulate", "-o", "problem.name=linear", "-o", "grid.K=8", "-o", "time.tau=0.25",
                 "-o", "time.T=1", "--out"]
         assert cli_main(base + [str(tmp_path / "a")]) == 0
         assert capsys.readouterr().err == ""
-        # a misspelled key and one simulate has no use for: same run, one stderr line
+        # a misspelled key and two simulate has no use for (time.T is its
+        # only horizon): same run, one stderr line
         code = cli_main(base + [str(tmp_path / "b"), "-o", "filter.knd=hl",
-                                "-o", "sweep.K=4"])
+                                "-o", "sweep.K=4", "-o", "time.n_steps=3"])
         assert code == 0
         captured = capsys.readouterr()
-        assert "filter=sinc:2" in captured.out
-        assert captured.err == "warning: simulate did not read config keys: filter.knd, sweep.K\n"
+        assert "steps=4 filter=sinc:2" in captured.out
+        assert captured.err == ("warning: simulate did not read config keys: "
+                                "filter.knd, sweep.K, time.n_steps\n")
         assert ((tmp_path / "a" / "trajectory.csv").read_bytes()
                 == (tmp_path / "b" / "trajectory.csv").read_bytes())
 
@@ -426,7 +454,7 @@ class TestCli:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
             "problem.name = linear\ngrid.K = 8\ntime.tau = 0.25\n"
-            "time.n_steps = 2\nfilter.kind = sinc\nfilter.c = 3\n"
+            "time.T = 0.5\nfilter.kind = sinc\nfilter.c = 3\n"
         )
         code = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 0
@@ -435,11 +463,11 @@ class TestCli:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
             "problem.name = linear\ngrid.K = 8\ntime.tau = 0.25\n"
-            "time.n_steps = 4\nfilter.kind = sinc:2\n"
+            "time.T = 1\nfilter.kind = sinc:2\n"
         )
         out = tmp_path / "out"
         code = cli_main(
-            ["simulate", "--config", str(cfg), "--out", str(out), "-o", "time.n_steps=2"]
+            ["simulate", "--config", str(cfg), "--out", str(out), "-o", "time.T=0.5"]
         )
         assert code == 0
         with open(out / "trajectory.csv") as fh:
@@ -504,3 +532,31 @@ class TestCli:
         code = cli_main(["local-error", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert "one-step order" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("taus,message", [
+        ("0.0625 0.0625 0.03125 0.015625", "local.tau 0.0625 is repeated"),
+        ("0.0625 -0.03125 0.015625", "tau must be positive, got -0.03125"),
+    ])
+    def test_local_error_checks_steps_before_running(self, tmp_path, capsys, monkeypatch,
+                                                     taus, message):
+        # a repeated step would rerun and count twice in the order fit
+        calls = []
+        monkeypatch.setattr(cli, "local_error", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        code = cli_main(["local-error", "-o", "grid.K=8", "-o", f"local.tau={taus}",
+                         "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_local_error_failing_step_writes_nothing(self, tmp_path, monkeypatch):
+        def local_error(problem, state, tau, *rest):
+            if tau < 0.05:
+                raise ConfigurationError(f"step {tau} failed")
+            return tau**3
+
+        monkeypatch.setattr(cli, "local_error", local_error)
+        out = tmp_path / "out"
+        code = cli_main(["local-error", "-o", "grid.K=8", "--out", str(out)])
+        assert code == 1
+        assert not (out / "local_error.csv").exists()

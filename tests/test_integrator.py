@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qlwave import integrator
 from qlwave.exceptions import ConfigurationError, DivergenceError, NormGuardError
 from qlwave.filters import (
-    FilterSpec, catalog, check_assumptions, default_xi_grid, grimm_hochbruck, hairer_lubich,
+    FilterSpec, catalog, check_assumptions, grimm_hochbruck, hairer_lubich,
     impulse, phi, psi1, sinc_c,
 )
 from qlwave.integrator import (
@@ -31,7 +31,7 @@ from qlwave.spectral import (
     synthesize_values,
 )
 
-from conftest import hermitian_field
+from conftest import hermitian_field, warns_if_inadmissible
 from oracles import dense_one_step, full_spectrum_fhat, step_three_stage, unpremultiplied_step
 
 COS_X = SpectralField.from_dict(1, {1: 0.5})
@@ -53,23 +53,33 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             IntegratorConfig(tau=0.0, K=4, filter=sinc_c(2.0))
 
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, np.nan, -np.inf])
+    def test_max_norm_positive(self, max_norm):
+        # a NaN guard would never trip and a non-positive one would trip at once
+        with pytest.raises(ConfigurationError, match="max_norm must be positive"):
+            IntegratorConfig(tau=0.1, K=4, filter=sinc_c(2.0), max_norm=max_norm)
+        IntegratorConfig(tau=0.1, K=4, filter=sinc_c(2.0), max_norm=np.inf)
+
     def test_admissibility_policy(self):
-        with pytest.raises(ConfigurationError, match="unknown admissibility policy"):
-            IntegratorConfig(tau=0.1, K=1, filter=impulse(), admissibility_policy="strict")
-        # a caller that wants an inadmissible filter to fail turns the warning into an error
+        # the entry points warn on every call, so a caller that wants an
+        # inadmissible filter to fail turns the warning into an error, also
+        # after an ignored call has built and cached the engine
+        state, p = StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0)
+        cfg = IntegratorConfig(tau=0.1, K=1, filter=impulse())
+        for run in (lambda: evolve(state, p, cfg, 1), lambda: step(state, p, cfg),
+                    lambda: filtered_nonlinear_term(COS_X, p, cfg)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                run()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning, match="sinc-compatibility"):
+                    run()
+        # the engine and the stacked runs behind the sweeps check no filter
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(RuntimeWarning, match="sinc-compatibility"):
-                evolve(StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0),
-                       IntegratorConfig(tau=0.1, K=1, filter=impulse()), 1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            step(
-                StatePair(COS_X, SpectralField.zeros(1)),
-                model_problem(1.0),
-                IntegratorConfig(tau=0.1, K=1, filter=impulse()),
-            )
-        assert any("sinc-compatibility" in str(w.message) for w in caught)
+            warnings.simplefilter("error")
+            integrator._Engine(p, cfg)
+            integrator._evolve_stack(state, p, [cfg, cfg], 1)
 
     def test_sinc_spec_built_from_fields_is_admissible(self):
         # its c0 is (c^2+1)/6, so it passes the boundedness condition and warns nothing
@@ -79,19 +89,17 @@ class TestConfig:
             evolve(StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0), cfg, 2)
 
     def test_warning_is_the_sampled_verdict_on_assumptions_1_and_2(self):
-        # the engine warns in closed form, for impulse only; sampling both
-        # assumptions as filters.check_assumptions does stays the cross-check,
-        # on a 512-point grid out to twice the largest tau*Om of each (tau, K)
+        # the entry points warn in closed form, for impulse only; sampling
+        # both assumptions on filters.default_xi_grid() stays the cross-check
         rng = np.random.default_rng(11)
         cs = [0.0, 1e-3, 0.5, 1.0, 1.2, 2.0, 3.0, 100.0, 1e4, *rng.uniform(0.0, 50.0, 20)]
         specs = [*catalog(), *(FilterSpec("sinc", c=float(c)) for c in cs)]
         for spec in specs:
+            report = check_assumptions(spec, delta=0.5, a0=0.0)
             for tau, K in [(0.1, 1), (1e-3, 16), (0.25, 64), (1.0, 128), (0.5, 512)]:
-                grid = default_xi_grid(n=512, xi_max=max(4.0, 2.0 * tau * np.sqrt(K**2 + 1)))
-                report = check_assumptions(spec, delta=0.5, a0=0.0, xi_grid=grid)
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    integrator._Engine(quasilinear_only(1.0), IntegratorConfig(tau, K, spec))
+                    integrator._warn_if_inadmissible(IntegratorConfig(tau, K, spec))
                 warned = any("sinc-compatibility" in str(w.message) for w in caught)
                 assert warned == (spec.kind == "impulse"), (spec.label, tau, K)
                 assert warned != (report.assumption1_ok and report.assumption2_ok)
@@ -99,9 +107,9 @@ class TestConfig:
     @pytest.mark.parametrize("run", [
         lambda state, p, cfg: evolve(state, p, cfg, 1),
         lambda state, p, cfg: step(state, p, cfg),
-    ], ids=["evolve", "step"])
+        lambda state, p, cfg: filtered_nonlinear_term(state.u, p, cfg),
+    ], ids=["evolve", "step", "filtered_nonlinear_term"])
     def test_admissibility_warning_points_at_caller(self, run):
-        # a tau no other test uses, so step's engine cache cannot hold it
         cfg = IntegratorConfig(tau=0.1234, K=1, filter=impulse())
         with pytest.warns(RuntimeWarning, match="sinc-compatibility") as caught:
             run(StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0), cfg)
@@ -165,8 +173,9 @@ class TestFilteredNonlinearTerm:
 
     def test_impulse_projection_hand_value(self):
         # P^1 of (-1/2 - cos(2x)/2) is the constant -1/2
-        cfg = IntegratorConfig(tau=0.1, K=1, filter=impulse(), admissibility_policy="ignore")
-        f = filtered_nonlinear_term(COS_X, quasilinear_only(1.0), cfg)
+        cfg = IntegratorConfig(tau=0.1, K=1, filter=impulse())
+        with warns_if_inadmissible(cfg.filter):
+            f = filtered_nonlinear_term(COS_X, quasilinear_only(1.0), cfg)
         assert np.allclose(f.coeffs, [0.0, -0.5, 0.0], atol=1e-15)
 
     def test_vanishing_tau_removes_filters(self, rng):
@@ -177,9 +186,8 @@ class TestFilteredNonlinearTerm:
         p = model_problem(1.0)
         cfg = IntegratorConfig(tau=1e-300, K=6, filter=sinc_c(2.0))
         f = filtered_nonlinear_term(u, p, cfg)
-        unfiltered = filtered_nonlinear_term(
-            u, p, replace(cfg, filter=impulse(), admissibility_policy="ignore")
-        )
+        with warns_if_inadmissible(impulse()):
+            unfiltered = filtered_nonlinear_term(u, p, replace(cfg, filter=impulse()))
         assert np.array_equal(f.coeffs, unfiltered.coeffs)
         bare = project(nonlinear_term(u, p), 6)
         scale = max(1.0, float(np.max(np.abs(bare.coeffs))))
@@ -269,9 +277,10 @@ class TestStep:
     def test_three_stage_equivalence(self, rng):
         p = model_problem(1.0)
         for spec in (impulse(), hairer_lubich(), grimm_hochbruck(), sinc_c(2.0)):
-            cfg = IntegratorConfig(tau=0.1, K=8, filter=spec, admissibility_policy="ignore")
+            cfg = IntegratorConfig(tau=0.1, K=8, filter=spec)
             st = smooth_state(rng, 8)
-            a, b = step(st, p, cfg), step_three_stage(st, p, cfg)
+            with warns_if_inadmissible(spec):
+                a, b = step(st, p, cfg), step_three_stage(st, p, cfg)
             assert (a - b).norm(1.0) <= 1e-13
 
     def test_matches_dense_oracle_small_degrees(self, rng):
@@ -279,8 +288,9 @@ class TestStep:
         p = model_problem(kappa)
         for K in (1, 2, 4):
             st = smooth_state(rng, K, scale=0.5, decay=0.0)
-            cfg = IntegratorConfig(tau=0.1, K=K, filter=impulse(), admissibility_policy="ignore")
-            out = step(st, p, cfg)
+            cfg = IntegratorConfig(tau=0.1, K=K, filter=impulse())
+            with warns_if_inadmissible(cfg.filter):
+                out = step(st, p, cfg)
             ou, od = dense_one_step(
                 list(st.u.coeffs), list(st.udot.coeffs), K, 0.1, kappa,
                 "impulse", 0.0, lambda v: v, lambda uu, pp: pp * pp + kappa * uu**3,
@@ -359,7 +369,7 @@ class TestEvolve:
             state = StatePair(*power_law_initial_data(K))
         else:
             state = smooth_state(np.random.default_rng(seed), K)
-        cfg = IntegratorConfig(tau=0.01, K=K, filter=spec, admissibility_policy="ignore")
+        cfg = IntegratorConfig(tau=0.01, K=K, filter=spec)
         n = 40
         a = evolve(state, p, cfg, n)
         for _ in range(n):
@@ -411,9 +421,8 @@ class TestEvolve:
     def test_norm_guard(self, rng):
         p = model_problem(1.0)
         st = smooth_state(rng, 8, scale=1.0, decay=0.0)
-        cfg = IntegratorConfig(tau=0.2, K=8, filter=impulse(), max_norm=1e2,
-                               admissibility_policy="ignore")
-        with pytest.raises(NormGuardError) as info:
+        cfg = IntegratorConfig(tau=0.2, K=8, filter=impulse(), max_norm=1e2)
+        with warns_if_inadmissible(cfg.filter), pytest.raises(NormGuardError) as info:
             evolve(st, p, cfg, 10_000)
         assert info.value.step is not None
 
@@ -421,18 +430,17 @@ class TestEvolve:
         # cubic growth through g drives overflow long before 10^6 norm is hit
         p = model_problem(1.0)
         big = StatePair(SpectralField.constant(400.0, 2), SpectralField.zeros(2))
-        cfg = IntegratorConfig(tau=0.5, K=2, filter=impulse(), max_norm=np.inf,
-                               admissibility_policy="ignore")
-        with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+        cfg = IntegratorConfig(tau=0.5, K=2, filter=impulse(), max_norm=np.inf)
+        with warns_if_inadmissible(cfg.filter), pytest.raises(DivergenceError) as info, \
+                np.errstate(all="ignore"):
             evolve(big, p, cfg, 100)
         assert info.value.step is not None
 
     def test_failure_messages(self):
         rng = np.random.default_rng(7)
         state = StatePair(hermitian_field(rng, 8, 1.0), hermitian_field(rng, 8, 1.0))
-        cfg = IntegratorConfig(tau=0.2, K=8, filter=impulse(), max_norm=1e2,
-                               admissibility_policy="ignore")
-        with pytest.raises(NormGuardError) as guard:
+        cfg = IntegratorConfig(tau=0.2, K=8, filter=impulse(), max_norm=1e2)
+        with warns_if_inadmissible(cfg.filter), pytest.raises(NormGuardError) as guard:
             evolve(state, model_problem(1.0), cfg, 10_000)
         assert str(guard.value) == (
             "norm guard tripped at step 1 (t=0.2): |state| = 2.359e+03 > 1.000e+02"
@@ -440,9 +448,9 @@ class TestEvolve:
         assert (guard.value.step, guard.value.time) == (1, 0.2)
 
         big = StatePair(SpectralField.constant(400.0, 2), SpectralField.zeros(2))
-        cfg = IntegratorConfig(tau=0.5, K=2, filter=impulse(), max_norm=np.inf,
-                               admissibility_policy="ignore")
-        with pytest.raises(DivergenceError) as over, np.errstate(all="ignore"):
+        cfg = IntegratorConfig(tau=0.5, K=2, filter=impulse(), max_norm=np.inf)
+        with warns_if_inadmissible(cfg.filter), pytest.raises(DivergenceError) as over, \
+                np.errstate(all="ignore"):
             evolve(big, model_problem(1.0), cfg, 100)
         assert type(over.value) is DivergenceError
         assert str(over.value) == "nonlinearity overflowed at step 4 (t=2)"
@@ -483,8 +491,7 @@ class TestLeanStep:
         rng = np.random.default_rng(seed)
         problem = model_problem(kappa)
         specs = [sinc_c(2.0)] if stack is None else stack
-        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec, admissibility_policy="ignore")
-                for spec in specs]
+        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec) for spec in specs]
         engine = integrator._Engine(problem, cfgs[0] if stack is None else cfgs)
         states = [smooth_state(rng, K, scale=0.5) for _ in specs]
         u = np.stack([s.u.coeffs[K:] for s in states])
@@ -525,8 +532,7 @@ class TestHalfSpectrumKernel:
         rng = np.random.default_rng(seed)
         problem = model_problem(1.0) if with_g else quasilinear_only(1.0)
         specs = [sinc_c(2.0)] if stack is None else stack
-        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec, admissibility_policy="ignore")
-                for spec in specs]
+        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec) for spec in specs]
         engine = integrator._Engine(problem, cfgs[0] if stack is None else cfgs)
         c = np.stack([hermitian_field(rng, K, scale=0.5, decay=3.0).coeffs for _ in specs])
         full = full_spectrum_fhat(problem, cfgs, c)[..., K:]
@@ -537,14 +543,15 @@ class TestHalfSpectrumKernel:
     def test_outcomes_exactly_hermitian(self, rng, kappa):
         problem = model_problem(kappa) if kappa else linear_problem()
         state = smooth_state(rng, 12, scale=0.5)
-        cfgs = [IntegratorConfig(tau=0.2, K=12, filter=spec, admissibility_policy="ignore")
-                for spec in FILTERS]
+        cfgs = [IntegratorConfig(tau=0.2, K=12, filter=spec) for spec in FILTERS]
         # the observer's raw arrays, before any SpectralField symmetrizes them
         seen = []
         final = evolve(state, problem, cfgs[3], 6,
                        observer=lambda n, t, u, ud: seen.extend((u, ud)))
         outcomes = integrator._evolve_stack(state, problem, cfgs, 6)
-        pairs = [step(state, problem, cfgs[0]), final, *outcomes]
+        with warns_if_inadmissible(cfgs[0].filter):
+            alone = step(state, problem, cfgs[0])
+        pairs = [alone, final, *outcomes]
         assert len(seen) == 12 and len(pairs) == 7
         assert all(isinstance(o, StatePair) for o in pairs)
         for c in [*seen, *(f.coeffs for pair in pairs for f in (pair.u, pair.udot))]:
@@ -553,8 +560,8 @@ class TestHalfSpectrumKernel:
     @pytest.mark.parametrize("K", [1, 8, 64, 256])
     def test_guard_norm_matches_full_spectrum_norm(self, K):
         rng = np.random.default_rng(K)
-        engine = integrator._Engine(linear_problem(), IntegratorConfig(
-            tau=0.1, K=K, filter=impulse(), admissibility_policy="ignore"))
+        engine = integrator._Engine(linear_problem(),
+                                    IntegratorConfig(tau=0.1, K=K, filter=impulse()))
         w2 = omega_weights(K) ** 2
         for decay in (0.0, 1.0, 3.0):
             state = smooth_state(rng, K, scale=10.0, decay=decay)
@@ -572,11 +579,11 @@ class TestHalfSpectrumKernel:
 
 def run_alone(state, problem, cfg, n_steps):
     """evolve's final state, or the exception it raised."""
-    try:
-        with np.errstate(all="ignore"):
+    with warns_if_inadmissible(cfg.filter), np.errstate(all="ignore"):
+        try:
             return evolve(state, problem, cfg, n_steps)
-    except DivergenceError as exc:
-        return exc
+        except DivergenceError as exc:
+            return exc
 
 
 def assert_same_outcome(batched, alone):
@@ -603,8 +610,7 @@ class TestBatchedRuns:
         rng = np.random.default_rng(seed)
         state = smooth_state(rng, K, scale=scale, decay=1.0)
         problem = model_problem(kappa) if kappa else linear_problem()
-        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec, max_norm=m,
-                                 admissibility_policy="ignore") for spec, m in rows]
+        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec, max_norm=m) for spec, m in rows]
         with np.errstate(all="ignore"):
             outcomes = integrator._evolve_stack(state, problem, cfgs, n_steps)
         assert len(outcomes) == len(cfgs)
@@ -633,8 +639,7 @@ class TestBatchedRuns:
         # impulse, hl and gh and at step 8 for sinc:2; sinc:3 stays bounded
         u0, ud0 = power_law_initial_data(8)
         state, problem = StatePair(u0, ud0), model_problem(1.0)
-        cfgs = [IntegratorConfig(tau=0.5, K=8, filter=spec, max_norm=np.inf,
-                                 admissibility_policy="ignore") for spec in FILTERS]
+        cfgs = [IntegratorConfig(tau=0.5, K=8, filter=spec, max_norm=np.inf) for spec in FILTERS]
         with np.errstate(all="ignore"):
             outcomes = integrator._evolve_stack(state, problem, cfgs, 20)
         assert [getattr(o, "step", None) for o in outcomes] == [7, 7, 7, 8, None]
@@ -646,7 +651,7 @@ class TestBatchedRuns:
         # trips the norm guard while the sinc and gh rows finish
         u0, ud0 = power_law_initial_data(256)
         state, problem = StatePair(u0, ud0), model_problem(1.0)
-        cfgs = [IntegratorConfig(tau=2.0**-7, K=256, filter=spec, admissibility_policy="ignore")
+        cfgs = [IntegratorConfig(tau=2.0**-7, K=256, filter=spec)
                 for spec in (sinc_c(2.0), sinc_c(3.0), hairer_lubich(), grimm_hochbruck())]
         outcomes = integrator._evolve_stack(state, problem, cfgs, 64)
         assert [type(o) for o in outcomes] == [StatePair, StatePair, NormGuardError, StatePair]
