@@ -168,7 +168,6 @@ def cmd_simulate(args) -> int:
     u0, ud0 = power_law_initial_data(K)
     state = StatePair(u0, ud0)
 
-    path = _out_path(args, "trajectory.csv")
     # the H^2 x H^1 weights w^(2s) of pair_norm(u, udot, 1.0), tabulated
     # once; norm() is the same expression, so the CSV keeps its bits
     w = omega_weights(K)
@@ -185,6 +184,8 @@ def cmd_simulate(args) -> int:
         rows.append((n, t, norm(u, ud)))
 
     final = evolve(state, problem, icfg, n_steps, observer=observer, every=every)
+    # evolve rejects every < 1 before it runs, and a failed run makes no directory
+    path = _out_path(args, "trajectory.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("n", "t", "pair_norm_h2h1"))

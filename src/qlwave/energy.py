@@ -31,7 +31,7 @@ over modes -K_v..K_v.
 Everything else reuses the scheme's own operators: the multipliers
 phi, psi1 and cos in tau*Om go through spectral.apply_multiplier, the
 products through spectral.dealiased_product, the interpolant a_K(u) of
-U, L and R* is the step's own (_Engine.interpolants at K = deg u), and
+U, L and R* is the step's own (integrator._interpolate at K = deg u), and
 the energy-change identity takes the quasilinear term P_K(a_K(x) x'')
 from integrator.nonlinear_term.
 """

@@ -38,7 +38,7 @@ class ExperimentPlan:
         if not self.K_list or not self.tau_list or not self.filters:
             raise ConfigurationError("K, tau and filter lists must be non-empty")
         if self.T <= 0:
-            raise ConfigurationError("T must be positive")
+            raise ConfigurationError(f"T must be positive, got {self.T}")
         if not self.max_norm > 0:
             raise ConfigurationError(f"max_norm must be positive, got {self.max_norm}")
         for tau in self.tau_list:
@@ -67,7 +67,12 @@ def _require_distinct(name: str, values: Sequence) -> None:
 
 
 def _n_steps(T: float, tau: float) -> int:
-    """The step count T/tau; raises ConfigurationError unless it is an integer."""
+    """The step count T/tau.
+
+    Raises ConfigurationError unless T is finite and >= 0 and T/tau is an integer.
+    """
+    if not (math.isfinite(T) and T >= 0):
+        raise ConfigurationError(f"T must be finite and >= 0, got {T}")
     _require_positive_tau(tau)
     n = T / tau
     if abs(n - round(n)) > 1e-9 * max(1.0, n):

@@ -21,22 +21,24 @@ above are written.  A step is then a dozen array operations besides the
 two nonlinearities, and rounds exactly as the formulas evaluated left to
 right.
 
-The kernel works on half spectra, modes 0..K of the real fields (see
-spectral.py): every table, state and nonlinearity holds K+1 modes, and
-modes 0..K of each array are bitwise those a full-spectrum kernel would
+The kernel has one shape: it steps a (B, K+1) stack of half spectra,
+modes 0..K of the real fields (see spectral.py), whose row i runs under
+its own config.  The sweeps run all filters of one (K, tau) as one
+stack; evolve, step and filtered_nonlinear_term run a one-row stack.
+Modes 0..K of each array are bitwise those a full-spectrum kernel would
 compute, since no operation on them reads a mode below 0.  All of its
 transforms go through spectral's one pair.  Spectra are mirrored to the
 full -K..K only at the boundaries: for an evolve observer, for the final
 StatePairs, and on the way out of step, filtered_nonlinear_term and
 nonlinear_term, which take the modes 0..K of their SpectralField
-arguments on the way in.  _interpolants hands its half spectra to the
-energy diagnostics as they are.
+arguments on the way in.  The interpolation of a(u) and g is one
+function, _interpolate, which the kernel and the energy diagnostics
+(through _interpolants, on half spectra) share.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import os
 import sys
@@ -141,24 +143,51 @@ def _warn_if_inadmissible(cfg: IntegratorConfig):
         )
 
 
-class _Engine:
-    """Precomputed multiplier tables and transform plan for one step size.
+def _grad(problem: ProblemSpec, K: int) -> np.ndarray:
+    """The half-spectrum rows 1 and d/dx, the latter only if the problem has a g(u, u_x)."""
+    rows = np.stack((np.ones(K + 1), 1j * np.arange(K + 1, dtype=float)))
+    return rows[: 1 if problem.g is None else 2]
 
-    Built from one config, the filter tables are 1-D and the engine steps
-    a 1-D state.  Built from a sequence of configs that share K and tau,
-    the filter tables have one row per config and the engine steps a
-    (B, K+1) stack whose row i runs under config i; the tau tables are
-    shared.  The same fhat and step_arrays serve both by broadcasting.
-    Every table, state and nonlinearity is a half spectrum, modes 0..K.
-    Building one checks no filter (see _warn_if_inadmissible).
+
+def _interpolate(problem: ProblemSpec, grad_c: np.ndarray, K: int) -> np.ndarray:
+    """Rows a_K(u) and, if the problem has one, g_K(u, u_x), from the rows (u, u_x) of grad_c.
+
+    The degree-K trigonometric interpolants on the 2K+1-node grid: one
+    batched synthesis and one batched analysis of half spectra of shape
+    (rows, ..., K+1), (rows, B, K+1) for a stack.  An overflow raises
+    DivergenceError whose ``rows`` masks the overflowed stack rows.
+    """
+    vals = synthesize_values(grad_c, 2 * K + 1)
+    rows = [problem.a(vals[0])]
+    if problem.g is not None:
+        rows.append(problem.g(vals[0], vals[1]))
+    f = np.asarray(rows, dtype=float)
+    # a finite sum proves every sample finite; only a non-finite sum,
+    # which finite samples can also reach by overflow, needs the scan
+    if not math.isfinite(f.sum()):
+        finite = np.all(np.isfinite(f), axis=(0, -1))
+        if not np.all(finite):
+            exc = DivergenceError("nonlinearity a(u) or g(u, u_x) overflowed")
+            # which rows of a stack overflowed, for the step loop to retire
+            exc.rows = ~finite
+            raise exc
+    return coeffs_from_samples(f, K)
+
+
+class _Engine:
+    """Precomputed multiplier tables and transform plan for a stack of runs.
+
+    Built from a sequence of configs that share K and tau, the engine
+    steps a (B, K+1) stack of half spectra (modes 0..K) whose row i runs
+    under config i: the filter tables have one row per config, and every
+    row shares the one row of each tau table.  A single run is a one-row
+    stack.  Building one checks no filter (see _warn_if_inadmissible).
     """
 
     def __init__(self, problem: ProblemSpec, cfgs):
-        stacked = not isinstance(cfgs, IntegratorConfig)
-        self.cfgs = tuple(cfgs) if stacked else (cfgs,)
+        self.cfgs = tuple(cfgs)
         self.problem = problem
-        cfg = self.cfgs[0]
-        K, tau = cfg.K, cfg.tau
+        K, tau = self.cfgs[0].K, self.cfgs[0].tau
         if any((c.K, c.tau) != (K, tau) for c in self.cfgs):
             raise ConfigurationError("stacked configs must share K and tau")
         self.K = K
@@ -173,24 +202,22 @@ class _Engine:
         twice = np.where(j > 0, 2.0, 1.0)
         self.w2_t = np.repeat(twice * (w1 * w1), 2)
         self.w4_t = np.repeat(twice * ((w1 * w1) * (w1 * w1)), 2)
-        # multipliers times their leading scalar factors (module docstring)
+        # multipliers times their leading scalar factors (module docstring),
+        # stored complex: numpy casts a real factor of a complex product to
+        # complex, so the bits are the same without the cast, and a (1, K+1)
+        # row also skips the broadcast against a one-row stack
         sinc_t = flt.sinc(tau * w1)
-        self.cos_t = np.cos(tau * w1)
-        self.tsinc_t = tau * sinc_t
-        self.ksinc_t = 0.5 * tau * tau * self.kappa * sinc_t
-        self.mwsin_t = -(w1 * np.sin(tau * w1))
-        self.kcos_t = 0.5 * tau * self.kappa * self.cos_t
+        cos_t = np.cos(tau * w1)
+        self.cos_t, self.tsinc_t, self.ksinc_t, self.mwsin_t, self.kcos_t = (
+            np.asarray(t, np.complex128)[np.newaxis] for t in (
+                cos_t, tau * sinc_t, 0.5 * tau * tau * self.kappa * sinc_t,
+                -(w1 * np.sin(tau * w1)), 0.5 * tau * self.kappa * cos_t))
         self.khalf = 0.5 * tau * self.kappa
         phi_t = np.asarray([flt.phi(c.filter, tau * w1) for c in self.cfgs])
-        self.psi1_t = np.asarray([flt.psi1(c.filter, tau * w1) for c in self.cfgs])
-        if not stacked:
-            phi_t, self.psi1_t = phi_t[0], self.psi1_t[0]
-        # position filter times (1, d/dx) and times d^2/dx^2; the d/dx row is
-        # only needed when the problem has a g(u, u_x)
-        grad = np.stack((np.ones(K + 1), 1j * j))[: 1 if problem.g is None else 2]
-        self.grad_t = phi_t * (grad[:, None] if stacked else grad)
-        self.dxx_t = phi_t * -(j * j)
-        self.n_interp = 2 * K + 1
+        self.psi1_t = np.asarray([flt.psi1(c.filter, tau * w1) for c in self.cfgs], np.complex128)
+        # position filter times (1, d/dx) and times d^2/dx^2
+        self.grad_t = phi_t * _grad(problem, K)[:, None]
+        self.dxx_t = np.asarray(phi_t * -(j * j), np.complex128)
         # 3K+1 nodes resolve modes |m| <= K of the degree-2K product exactly
         self.n_prod = next_fast_len(3 * K + 1)
 
@@ -205,40 +232,16 @@ class _Engine:
 
     # -- nonlinearity -------------------------------------------------
 
-    def interpolants(self, c: np.ndarray) -> np.ndarray:
-        """Rows a_K(u) and, if the problem has one, g_K(u, u_x), for u = phi * c.
-
-        a_K and g_K are the degree-K trigonometric interpolants of the
-        pointwise nonlinearities on the 2K+1-node grid; one batched
-        synthesis and one batched analysis.  For a (B, K+1) stack c the
-        result has shape (rows, B, K+1).
-        """
-        vals = synthesize_values(self.grad_t * c, self.n_interp)
-        rows = [self.problem.a(vals[0])]
-        if self.problem.g is not None:
-            rows.append(self.problem.g(vals[0], vals[1]))
-        f = np.asarray(rows, dtype=float)
-        # a finite sum proves every sample finite; only a non-finite sum,
-        # which finite samples can also reach by overflow, needs the scan
-        if not math.isfinite(f.sum()):
-            finite = np.all(np.isfinite(f), axis=(0, -1))
-            if not np.all(finite):
-                exc = DivergenceError("nonlinearity a(u) or g(u, u_x) overflowed")
-                # which rows of a stack overflowed, for the step loop to retire
-                exc.rows = ~finite
-                raise exc
-        return coeffs_from_samples(f, self.K)
-
     def fhat(self, c: np.ndarray) -> np.ndarray:
         """Filtered nonlinearity psi1 * P_K(a_K(phi u) (phi u)_xx + g_K(phi u, (phi u)_x)).
 
-        Four transform calls: the two of interpolants, one batched
-        synthesis of (a_K, (phi u)_xx) on the product grid, and one
-        analysis of their pointwise product keeping modes 0..K.  The
-        synthesis reads a fresh zeroed buffer of n_prod//2+1 modes per
-        call: engines are shared (_cached_engine), so they hold none.
+        Four transform calls on the (B, K+1) stack c: the two of
+        _interpolate, one batched synthesis of (a_K, (phi u)_xx) on the
+        product grid, and one analysis of their pointwise product keeping
+        modes 0..K.  The synthesis reads a fresh zeroed buffer of
+        n_prod//2+1 modes per call.
         """
-        ag = self.interpolants(c)
+        ag = _interpolate(self.problem, self.grad_t * c, self.K)
         uxx = self.dxx_t * c
         spec = np.zeros((2,) + uxx.shape[:-1] + (self.n_prod // 2 + 1,), np.complex128)
         spec[0, ..., : self.K + 1] = ag[0]
@@ -252,7 +255,7 @@ class _Engine:
     # -- one step ------------------------------------------------------
 
     def step_arrays(self, u, ud, fn=None):
-        """One step on half spectra; returns (u', ud', F(u')).
+        """One step of the (B, K+1) stack (u, ud); returns (u', ud', F(u')).
 
         Bitwise equal to the module docstring's formulas evaluated left to
         right, e.g. ``cos*u + tau*sinc*ud + 0.5*tau*tau*kappa*sinc*F(u)``,
@@ -275,29 +278,18 @@ class _Engine:
         return float(self.w4_t @ (x * x) + self.w2_t @ (y * y))
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_engine(problem: ProblemSpec, cfg: IntegratorConfig) -> _Engine:
-    """The engine of one (problem, cfg) for the one-call entry points.
-
-    Both keys are frozen, and an engine is never mutated after it is
-    built, so repeated step() calls share one build.
-    """
-    return _Engine(problem, cfg)
-
-
 def _require_degree(state: StatePair, cfg: IntegratorConfig):
     if state.degree != cfg.K:
         raise ConfigurationError(f"state degree {state.degree} does not match config K={cfg.K}")
 
 
 def _interpolants(u: SpectralField, problem: ProblemSpec) -> np.ndarray:
-    """_Engine.interpolants of u at K = deg u, unfiltered: rows a_K(u) and g_K(u, u_x).
+    """The step's _interpolate of u at K = deg u, unfiltered: rows a_K(u) and g_K(u, u_x).
 
     Half spectra, modes 0..K.
     """
     K = u.degree
-    engine = _cached_engine(problem, IntegratorConfig(tau=1.0, K=K, filter=flt.impulse()))
-    return engine.interpolants(u.coeffs[K:])
+    return _interpolate(problem, _grad(problem, K) * u.coeffs[K:], K)
 
 
 def nonlinear_term(u: SpectralField, problem: ProblemSpec) -> SpectralField:
@@ -314,8 +306,8 @@ def filtered_nonlinear_term(
     if u.degree != cfg.K:
         raise ConfigurationError(f"field degree {u.degree} does not match config K={cfg.K}")
     _warn_if_inadmissible(cfg)
-    engine = _cached_engine(problem, cfg)
-    return SpectralField(mirror_half(engine.fhat(u.coeffs[cfg.K:])))
+    engine = _Engine(problem, (cfg,))
+    return SpectralField(mirror_half(engine.fhat(u.coeffs[np.newaxis, cfg.K:])[0]))
 
 
 def linear_propagator(state: StatePair, t: float) -> StatePair:
@@ -334,25 +326,26 @@ def step(state: StatePair, problem: ProblemSpec, cfg: IntegratorConfig) -> State
     """Advance one time step of the scheme; warns on every call if cfg's filter is impulse."""
     _require_degree(state, cfg)
     _warn_if_inadmissible(cfg)
-    engine = _cached_engine(problem, cfg)
+    engine = _Engine(problem, (cfg,))
     K = cfg.K
-    u1, ud1, _ = engine.step_arrays(state.u.coeffs[K:], state.udot.coeffs[K:])
-    return StatePair(SpectralField(mirror_half(u1)), SpectralField(mirror_half(ud1)))
+    u1, ud1, _ = engine.step_arrays(state.u.coeffs[np.newaxis, K:],
+                                    state.udot.coeffs[np.newaxis, K:])
+    return StatePair(SpectralField(mirror_half(u1[0])), SpectralField(mirror_half(ud1[0])))
 
 
 def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
                   observer=None, every: int = 1) -> list:
     """Iterate the one-step map n_steps times from state0 under each of cfgs.
 
-    ``cfgs`` is one config, run on 1-D states, or a sequence of configs
-    sharing K and tau, run as a (B, K+1) stack of half spectra whose row i
-    follows cfgs[i].  After each step every running row is checked, in
-    this order, for an overflowing nonlinearity, a non-finite state and
-    the norm guard; a failing row retires with its DivergenceError or
-    NormGuardError (step and time set) and the other rows go on.
-    ``observer(n, t, u, ud)`` sees the full spectra of the running rows
-    after the steps n with n % every == 0.  Returns one outcome per row:
-    its final StatePair or the exception that retired it.
+    ``cfgs`` is a sequence of configs sharing K and tau, run as a (B, K+1)
+    stack of half spectra whose row i follows cfgs[i].  After each step
+    every running row is checked, in this order, for an overflowing
+    nonlinearity, a non-finite state and the norm guard; a failing row
+    retires with its DivergenceError or NormGuardError (step and time set)
+    and the other rows go on.  ``observer(n, t, u, ud)`` sees the
+    (rows, 2K+1) full spectra of the running rows after the steps n with
+    n % every == 0.  Returns one outcome per row: its final StatePair or
+    the exception that retired it.
     """
     engine = _Engine(problem, cfgs)
     K = engine.K
@@ -400,10 +393,8 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
         if stepped is None:
             break
         u, ud, fn = stepped
-        u_rows, ud_rows = u.reshape(len(live), -1), ud.reshape(len(live), -1)
         failed = {}
-        for i, row in enumerate(live):
-            ui, udi = u_rows[i], ud_rows[i]
+        for i, (row, ui, udi) in enumerate(zip(live, u, ud)):
             norm_sq = engine.norm_sq(ui, udi)
             if norm_sq <= max_sq[row] and math.isfinite(norm_sq):
                 continue
@@ -426,11 +417,8 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
             break
         if observer is not None and n % every == 0:
             observer(n, n * tau, mirror_half(u), mirror_half(ud))
-    if live:
-        u_rows = mirror_half(u).reshape(len(live), -1)
-        ud_rows = mirror_half(ud).reshape(len(live), -1)
-        for i, row in enumerate(live):
-            outcomes[row] = StatePair(SpectralField(u_rows[i]), SpectralField(ud_rows[i]))
+    for row, ui, udi in zip(live, mirror_half(u), mirror_half(ud)):
+        outcomes[row] = StatePair(SpectralField(ui), SpectralField(udi))
     return outcomes
 
 
@@ -460,7 +448,8 @@ def evolve(
         raise ConfigurationError(f"observer interval every must be >= 1, got {every}")
     _require_degree(state0, cfg)
     _warn_if_inadmissible(cfg)
-    [outcome] = _evolve_stack(state0, problem, cfg, n_steps, observer, every)
+    row0 = None if observer is None else (lambda n, t, u, ud: observer(n, t, u[0], ud[0]))
+    [outcome] = _evolve_stack(state0, problem, (cfg,), n_steps, row0, every)
     if isinstance(outcome, DivergenceError):
         raise outcome
     return outcome

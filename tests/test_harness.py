@@ -336,8 +336,8 @@ class TestCli:
             ["simulate", "--config", str(cfg), "--out", str(out), "-o", f"output.every={every}"]
         )
         assert code == 1
-        assert "every" in capsys.readouterr().err
-        assert not (out / "trajectory.csv").exists()
+        assert "every must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("tau,message", [("0.3", "T/tau must be an integer"),
                                              ("0", "tau must be positive")])
@@ -372,7 +372,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("diverged: norm guard tripped at step 1 (t=0.25): |state| = ")
         assert err.count("\n") == 1 and err.endswith(" > 1.000e-06\n")
-        assert not (out / "trajectory.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,max_norm", [("simulate", "0"), ("simulate", "-1"),
                                                   ("simulate", "nan"), ("conv-time", "0")])
@@ -385,6 +385,28 @@ class TestCli:
                          "--out", str(out)])
         assert code == 1
         assert "max_norm must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,T,message", [
+        ("simulate", "inf", "T must be finite and >= 0, got inf"),
+        ("simulate", "nan", "T must be finite and >= 0, got nan"),
+        ("simulate", "-1", "T must be finite and >= 0, got -1.0"),
+        ("conv-time", "inf", "T must be finite and >= 0, got inf"),
+        ("conv-time", "nan", "T must be finite and >= 0, got nan"),
+        ("conv-time", "-1", "T must be positive, got -1.0"),
+        ("conv-space", "inf", "T must be finite and >= 0, got inf"),
+    ])
+    def test_bad_horizon_rejected_before_any_output(self, tmp_path, capsys, command, T, message):
+        # simulate's other failed runs (output.every < 1, divergence) leave
+        # no directory either; see the every and divergence tests
+        out = tmp_path / "out"
+        taus = "0.1" if command == "conv-space" else "0.25 0.125 0.0625"
+        code = cli_main([command, "-o", "grid.K=8", "-o", "time.tau=0.1", "-o", f"time.T={T}",
+                         "-o", "sweep.K=8", "-o", "grid.K_ref=32", "-o", f"sweep.tau={taus}",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     def test_unread_config_keys_named_on_stderr(self, tmp_path, capsys):

@@ -63,7 +63,7 @@ class TestConfig:
     def test_admissibility_policy(self):
         # the entry points warn on every call, so a caller that wants an
         # inadmissible filter to fail turns the warning into an error, also
-        # after an ignored call has built and cached the engine
+        # after an ignored call
         state, p = StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0)
         cfg = IntegratorConfig(tau=0.1, K=1, filter=impulse())
         for run in (lambda: evolve(state, p, cfg, 1), lambda: step(state, p, cfg),
@@ -78,7 +78,7 @@ class TestConfig:
         # the engine and the stacked runs behind the sweeps check no filter
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            integrator._Engine(p, cfg)
+            integrator._Engine(p, [cfg])
             integrator._evolve_stack(state, p, [cfg, cfg], 1)
 
     def test_sinc_spec_built_from_fields_is_admissible(self):
@@ -114,23 +114,6 @@ class TestConfig:
         with pytest.warns(RuntimeWarning, match="sinc-compatibility") as caught:
             run(StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0), cfg)
         assert [w.filename for w in caught] == [__file__]
-
-    def test_step_builds_one_engine_per_problem_and_config(self, monkeypatch):
-        builds = []
-
-        class CountingEngine(integrator._Engine):
-            def __init__(self, problem, cfg):
-                builds.append(cfg)
-                super().__init__(problem, cfg)
-
-        monkeypatch.setattr(integrator, "_Engine", CountingEngine)
-        p = quasilinear_only(1.0)
-        cfg = IntegratorConfig(tau=0.1, K=4, filter=sinc_c(2.0))
-        state = StatePair(hermitian_field(np.random.default_rng(1), 4, 0.1), SpectralField.zeros(4))
-        once = step(state, p, cfg)
-        twice = step(state, p, cfg)
-        assert len(builds) == 1
-        assert np.array_equal(once.u.coeffs, twice.u.coeffs)
 
 
 class TestNonlinearTerm:
@@ -481,23 +464,20 @@ class TestLeanStep:
     @given(st.integers(0, 2**31 - 1), st.integers(1, 24),
            st.sampled_from([0.0, 0.01, 1.0]) | st.floats(-2.0, 2.0),
            st.floats(1e-3, 0.7), st.booleans(),
-           st.none() | st.lists(st.sampled_from(FILTERS), min_size=1, max_size=4))
+           st.lists(st.sampled_from(FILTERS), min_size=1, max_size=4))
     def test_step_arrays_bitwise_equal_unpremultiplied_step(self, seed, K, kappa, tau, reuse,
-                                                            stack):
+                                                            specs):
         # three steps of the engine against the step formulas with every
         # factor applied at the call, both on half spectra, reusing F(u')
-        # as evolve does or evaluating it afresh as step() does; stack
-        # None is the one-config engine
+        # as evolve does or evaluating it afresh as step() does; one row is
+        # the stack of evolve, step and filtered_nonlinear_term
         rng = np.random.default_rng(seed)
         problem = model_problem(kappa)
-        specs = [sinc_c(2.0)] if stack is None else stack
         cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec) for spec in specs]
-        engine = integrator._Engine(problem, cfgs[0] if stack is None else cfgs)
+        engine = integrator._Engine(problem, cfgs)
         states = [smooth_state(rng, K, scale=0.5) for _ in specs]
         u = np.stack([s.u.coeffs[K:] for s in states])
         ud = np.stack([s.udot.coeffs[K:] for s in states])
-        if stack is None:
-            u, ud = u[0], ud[0]
         mine = ref = (u, ud, None)
         for _ in range(3):
             mine = engine.step_arrays(*mine)
@@ -526,18 +506,15 @@ def assert_exactly_hermitian(c):
 class TestHalfSpectrumKernel:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 24), st.floats(1e-3, 0.7), st.booleans(),
-           st.none() | st.lists(st.sampled_from(FILTERS), min_size=1, max_size=4))
-    def test_fhat_equals_full_spectrum_fhat_on_modes_0_to_K(self, seed, K, tau, with_g, stack):
-        # stack None is the one-config engine on a 1-D half spectrum
+           st.lists(st.sampled_from(FILTERS), min_size=1, max_size=4))
+    def test_fhat_equals_full_spectrum_fhat_on_modes_0_to_K(self, seed, K, tau, with_g, specs):
         rng = np.random.default_rng(seed)
         problem = model_problem(1.0) if with_g else quasilinear_only(1.0)
-        specs = [sinc_c(2.0)] if stack is None else stack
         cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec) for spec in specs]
-        engine = integrator._Engine(problem, cfgs[0] if stack is None else cfgs)
+        engine = integrator._Engine(problem, cfgs)
         c = np.stack([hermitian_field(rng, K, scale=0.5, decay=3.0).coeffs for _ in specs])
         full = full_spectrum_fhat(problem, cfgs, c)[..., K:]
-        half = engine.fhat(c[0, K:] if stack is None else c[..., K:])
-        assert np.array_equal(bits(half), bits(full[0] if stack is None else full))
+        assert np.array_equal(bits(engine.fhat(c[..., K:])), bits(full))
 
     @pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0])
     def test_outcomes_exactly_hermitian(self, rng, kappa):
@@ -553,6 +530,8 @@ class TestHalfSpectrumKernel:
             alone = step(state, problem, cfgs[0])
         pairs = [alone, final, *outcomes]
         assert len(seen) == 12 and len(pairs) == 7
+        # evolve hands its observer row 0 of the one-row stack, 1-D and contiguous
+        assert all(c.shape == (2 * 12 + 1,) and c.flags.c_contiguous for c in seen)
         assert all(isinstance(o, StatePair) for o in pairs)
         for c in [*seen, *(f.coeffs for pair in pairs for f in (pair.u, pair.udot))]:
             assert_exactly_hermitian(c)
@@ -561,7 +540,7 @@ class TestHalfSpectrumKernel:
     def test_guard_norm_matches_full_spectrum_norm(self, K):
         rng = np.random.default_rng(K)
         engine = integrator._Engine(linear_problem(),
-                                    IntegratorConfig(tau=0.1, K=K, filter=impulse()))
+                                    [IntegratorConfig(tau=0.1, K=K, filter=impulse())])
         w2 = omega_weights(K) ** 2
         for decay in (0.0, 1.0, 3.0):
             state = smooth_state(rng, K, scale=10.0, decay=decay)

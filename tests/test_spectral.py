@@ -452,9 +452,9 @@ class TestTransformPair:
     def test_fhat_makes_four(self, rng, transform_calls):
         K = 12
         cfg = IntegratorConfig(tau=0.1, K=K, filter=sinc_c(2.0))
-        engine = _Engine(model_problem(1.0), cfg)
+        engine = _Engine(model_problem(1.0), [cfg])
         transform_calls.clear()
-        engine.fhat(hermitian_field(rng, K, scale=0.5).coeffs[K:])
+        engine.fhat(hermitian_field(rng, K, scale=0.5).coeffs[np.newaxis, K:])
         assert transform_calls == {"pair": 4, "core": 4}
 
     def test_l_operator_apply_makes_four(self, rng, transform_calls):
