@@ -257,8 +257,9 @@ def positivity_check(
     return float(min(margins))
 
 
-def _mode_probes(K: int):
-    """Labels and spectra (rows) of the real basis 1, cos(jx), sin(jx), in probe order."""
+def _mode_probes(op: _LOperator):
+    """Labels, spectra (rows) and op images of the basis 1, cos(jx), sin(jx), block by block."""
+    K = op.v_degree
     labels = ["mode-cos-0"]
     basis = np.zeros((2 * K + 1, 2 * K + 1), dtype=np.complex128)
     basis[0, K] = 1.0
@@ -266,7 +267,9 @@ def _mode_probes(K: int):
         labels += [f"mode-cos-{j}", f"mode-sin-{j}"]
         basis[2 * j - 1, K + j] = basis[2 * j - 1, K - j] = 0.5
         basis[2 * j, K + j], basis[2 * j, K - j] = -0.5j, 0.5j
-    return labels, basis
+    for i in range(0, len(basis), _BLOCK_ROWS):
+        v = basis[i : i + _BLOCK_ROWS]
+        yield labels[i : i + _BLOCK_ROWS], v, op.apply(v)
 
 
 def _rayleigh_margins(v: np.ndarray, lv: np.ndarray, delta: float) -> np.ndarray:
@@ -299,11 +302,8 @@ def positivity_probes(
 
 
 def _probe_margins(op: _LOperator, K: int, n_samples: int, delta: float, rng):
-    labels, basis = _mode_probes(K)
-    for i in range(0, len(basis), _BLOCK_ROWS):
-        v = basis[i : i + _BLOCK_ROWS]
-        margins = _rayleigh_margins(v, op.apply(v), delta)
-        yield from zip(labels[i : i + _BLOCK_ROWS], map(float, margins))
+    for labels, v, lv in _mode_probes(op):
+        yield from zip(labels, map(float, _rayleigh_margins(v, lv, delta)))
     for i in range(0, n_samples, _BLOCK_ROWS):
         # one draw per block gives the stream of per-probe re, im draws
         draws = rng.standard_normal((min(_BLOCK_ROWS, n_samples - i), 2, 2 * K + 1))
@@ -328,9 +328,9 @@ def positivity_eigen_margin(
     """
     K = u.degree
     op = _LOperator(apply_position_filter(u, cfg), problem, cfg, K)
-    _, basis = _mode_probes(K)
-    lb = np.concatenate([op.apply(basis[i : i + _BLOCK_ROWS])
-                         for i in range(0, len(basis), _BLOCK_ROWS)])
+    blocks = list(_mode_probes(op))
+    basis = np.concatenate([v for _, v, _ in blocks])
+    lb = np.concatenate([lv for _, _, lv in blocks])
     m = np.real(np.conj(basis) @ lb.T)
     s = 1.0 / np.sqrt(np.sum(np.abs(basis) ** 2, axis=1))
     sym = 0.5 * (m + m.T) * s[:, np.newaxis] * s[np.newaxis, :]

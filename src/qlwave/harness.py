@@ -69,13 +69,13 @@ def _require_distinct(name: str, values: Sequence) -> None:
 def _n_steps(T: float, tau: float) -> int:
     """The step count T/tau.
 
-    Raises ConfigurationError unless T is finite and >= 0 and T/tau is an integer.
+    Raises ConfigurationError unless T is finite and >= 0 and T/tau a finite integer.
     """
     if not (math.isfinite(T) and T >= 0):
         raise ConfigurationError(f"T must be finite and >= 0, got {T}")
     _require_positive_tau(tau)
     n = T / tau
-    if abs(n - round(n)) > 1e-9 * max(1.0, n):
+    if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ConfigurationError(f"T/tau must be an integer; T={T}, tau={tau} gives {n}")
     return round(n)
 

@@ -24,16 +24,16 @@ right.
 The kernel has one shape: it steps a (B, K+1) stack of half spectra,
 modes 0..K of the real fields (see spectral.py), whose row i runs under
 its own config.  The sweeps run all filters of one (K, tau) as one
-stack; evolve, step and filtered_nonlinear_term run a one-row stack.
-Modes 0..K of each array are bitwise those a full-spectrum kernel would
-compute, since no operation on them reads a mode below 0.  All of its
-transforms go through spectral's one pair.  Spectra are mirrored to the
-full -K..K only at the boundaries: for an evolve observer, for the final
-StatePairs, and on the way out of step, filtered_nonlinear_term and
-nonlinear_term, which take the modes 0..K of their SpectralField
-arguments on the way in.  The interpolation of a(u) and g is one
-function, _interpolate, which the kernel and the energy diagnostics
-(through _interpolants, on half spectra) share.
+stack; evolve and step (its one-step case) run a one-row stack through
+_run, and filtered_nonlinear_term a one-row engine.  Modes 0..K of each
+array are bitwise those a full-spectrum kernel would compute, since no
+operation on them reads a mode below 0.  The transforms and the product
+are spectral's.  Spectra are mirrored to the full -K..K only for an
+evolve observer, for the final StatePairs, and on the way out of
+filtered_nonlinear_term and nonlinear_term, which take the modes 0..K of
+their SpectralField arguments on the way in.  The interpolation of a(u)
+and g is one function, _interpolate, which the kernel and the energy
+diagnostics (through _interpolants, on half spectra) share.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .exceptions import ConfigurationError, DivergenceError, NormGuardError
 from .problem import ProblemSpec
 from .spectral import (
     SpectralField,
+    _pointwise_product,
     coeffs_from_samples,
     dealiased_product,
     derivative,
@@ -236,18 +237,11 @@ class _Engine:
         """Filtered nonlinearity psi1 * P_K(a_K(phi u) (phi u)_xx + g_K(phi u, (phi u)_x)).
 
         Four transform calls on the (B, K+1) stack c: the two of
-        _interpolate, one batched synthesis of (a_K, (phi u)_xx) on the
-        product grid, and one analysis of their pointwise product keeping
-        modes 0..K.  The synthesis reads a fresh zeroed buffer of
-        n_prod//2+1 modes per call.
+        _interpolate and the two of spectral's pointwise product of a_K
+        and (phi u)_xx on the product grid, keeping modes 0..K.
         """
         ag = _interpolate(self.problem, self.grad_t * c, self.K)
-        uxx = self.dxx_t * c
-        spec = np.zeros((2,) + uxx.shape[:-1] + (self.n_prod // 2 + 1,), np.complex128)
-        spec[0, ..., : self.K + 1] = ag[0]
-        spec[1, ..., : self.K + 1] = uxx
-        vals = synthesize_values(spec, self.n_prod)
-        f = coeffs_from_samples(vals[0] * vals[1], self.K)
+        f = _pointwise_product(ag[0], self.dxx_t * c, self.n_prod, self.K)
         if ag.shape[0] > 1:
             f += ag[1]
         return self.psi1_t * f
@@ -276,11 +270,6 @@ class _Engine:
         """|u|_2^2 + |ud|_1^2 of one contiguous half-spectrum state, the norm guard's measure."""
         x, y = u.view(np.float64), ud.view(np.float64)
         return float(self.w4_t @ (x * x) + self.w2_t @ (y * y))
-
-
-def _require_degree(state: StatePair, cfg: IntegratorConfig):
-    if state.degree != cfg.K:
-        raise ConfigurationError(f"state degree {state.degree} does not match config K={cfg.K}")
 
 
 def _interpolants(u: SpectralField, problem: ProblemSpec) -> np.ndarray:
@@ -320,17 +309,6 @@ def linear_propagator(state: StatePair, t: float) -> StatePair:
         SpectralField(c * u + snc * ud),
         SpectralField(-w * s * u + c * ud),
     )
-
-
-def step(state: StatePair, problem: ProblemSpec, cfg: IntegratorConfig) -> StatePair:
-    """Advance one time step of the scheme; warns on every call if cfg's filter is impulse."""
-    _require_degree(state, cfg)
-    _warn_if_inadmissible(cfg)
-    engine = _Engine(problem, (cfg,))
-    K = cfg.K
-    u1, ud1, _ = engine.step_arrays(state.u.coeffs[np.newaxis, K:],
-                                    state.udot.coeffs[np.newaxis, K:])
-    return StatePair(SpectralField(mirror_half(u1[0])), SpectralField(mirror_half(ud1[0])))
 
 
 def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
@@ -446,10 +424,22 @@ def evolve(
         raise ConfigurationError("n_steps must be >= 0")
     if every < 1:
         raise ConfigurationError(f"observer interval every must be >= 1, got {every}")
-    _require_degree(state0, cfg)
-    _warn_if_inadmissible(cfg)
     row0 = None if observer is None else (lambda n, t, u, ud: observer(n, t, u[0], ud[0]))
-    [outcome] = _evolve_stack(state0, problem, (cfg,), n_steps, row0, every)
+    return _run(state0, problem, cfg, n_steps, row0, every)
+
+
+def _run(state0: StatePair, problem: ProblemSpec, cfg: IntegratorConfig, n_steps: int,
+         observer=None, every: int = 1) -> StatePair:
+    """The one-row run of evolve and step: checks, warns, and returns or raises its outcome."""
+    if state0.degree != cfg.K:
+        raise ConfigurationError(f"state degree {state0.degree} does not match config K={cfg.K}")
+    _warn_if_inadmissible(cfg)
+    [outcome] = _evolve_stack(state0, problem, (cfg,), n_steps, observer, every)
     if isinstance(outcome, DivergenceError):
         raise outcome
     return outcome
+
+
+def step(state: StatePair, problem: ProblemSpec, cfg: IntegratorConfig) -> StatePair:
+    """One step of the scheme: evolve(state, problem, cfg, 1), bit for bit, failing alike."""
+    return _run(state, problem, cfg, 1)

@@ -16,10 +16,11 @@ modes are their conjugates), so a stack of spectra goes through in one
 call.  The synthesis zero-pads the modes to n//2+1 only when fewer are
 given, and the analysis keeps modes 0..degree.  Every caller hands the
 pair modes 0..K of its fields (coeffs[K:]) and mirrors a result once,
-with mirror_half, where it becomes a SpectralField.  The exact product
-dealiased_product is a pointwise product on a grid that resolves all of
-its modes, and apply_multiplier is the one way to apply a Fourier
-multiplier m(Om).
+with mirror_half, where it becomes a SpectralField.  _pointwise_product
+is the one product of two fields, in two calls (one stacked synthesis):
+dealiased_product forms it on a grid that resolves all of its modes, the
+step kernel on its 3K+1-node grid.  apply_multiplier is the one way to
+apply a Fourier multiplier m(Om).
 
 The pair calls pocketfft's C entry points c2r and r2c directly, with one
 thread.  At the sizes a step uses (K <= 128), most of the time of a
@@ -312,6 +313,15 @@ def derivative(f: SpectralField, order: int = 1) -> SpectralField:
     return SpectralField(f.coeffs * factor)
 
 
+def _pointwise_product(f: np.ndarray, g: np.ndarray, n: int, degree: int) -> np.ndarray:
+    """Modes 0..degree of f*g on n nodes, for half spectra f and g of one leading shape."""
+    spec = np.zeros((2,) + f.shape[:-1] + (n // 2 + 1,), np.complex128)
+    spec[0, ..., : f.shape[-1]] = f
+    spec[1, ..., : g.shape[-1]] = g
+    vals = synthesize_values(spec, n)
+    return coeffs_from_samples(vals[0] * vals[1], degree)
+
+
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Exact product of two fields as a degree K1+K2 field.
 
@@ -320,9 +330,8 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """
     deg = f.degree + g.degree
     n = next_fast_len(2 * deg + 1)
-    vf = synthesize_values(f.coeffs[f.degree :], n)
-    vg = synthesize_values(g.coeffs[g.degree :], n)
-    return SpectralField(mirror_half(coeffs_from_samples(vf * vg, deg)))
+    product = _pointwise_product(f.coeffs[f.degree :], g.coeffs[g.degree :], n, deg)
+    return SpectralField(mirror_half(product))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:

@@ -7,9 +7,10 @@ that agreement between the two is a meaningful check.
 The reference forms at the end keep the textbook way of writing the
 transforms and the kernels on full spectra -K..K, through scipy.fft's
 public irfft/rfft only: an explicitly zero-padded half spectrum, an
-element-by-element assembled analysis, the filtered nonlinearity, the
-operator L of the energy diagnostics, and the step formulas with every
-factor applied at the call.  The package's lean half-spectrum kernels
+element-by-element assembled analysis, the two ways the pointwise product
+of two fields used to be formed, the filtered nonlinearity, the operator
+L of the energy diagnostics, and the step formulas with every factor
+applied at the call.  The package's lean half-spectrum kernels
 must match them bit for bit.
 """
 
@@ -169,6 +170,24 @@ def assembled_analysis(values, degree):
     c[..., degree:] = half[..., : degree + 1]
     c[..., :degree] = np.conj(half[..., degree:0:-1])
     return c
+
+
+def zeroed_buffer_product(f, g, n, degree):
+    """Modes 0..degree of the product of the half spectra f and g (equal leading
+    shape) on n nodes, as the step kernel's filtered nonlinearity formed it
+    inline: one synthesis of a zeroed (2, ..., n//2+1) buffer."""
+    spec = np.zeros((2,) + f.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    spec[0, ..., : f.shape[-1]] = f
+    spec[1, ..., : g.shape[-1]] = g
+    vals = scipy.fft.irfft(spec, n=n) * n
+    return scipy.fft.rfft(vals[0] * vals[1])[..., : degree + 1] / n
+
+
+def two_synthesis_product(f, g, n, degree):
+    """The same product as dealiased_product formed it: one synthesis per factor."""
+    vf = scipy.fft.irfft(f, n=n) * n
+    vg = scipy.fft.irfft(g, n=n) * n
+    return scipy.fft.rfft(vf * vg)[..., : degree + 1] / n
 
 
 def full_spectrum_fhat(problem, cfgs, c):

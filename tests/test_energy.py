@@ -229,9 +229,10 @@ class TestLOperator:
                 u = hermitian_field(rng, ku)
                 op = _LOperator(u, p, cfg, kv)
                 rows = np.stack([hermitian_field(rng, kv).coeffs for _ in range(8)])
-                for v in (_mode_probes(kv)[1], rows):
+                blocks = [(v, lv) for _, v, lv in _mode_probes(op)]
+                for v, got in [*blocks, (rows, op.apply(rows))]:
                     want = full_spectrum_l_operator(u, p, cfg, kv, v)
-                    assert np.array_equal(op.apply(v).view(np.uint64), want.view(np.uint64))
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_identity_fails_without_sinc_compatibility(self, rng):
         K = 12

@@ -409,6 +409,17 @@ class TestCli:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "conv-time"])
+    def test_step_count_overflow_rejected(self, tmp_path, capsys, command):
+        # T/tau overflows to inf for a subnormal tau, which round() cannot take
+        out = tmp_path / "out"
+        code = cli_main([command, "-o", "grid.K=8", "-o", "time.tau=1e-320", "-o", "time.T=1",
+                         "-o", "sweep.K=8", "-o", "sweep.tau=1e-320 0.5 0.25", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: T/tau must be an integer; T=1.0, tau=1e-320 gives inf\n"
+        assert not out.exists()
+
     def test_unread_config_keys_named_on_stderr(self, tmp_path, capsys):
         base = ["simulate", "-o", "problem.name=linear", "-o", "grid.K=8", "-o", "time.tau=0.25",
                 "-o", "time.T=1", "--out"]

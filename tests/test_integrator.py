@@ -450,6 +450,26 @@ class TestEvolve:
         assert str(nonfinite.value) == "non-finite state at step 1 (t=0.2)"
         assert (nonfinite.value.step, nonfinite.value.time) == (1, 0.2)
 
+    @pytest.mark.parametrize("state,problem,cfg,kind,message", [
+        # the power-law state against a guard below its norm
+        (StatePair(*power_law_initial_data(16)), model_problem(1.0),
+         IntegratorConfig(tau=0.05, K=16, filter=sinc_c(2.0), max_norm=1.0), NormGuardError,
+         "norm guard tripped at step 1 (t=0.05): |state| = 3.062e+00 > 1.000e+00"),
+        # test_failure_messages' overflowing rotation at kappa = 0
+        (StatePair(SpectralField.from_dict(8, {8: 5e307}), SpectralField.zeros(8)),
+         linear_problem(), IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0), max_norm=np.inf),
+         DivergenceError, "non-finite state at step 1 (t=0.2)"),
+    ], ids=["norm-guard", "non-finite"])
+    def test_step_fails_as_one_step_evolve(self, state, problem, cfg, kind, message):
+        # step is evolve's one-step case: the same guards, and the same
+        # exception with the same step and time
+        for run in (lambda: step(state, problem, cfg), lambda: evolve(state, problem, cfg, 1)):
+            with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+                run()
+            assert type(info.value) is kind
+            assert str(info.value) == message
+            assert (info.value.step, info.value.time) == (1, cfg.tau)
+
 
 FILTERS = (impulse(), hairer_lubich(), grimm_hochbruck(), sinc_c(2.0), sinc_c(3.0))
 
