@@ -52,9 +52,6 @@ from .integrator import (
     IntegratorConfig,
     StatePair,
     evolve,
-    filtered_nonlinear_term,
-    linear_propagator,
-    nonlinear_term,
     step,
 )
 from .energy import (

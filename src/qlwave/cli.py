@@ -119,7 +119,7 @@ def _ref_cfg_from(cfg) -> ReferenceConfig:
     if cross not in ("1", "true", "yes", "0", "false", "no"):
         raise ConfigurationError(f"reference.cross_check={cross!r} is not 1/0/true/false/yes/no")
     return ReferenceConfig(
-        refine_factor=int(_get(cfg, "reference.refine_factor", "64")),
+        refine_factor=int(_get(cfg, "reference.refine_factor", ReferenceConfig.refine_factor)),
         cross_check=cross in ("1", "true", "yes"),
     )
 

@@ -30,10 +30,12 @@ over modes -K_v..K_v.
 
 Everything else reuses the scheme's own operators: the multipliers
 phi, psi1 and cos in tau*Om go through spectral.apply_multiplier, the
-products through spectral.dealiased_product, the interpolant a_K(u) of
-U, L and R* is the step's own (integrator._interpolate at K = deg u), and
-the energy-change identity takes the quasilinear term P_K(a_K(x) x'')
-from integrator.nonlinear_term.
+products through spectral.dealiased_product, and the interpolant a_K(u)
+of U, L and R* is the step's own (integrator._interpolate at K = deg u).
+The energy-change identity forms its quasilinear difference
+P_K(a_K(u) u'' - a_K(v) v'') as A + B from the two products A and B that
+R* is built from (see _g_terms), so the remainder at each time level
+takes two interpolations of a and two products.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError
-from .integrator import IntegratorConfig, StatePair, _interpolants, nonlinear_term, step
+from .integrator import IntegratorConfig, StatePair, _interpolants, step
 from .problem import ProblemSpec, ellipticity_report
 from .spectral import (
     SpectralField,
@@ -338,14 +340,16 @@ def positivity_eigen_margin(
 
 
 def _g_terms(up: SpectralField, vp: SpectralField, problem: ProblemSpec,
-             cfg: IntegratorConfig) -> float:
-    """R*(u, v): the quadratic-vs-incremental correction at one time level.
+             cfg: IntegratorConfig) -> tuple[float, SpectralField]:
+    """R*(u, v) and the quasilinear difference P_K(a_K(u) u'' - a_K(v) v'') at one time level.
 
-    Both arguments are position-filtered states.  A = PK(aK(u) (u-v)''),
-    B = PK((aK(u) - aK(v)) v''); the value is
+    Both arguments are position-filtered states, e = u - v.  With
+    A = P_K(a_K(u) e'') and B = P_K((a_K(u) - a_K(v)) v''), R* is
 
         <cos e, A>_0 + <cos e, B>_1
-        + tau^2 kappa/2 <Psi1 A, Psi1 B>_1 + tau^2 kappa/4 |Psi1 B|_1^2.
+        + tau^2 kappa/2 <Psi1 A, Psi1 B>_1 + tau^2 kappa/4 |Psi1 B|_1^2,
+
+    and the difference is A + B, since a(u)u'' - a(v)v'' = a(u)e'' + (a(u) - a(v))v''.
     """
     K = up.degree
     e = up - vp
@@ -354,12 +358,13 @@ def _g_terms(up: SpectralField, vp: SpectralField, problem: ProblemSpec,
     B = project(dealiased_product(a_u - a_v, derivative(vp, 2)), K)
     ce = apply_multiplier(e, lambda w: np.cos(cfg.tau * w))
     psiA, psiB = (apply_multiplier(f, lambda w: flt.psi1(cfg.filter, cfg.tau * w)) for f in (A, B))
-    return (
+    r_star = (
         inner_product(ce, A, s=0.0)
         + inner_product(ce, B, s=1.0)
         + 0.5 * cfg.tau**2 * problem.kappa * inner_product(psiA, psiB, s=1.0)
         + 0.25 * cfg.tau**2 * problem.kappa * sobolev_norm(psiB, 1.0) ** 2
     )
+    return r_star, A + B
 
 
 def energy_change_residual(
@@ -389,12 +394,11 @@ def energy_change_residual(
     fu1 = apply_position_filter(up.u, cfg)
     fv1 = apply_position_filter(vp.u, cfg)
 
-    # with g == 0 the projected nonlinear term is P_K(a_K(x) x'')
-    K = un.degree
-    dG0 = project(nonlinear_term(fu0, problem) - nonlinear_term(fv0, problem), K)
-    dG1 = project(nonlinear_term(fu1, problem) - nonlinear_term(fv1, problem), K)
+    # with g == 0 the projected nonlinear terms of x and y differ by A + B
+    r_star0, dG0 = _g_terms(fu0, fv0, problem, cfg)
+    r_star1, dG1 = _g_terms(fu1, fv1, problem, cfg)
     r_tilde = inner_product(fu1 - fv1, dG0, s=1.0) - inner_product(fu0 - fv0, dG1, s=1.0)
-    r_star = _g_terms(fu1, fv1, problem, cfg) - _g_terms(fu0, fv0, problem, cfg)
+    r_star = r_star1 - r_star0
 
     lhs = e_new
     rhs = e_old + kappa * (r_tilde + r_star)

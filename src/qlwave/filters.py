@@ -105,11 +105,6 @@ def parse_filter(text: str) -> FilterSpec:
     raise ConfigurationError(f"unknown filter {text!r} (expected impulse|hl|gh|sinc:<c>)")
 
 
-def catalog() -> tuple[FilterSpec, ...]:
-    """The filters exercised by the shipped experiments."""
-    return (impulse(), hairer_lubich(), grimm_hochbruck(), sinc_c(2.0), sinc_c(3.0))
-
-
 def phi(spec: FilterSpec, xi):
     """Position filter phi evaluated at xi >= 0."""
     x = np.asarray(xi, dtype=float)

@@ -12,7 +12,13 @@ import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
-from .integrator import IntegratorConfig, StatePair, _evolve_stack, _require_positive_tau
+from .integrator import (
+    _MAX_STEPS,
+    IntegratorConfig,
+    StatePair,
+    _evolve_stack,
+    _require_positive_tau,
+)
 from .problem import ProblemSpec, power_law_initial_data
 from .reference import ReferenceConfig, error_h2h1, reference_solution, _fit_degree
 
@@ -69,7 +75,8 @@ def _require_distinct(name: str, values: Sequence) -> None:
 def _n_steps(T: float, tau: float) -> int:
     """The step count T/tau.
 
-    Raises ConfigurationError unless T is finite and >= 0 and T/tau a finite integer.
+    Raises ConfigurationError unless T is finite and >= 0 and T/tau a finite
+    integer of at most _MAX_STEPS.
     """
     if not (math.isfinite(T) and T >= 0):
         raise ConfigurationError(f"T must be finite and >= 0, got {T}")
@@ -77,6 +84,10 @@ def _n_steps(T: float, tau: float) -> int:
     n = T / tau
     if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ConfigurationError(f"T/tau must be an integer; T={T}, tau={tau} gives {n}")
+    if n > _MAX_STEPS:
+        raise ConfigurationError(
+            f"T/tau = {n:g} steps is more than a run may take ({_MAX_STEPS}); T={T}, tau={tau}"
+        )
     return round(n)
 
 

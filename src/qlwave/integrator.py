@@ -25,15 +25,14 @@ The kernel has one shape: it steps a (B, K+1) stack of half spectra,
 modes 0..K of the real fields (see spectral.py), whose row i runs under
 its own config.  The sweeps run all filters of one (K, tau) as one
 stack; evolve and step (its one-step case) run a one-row stack through
-_run, and filtered_nonlinear_term a one-row engine.  Modes 0..K of each
-array are bitwise those a full-spectrum kernel would compute, since no
-operation on them reads a mode below 0.  The transforms and the product
-are spectral's.  Spectra are mirrored to the full -K..K only for an
-evolve observer, for the final StatePairs, and on the way out of
-filtered_nonlinear_term and nonlinear_term, which take the modes 0..K of
-their SpectralField arguments on the way in.  The interpolation of a(u)
-and g is one function, _interpolate, which the kernel and the energy
-diagnostics (through _interpolants, on half spectra) share.
+_run.  _evolve_stack alone builds an engine, and _run alone warns about
+an inadmissible filter.  Modes 0..K of each array are bitwise those a
+full-spectrum kernel would compute, since no operation on them reads a
+mode below 0.  The transforms and the product are spectral's.  Spectra
+are mirrored to the full -K..K only for an evolve observer and for the
+final StatePairs.  The interpolation of a(u) and g is one function,
+_interpolate, which the kernel and the energy diagnostics (through
+_interpolants, on half spectra) share.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ from .spectral import (
     SpectralField,
     _pointwise_product,
     coeffs_from_samples,
-    dealiased_product,
-    derivative,
     mirror_half,
     next_fast_len,
     omega_weights,
@@ -88,9 +85,6 @@ class StatePair:
     def norm(self, s: float = 1.0) -> float:
         return pair_norm(self.u, self.udot, s)
 
-    def negated_velocity(self) -> "StatePair":
-        return StatePair(self.u, -self.udot)
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -108,6 +102,13 @@ class IntegratorConfig:
         # NaN would switch the guard off, and 0 would trip it at once
         if not self.max_norm > 0:
             raise ConfigurationError(f"max_norm must be positive, got {self.max_norm}")
+
+
+# The most steps a config may ask of one run.  That many steps at K = 8
+# already take about a day (42 us a step on a 2-core VM), so
+# harness._n_steps and reference_solution reject a count above it as a
+# configuration error rather than start the run.
+_MAX_STEPS = 2**31
 
 
 def _require_positive_tau(tau: float):
@@ -133,8 +134,8 @@ def _warn_if_inadmissible(cfg: IntegratorConfig):
 
     Assumptions 1-2 in closed form: with its derived c0 every kind meets
     assumption 1, and only impulse (psi1 = 1) breaks psi1 = sinc*phi, as
-    filters.check_assumptions samples.  Only the entry points that take a
-    caller's config call it, on every call, so it obeys the caller's filters.
+    filters.check_assumptions samples.  Only _run, the entry of evolve and
+    step, calls it, on every call, so it obeys the caller's filters.
     """
     if cfg.filter.kind == flt.KIND_IMPULSE:
         warnings.warn(
@@ -279,36 +280,6 @@ def _interpolants(u: SpectralField, problem: ProblemSpec) -> np.ndarray:
     """
     K = u.degree
     return _interpolate(problem, _grad(problem, K) * u.coeffs[K:], K)
-
-
-def nonlinear_term(u: SpectralField, problem: ProblemSpec) -> SpectralField:
-    """Unfiltered interpolated nonlinearity aK(u)*u_xx + gK(u,u_x), degree 2K."""
-    ag = mirror_half(_interpolants(u, problem))
-    out = dealiased_product(SpectralField(ag[0]), derivative(u, 2))
-    return out + SpectralField(ag[1]) if ag.shape[0] > 1 else out
-
-
-def filtered_nonlinear_term(
-    u: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig
-) -> SpectralField:
-    """Filtered degree-K nonlinearity used inside one step; warns if cfg's filter is impulse."""
-    if u.degree != cfg.K:
-        raise ConfigurationError(f"field degree {u.degree} does not match config K={cfg.K}")
-    _warn_if_inadmissible(cfg)
-    engine = _Engine(problem, (cfg,))
-    return SpectralField(mirror_half(engine.fhat(u.coeffs[np.newaxis, cfg.K:])[0]))
-
-
-def linear_propagator(state: StatePair, t: float) -> StatePair:
-    """Exact flow of the linear part over time t (norm-preserving rotation)."""
-    w = omega_weights(state.degree)
-    c, s = np.cos(t * w), np.sin(t * w)
-    snc = t * np.asarray(flt.sinc(t * w))
-    u, ud = state.u.coeffs, state.udot.coeffs
-    return StatePair(
-        SpectralField(c * u + snc * ud),
-        SpectralField(-w * s * u + c * ud),
-    )
 
 
 def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,

@@ -96,7 +96,6 @@ class EllipticityReport:
 
     delta_est: float
     A0_est: float
-    grid_size: int
     hyperbolicity_lost: bool
 
 
@@ -170,6 +169,5 @@ def ellipticity_report(problem: ProblemSpec, u: SpectralField) -> EllipticityRep
     return EllipticityReport(
         delta_est=float(delta_est),
         A0_est=float(s_max),
-        grid_size=int(n),
         hyperbolicity_lost=bool(delta_est <= 0.0),
     )

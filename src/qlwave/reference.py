@@ -15,7 +15,7 @@ import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError, ReferenceFailure
-from .integrator import IntegratorConfig, StatePair, _caller_stacklevel, evolve, step
+from .integrator import _MAX_STEPS, IntegratorConfig, StatePair, _caller_stacklevel, evolve, step
 from .problem import ProblemSpec
 from .spectral import embed, pair_norm, project, sobolev_norm
 
@@ -65,10 +65,11 @@ def reference_solution(
 
     Runs the sinc:2 scheme at tau_min/refine_factor and at half that step;
     the run pair must agree within 1e-4 (_SELF_CHECK_RTOL) relative to the
-    state norm, otherwise a ReferenceFailure is raised.  The finer of the two
-    runs is returned.  With ``cross_check`` a Grimm-Hochbruck run at the
+    state norm, otherwise a ReferenceFailure is raised.  The finer of the
+    two runs is returned.  With ``cross_check`` a Grimm-Hochbruck run at the
     same step must agree within 10x the self-refinement error, otherwise
-    the reference is flagged unreliable via a warning.
+    the reference is flagged unreliable via a warning.  A fine run of more
+    than _MAX_STEPS steps is a ConfigurationError, raised before any run.
     """
     if T <= 0:
         raise ConfigurationError("reference horizon T must be positive")
@@ -76,6 +77,11 @@ def reference_solution(
         raise ConfigurationError("tau_min must be positive")
     n_min = max(1, round(T / tau_min))
     n_ref = n_min * ref_cfg.refine_factor
+    if 2 * n_ref > _MAX_STEPS:
+        raise ConfigurationError(
+            f"the reference's fine run takes {2 * n_ref} steps (refine_factor="
+            f"{ref_cfg.refine_factor}), more than a run may take ({_MAX_STEPS})"
+        )
     tau_ref = T / n_ref
     cfg = IntegratorConfig(tau=tau_ref, K=state0.degree, filter=flt.sinc_c(2.0))
 
@@ -130,7 +136,7 @@ def local_error(
     state0 = _fit_degree(state0, degree)
     _check_spectral_tail(state0.u)
     if ref_cfg is None:
-        ref_cfg = ReferenceConfig(refine_factor=64)
+        ref_cfg = ReferenceConfig()
     cfg = IntegratorConfig(tau=tau, K=degree, filter=spec)
     one = step(state0, problem, cfg)
     ref = reference_solution(problem, state0, tau, ref_cfg, tau_min=tau)

@@ -158,23 +158,6 @@ class SpectralField:
         c[degree] = value
         return cls(c)
 
-    @classmethod
-    def from_dict(cls, degree: int, modes: dict) -> "SpectralField":
-        """Build a field from a {j: coefficient} mapping.
-
-        The conjugate partner of each given mode is filled in unless it was
-        given explicitly.
-        """
-        c = np.zeros(2 * degree + 1, dtype=np.complex128)
-        for j, v in modes.items():
-            if abs(j) > degree:
-                raise ConfigurationError(f"mode {j} outside degree {degree}")
-            c[j + degree] = v
-        for j, v in modes.items():
-            if -j not in modes:
-                c[-j + degree] = np.conj(v)
-        return cls(c)
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         K = max(self.degree, other.degree)
         return SpectralField(_padded(self, K) + _padded(other, K))

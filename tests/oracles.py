@@ -4,7 +4,7 @@ The dense oracles are written with plain python loops and direct
 summation, deliberately avoiding the package's FFT-based code paths, so
 that agreement between the two is a meaningful check.
 
-The reference forms at the end keep the textbook way of writing the
+The reference forms after them keep the textbook way of writing the
 transforms and the kernels on full spectra -K..K, through scipy.fft's
 public irfft/rfft only: an explicitly zero-padded half spectrum, an
 element-by-element assembled analysis, the two ways the pointwise product
@@ -12,6 +12,13 @@ of two fields used to be formed, the filtered nonlinearity, the operator
 L of the energy diagnostics, and the step formulas with every factor
 applied at the call.  The package's lean half-spectrum kernels
 must match them bit for bit.
+
+The test-only forms at the end are what only the tests need of the
+package: a field from a {mode: coefficient} mapping, the filter catalog
+of the shipped experiments, the exact linear flow, the velocity flip of
+time reversal, the unfiltered nonlinearity a_K(u) u_xx + g_K(u, u_x)
+formed through spectral.dealiased_product, and the step kernel's
+filtered nonlinearity of one field, which calls the kernel itself.
 """
 
 import math
@@ -20,8 +27,15 @@ import numpy as np
 import scipy.fft
 
 from qlwave import filters
-from qlwave.integrator import StatePair, filtered_nonlinear_term
-from qlwave.spectral import SpectralField, mode_numbers, omega_weights
+from qlwave.integrator import StatePair, _Engine, _interpolants
+from qlwave.spectral import (
+    SpectralField,
+    dealiased_product,
+    derivative,
+    mirror_half,
+    mode_numbers,
+    omega_weights,
+)
 
 
 def o_sinc(x: float) -> float:
@@ -284,3 +298,58 @@ def step_three_stage(state, problem, cfg):
     u1 = cos_t * u + tau * sinc_t * ud_plus
     ud1 = -wsin_t * u + cos_t * ud_plus + kick(u1)
     return StatePair(SpectralField(u1), SpectralField(ud1))
+
+
+# -- test-only forms -------------------------------------------------------
+
+
+def field_from_dict(degree: int, modes: dict) -> SpectralField:
+    """The degree-``degree`` field with the {j: coefficient} modes ``modes``.
+
+    The conjugate partner of each given mode is filled in unless it was
+    given explicitly.
+    """
+    c = np.zeros(2 * degree + 1, dtype=np.complex128)
+    for j, v in modes.items():
+        if abs(j) > degree:
+            raise ValueError(f"mode {j} outside degree {degree}")
+        c[j + degree] = v
+    for j, v in modes.items():
+        if -j not in modes:
+            c[-j + degree] = np.conj(v)
+    return SpectralField(c)
+
+
+def catalog():
+    """The filters exercised by the shipped experiments."""
+    return (filters.impulse(), filters.hairer_lubich(), filters.grimm_hochbruck(),
+            filters.sinc_c(2.0), filters.sinc_c(3.0))
+
+
+def linear_propagator(state: StatePair, t: float) -> StatePair:
+    """Exact flow of the linear part over time t (norm-preserving rotation)."""
+    w = omega_weights(state.degree)
+    c, s = np.cos(t * w), np.sin(t * w)
+    snc = t * np.asarray(filters.sinc(t * w))
+    u, ud = state.u.coeffs, state.udot.coeffs
+    return StatePair(
+        SpectralField(c * u + snc * ud),
+        SpectralField(-w * s * u + c * ud),
+    )
+
+
+def negated_velocity(state: StatePair) -> StatePair:
+    """(u, -udot): the state whose forward run retraces state's run backward."""
+    return StatePair(state.u, -state.udot)
+
+
+def nonlinear_term(u: SpectralField, problem) -> SpectralField:
+    """Unfiltered interpolated nonlinearity a_K(u) u_xx + g_K(u, u_x), degree 2K."""
+    ag = mirror_half(_interpolants(u, problem))
+    out = dealiased_product(SpectralField(ag[0]), derivative(u, 2))
+    return out + SpectralField(ag[1]) if ag.shape[0] > 1 else out
+
+
+def filtered_nonlinear_term(u: SpectralField, problem, cfg) -> SpectralField:
+    """The step kernel's filtered degree-K nonlinearity of u, through a one-row engine."""
+    return SpectralField(mirror_half(_Engine(problem, (cfg,)).fhat(u.coeffs[None, cfg.K :])[0]))

@@ -18,7 +18,6 @@ from qlwave.energy import (
     u_term,
 )
 from qlwave.filters import (
-    catalog,
     check_assumptions,
     grimm_hochbruck,
     hairer_lubich,
@@ -36,12 +35,12 @@ from qlwave.harness import (
     run_convergence_space,
     run_convergence_time,
 )
-from qlwave.integrator import IntegratorConfig, StatePair, evolve, linear_propagator, step
+from qlwave.integrator import IntegratorConfig, StatePair, evolve, step
 from qlwave.problem import ProblemSpec, linear_problem, model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, local_error
 from qlwave.spectral import SpectralField, derivative, inner_product
 from conftest import hermitian_field, warns_if_inadmissible
-from oracles import dense_one_step
+from oracles import catalog, dense_one_step, linear_propagator
 
 
 def report(criterion: int, message: str) -> None:

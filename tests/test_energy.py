@@ -34,7 +34,12 @@ from qlwave.spectral import (
 )
 
 from conftest import hermitian_field
-from oracles import dense_l_operator, full_spectrum_l_operator, quadrature_inner_product
+from oracles import (
+    dense_l_operator,
+    field_from_dict,
+    full_spectrum_l_operator,
+    quadrature_inner_product,
+)
 
 ADMISSIBLE = (hairer_lubich(), grimm_hochbruck(), sinc_c(2.0), sinc_c(3.0))
 
@@ -52,7 +57,7 @@ class TestUTerm:
         # U and L take a_K(u) from the step's interpolation, with its overflow check
         p = quasilinear_only(1.0, a=lambda x: np.exp(1000.0 * x) - 1.0)
         cfg = IntegratorConfig(tau=0.1, K=4, filter=sinc_c(2.0))
-        u = SpectralField.from_dict(4, {1: 0.5})
+        u = field_from_dict(4, {1: 0.5})
         with np.errstate(over="ignore"):
             for diagnostic in (u_term, apply_l_operator):
                 with pytest.raises(DivergenceError, match=r"a\(u\) or g"):
@@ -269,7 +274,7 @@ class TestPositivity:
         # undamped resonance: constant amplitude 3 and tau*omega_K near pi
         p = model_problem(1.0)
         K = 16
-        u = SpectralField.from_dict(K, {0: 3.0})
+        u = field_from_dict(K, {0: 3.0})
         cfg = IntegratorConfig(
             tau=np.pi / np.sqrt(K * K + 1.0), K=K, filter=impulse(),
         )
@@ -313,10 +318,10 @@ class TestPositivity:
 
         rng = np.random.default_rng(8)
         uf = apply_position_filter(u0, cfg)
-        want = [("mode-cos-0", SpectralField.from_dict(K, {0: 1.0}))]
+        want = [("mode-cos-0", field_from_dict(K, {0: 1.0}))]
         for j in range(1, K + 1):
-            want.append((f"mode-cos-{j}", SpectralField.from_dict(K, {j: 0.5})))
-            want.append((f"mode-sin-{j}", SpectralField.from_dict(K, {j: -0.5j})))
+            want.append((f"mode-cos-{j}", field_from_dict(K, {j: 0.5})))
+            want.append((f"mode-sin-{j}", field_from_dict(K, {j: -0.5j})))
         for i in range(1000):
             c = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
             v = SpectralField(0.5 * (c + np.conj(c[::-1])))
@@ -346,9 +351,9 @@ class TestPositivity:
         cfg = IntegratorConfig(tau=0.2, K=K, filter=sinc_c(2.0))
         delta = ellipticity_report(p, u).delta_est
         uf = apply_position_filter(u, cfg)
-        basis = [SpectralField.from_dict(K, {0: 1.0})]
+        basis = [field_from_dict(K, {0: 1.0})]
         for j in range(1, K + 1):
-            basis += [SpectralField.from_dict(K, {j: 0.5}), SpectralField.from_dict(K, {j: -0.5j})]
+            basis += [field_from_dict(K, {j: 0.5}), field_from_dict(K, {j: -0.5j})]
         m = np.array([[inner_product(b, apply_l_operator(uf, c, p, cfg)) for c in basis]
                       for b in basis])
         n = np.array([sobolev_norm(b, 0.0) ** 2 for b in basis])

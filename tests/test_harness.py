@@ -63,6 +63,12 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError):
             linear_plan(tau_list=[0.3])
 
+    def test_step_count_bound(self):
+        # 2**31 steps is the most a run may take, one more is rejected
+        linear_plan(T=2.0**31, tau_list=[1.0])
+        with pytest.raises(ConfigurationError, match="more than a run may take"):
+            linear_plan(T=2.0**31 + 1, tau_list=[1.0])
+
     def test_empty_lists(self):
         with pytest.raises(ConfigurationError):
             linear_plan(K_list=[])
@@ -339,8 +345,12 @@ class TestCli:
         assert "every must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("tau,message", [("0.3", "T/tau must be an integer"),
-                                             ("0", "tau must be positive")])
+    @pytest.mark.parametrize("tau,message", [
+        ("0.3", "T/tau must be an integer"),
+        ("0", "tau must be positive"),
+        # a finite, integral count no run could finish
+        ("1e-300", "T/tau = 1e+300 steps is more than a run may take"),
+    ])
     def test_simulate_rejects_bad_step_count(self, tmp_path, capsys, tau, message):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"problem.name = linear\ngrid.K = 8\ntime.T = 1\ntime.tau = {tau}\n")
@@ -348,7 +358,22 @@ class TestCli:
         code = cli_main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert message in capsys.readouterr().err
-        assert not (out / "trajectory.csv").exists()
+        assert not out.exists()
+
+    def test_reference_defaults_are_the_dataclass_defaults(self):
+        assert cli._ref_cfg_from(cli._ReadConfig({})) == ReferenceConfig()
+
+    def test_reference_step_count_rejected(self, tmp_path, capsys):
+        # 8 steps at the finest tau, refined 1e11-fold and halved
+        out = tmp_path / "out"
+        code = cli_main(["conv-time", "-o", "sweep.K=8", "-o", "sweep.tau=0.5 0.25 0.125",
+                         "-o", "time.T=1", "-o", "reference.refine_factor=100000000000",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the reference's fine run takes 1600000000000 steps "
+            "(refine_factor=100000000000), more than a run may take (2147483648)\n")
+        assert not out.exists()
 
     def test_simulate_divergence_exit_code(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -84,7 +84,7 @@ class TestEllipticity:
     def test_zero_state(self):
         p = model_problem(1.0)
         rep = ellipticity_report(p, SpectralField.zeros(4))
-        assert rep.delta_est == 1.0 and rep.A0_est == 0.0 and rep.grid_size == 4 * 4 + 1
+        assert rep.delta_est == 1.0 and rep.A0_est == 0.0
         assert not rep.hyperbolicity_lost
 
     def test_hyperbolicity_loss_flag(self):

@@ -6,13 +6,13 @@ import pytest
 from qlwave.exceptions import ConfigurationError, PreconditionError, ReferenceFailure
 from qlwave.filters import grimm_hochbruck, sinc_c
 from qlwave.harness import ExperimentPlan, run_convergence_time
-from qlwave.integrator import IntegratorConfig, StatePair, evolve, linear_propagator, step
+from qlwave.integrator import IntegratorConfig, StatePair, evolve, step
 from qlwave.problem import linear_problem, model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, local_error, reference_solution
 from qlwave.spectral import SpectralField
 
 from conftest import hermitian_field
-from oracles import step_three_stage
+from oracles import field_from_dict, linear_propagator, step_three_stage
 
 
 def data_state(K):
@@ -29,7 +29,7 @@ class TestErrorMeasure:
         # adding eps*(cos x, 0) changes the measure by eps*|cos|_2 = eps*sqrt(2)
         st = data_state(8)
         eps = 1e-3
-        bump = SpectralField.from_dict(8, {1: 0.5 * eps})
+        bump = field_from_dict(8, {1: 0.5 * eps})
         shifted = StatePair(st.u + bump, st.udot)
         assert np.isclose(error_h2h1(shifted, st), eps * np.sqrt(2.0), rtol=1e-12)
 
