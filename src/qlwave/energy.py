@@ -22,11 +22,17 @@ energy-change identity for problems with g == 0.
 L(u) has one implementation, a private operator built once per snapshot
 u: it samples a(u) once on a grid of next_fast_len(2(K + K_v) + 1)
 nodes, K = deg u, which resolves every kept mode of the three products
-exactly, and applies L to a stack of degree-K_v spectra in four calls
-of the transform pair, on modes 0..K_v (the half spectra of the pair)
-with one mirror of the result.  The positivity probes go through it in
-blocks of at most 32 rows, as full spectra, so the Rayleigh sums run
-over modes -K_v..K_v.
+exactly.  It evaluates L on stacks of degree-K_v fields in two ways:
+
+- apply gives the images L v, in four calls of the transform pair on
+  modes 0..K_v (the half spectra of the pair) with one mirror of the
+  result.  apply_l_operator, identity_residual and the exact eigenvalue
+  margin (positivity_eigen_margin) use it.
+- form gives only the Rayleigh numerators <L v, v>_0, by Parseval, in
+  two calls of the pair on half spectra.  The sampled positivity probes
+  (positivity_check, positivity_probes) use it, in blocks of at most 32
+  rows, so the sampled margins and the exact margin are two independent
+  evaluations of L.
 
 Everything else reuses the scheme's own operators: the multipliers
 phi, psi1 and cos in tau*Om go through spectral.apply_multiplier, the
@@ -40,6 +46,7 @@ takes two interpolations of a and two products.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -175,7 +182,7 @@ def _a_field(u: SpectralField, problem: ProblemSpec) -> SpectralField:
 
 
 class _LOperator:
-    """L(u) for one field u, applied to stacks of degree-K_v spectra.
+    """L(u) for one field u, on stacks of degree-K_v fields.
 
     a(u) is interpolated at K_a = deg u and sampled once on n =
     next_fast_len(2(K_a + K_v) + 1) nodes.  The products a*(cos phi v) and
@@ -183,6 +190,11 @@ class _LOperator:
     a*(sin^2 phi^2 a phi v) has degree 2K_a + K_v and aliases only onto
     modes |m| > K_v, so every kept mode is exact.  The tables and the
     transforms hold half spectra, modes 0..K_v and 0..K_a+K_v.
+
+    apply gives the images L v in four transform calls per stack; form
+    gives the numbers <L v, v>_0 in two, without forming the third
+    product.  The eigenvalue margin and the identity residual take images,
+    the sampled positivity probes take the form.
     """
 
     def __init__(self, u: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig,
@@ -197,6 +209,9 @@ class _LOperator:
         self.cos_t = np.cos(tau * wv)
         wm = omega_weights(ka + v_degree)[ka + v_degree :]
         self.sin2phi2_t = np.sin(tau * wm) ** 2 * np.asarray(flt.phi(spec, tau * wm)) ** 2
+        # Parseval weights of the half spectrum: modes m and -m both count for m > 0
+        self.sin2phi2_w = 2.0 * self.sin2phi2_t
+        self.sin2phi2_w[0] = self.sin2phi2_t[0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """L(u) applied to each row of a (rows, 2K_v+1) array, truncated to degree K_v.
@@ -213,6 +228,25 @@ class _LOperator:
         inner = synthesize_values(self.sin2phi2_t * prods[1], self.n)
         branch_b = self.phi_t * coeffs_from_samples(inner * self.a_vals, kv)
         return mirror_half(kappa * branch_a - 0.25 * kappa * kappa * branch_b)
+
+    def form(self, h: np.ndarray) -> np.ndarray:
+        """<L(u) v, v>_0 for each row v of a (rows, K_v+1) stack of half spectra.
+
+        With p = a*(phi v), exact to degree K_a + K_v, the form is
+
+            kappa <a cos phi v, phi v>_0 - kappa^2/4 sum_m sin^2 phi^2 |p_m|^2.
+
+        The first term is the n-node mean of a*(phi v)*(cos phi v), exact
+        because its degree K_a + 2K_v is below n.  Two transform calls per
+        stack; each row of the result is bitwise what that row gives alone.
+        """
+        t1 = self.phi_t * h
+        vals = synthesize_values(np.stack((self.cos_t * t1, t1)), self.n)
+        av = vals[1] * self.a_vals
+        qa = np.sum(av * vals[0], axis=-1) / self.n
+        p = coeffs_from_samples(av, self.a_degree + self.v_degree)
+        qb = np.sum(self.sin2phi2_w * (p.real**2 + p.imag**2), axis=-1)
+        return self.kappa * qa - 0.25 * self.kappa * self.kappa * qb
 
 
 def apply_l_operator(
@@ -255,29 +289,7 @@ def positivity_check(
     delta = ellipticity_report(problem, u).delta_est
     if delta <= 0.0:
         raise PreconditionError(f"hyperbolicity lost: min 1 + kappa*a(u) = {delta:.3e} <= 0")
-    margins = [m for _, m in positivity_probes(u, problem, cfg, n_samples, delta, rng)]
-    return float(min(margins))
-
-
-def _mode_probes(op: _LOperator):
-    """Labels, spectra (rows) and op images of the basis 1, cos(jx), sin(jx), block by block."""
-    K = op.v_degree
-    labels = ["mode-cos-0"]
-    basis = np.zeros((2 * K + 1, 2 * K + 1), dtype=np.complex128)
-    basis[0, K] = 1.0
-    for j in range(1, K + 1):
-        labels += [f"mode-cos-{j}", f"mode-sin-{j}"]
-        basis[2 * j - 1, K + j] = basis[2 * j - 1, K - j] = 0.5
-        basis[2 * j, K + j], basis[2 * j, K - j] = -0.5j, 0.5j
-    for i in range(0, len(basis), _BLOCK_ROWS):
-        v = basis[i : i + _BLOCK_ROWS]
-        yield labels[i : i + _BLOCK_ROWS], v, op.apply(v)
-
-
-def _rayleigh_margins(v: np.ndarray, lv: np.ndarray, delta: float) -> np.ndarray:
-    n0 = np.sum(np.abs(v) ** 2, axis=1)
-    quad = np.real(np.sum(np.conj(lv) * v, axis=1))
-    return (n0 + quad) / n0 - delta / 8.0
+    return float(min(map(np.min, _probe_margins(u, problem, cfg, n_samples, delta, rng))))
 
 
 def positivity_probes(
@@ -290,9 +302,53 @@ def positivity_probes(
 ):
     """Iterator of (probe label, Rayleigh margin) pairs; see positivity_check.
 
-    The probes are the 2K+1 single-mode fields, then ``n_samples`` random
-    unit fields (labels random-0000, ...), all applied in blocks through
-    one L(Phi u) operator.  Raises ConfigurationError for n_samples < 0.
+    The probes are the 2K+1 single-mode fields (labels mode-cos-0,
+    mode-cos-1, mode-sin-1, ...), then ``n_samples`` random real fields
+    (labels random-0000, ...).  Raises ConfigurationError for n_samples < 0.
+    """
+    margins = _probe_margins(u, problem, cfg, n_samples, delta, rng)
+    labels = ["mode-cos-0"]
+    labels += (f"mode-{kind}-{j}" for j in range(1, u.degree + 1) for kind in ("cos", "sin"))
+    labels += (f"random-{i:04d}" for i in range(n_samples))
+    return zip(labels, map(float, itertools.chain.from_iterable(margins)))
+
+
+def _mode_basis(K: int) -> np.ndarray:
+    """Half spectra of the real basis 1, cos(x), sin(x), ..., cos(Kx), sin(Kx), one per row."""
+    basis = np.zeros((2 * K + 1, K + 1), dtype=np.complex128)
+    j = np.arange(1, K + 1)
+    basis[0, 0] = 1.0
+    basis[2 * j - 1, j] = 0.5
+    basis[2 * j, j] = -0.5j
+    return basis
+
+
+def _blocks(rows: np.ndarray):
+    """Consecutive slices of at most _BLOCK_ROWS rows."""
+    return (rows[i : i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
+
+
+def _random_probes(K: int, n_samples: int, rng: np.random.Generator):
+    """Half spectra of ``n_samples`` random real fields of degree K, block by block.
+
+    Each probe draws the real and imaginary parts of modes -K..K and keeps
+    twice their real-field part, modes 0..K; the Rayleigh quotient does not
+    depend on the probe's norm.
+    """
+    for i in range(0, n_samples, _BLOCK_ROWS):
+        # one draw per block gives the stream of per-probe re, im draws
+        draws = rng.standard_normal((min(_BLOCK_ROWS, n_samples - i), 2, 2 * K + 1))
+        h = np.empty((len(draws), K + 1), np.complex128)
+        h.real = draws[:, 0, K:] + draws[:, 0, K::-1]
+        h.imag = draws[:, 1, K:] - draws[:, 1, K::-1]
+        yield h
+
+
+def _probe_margins(u, problem, cfg, n_samples, delta, rng):
+    """Rayleigh margins of 1 + L(Phi u) against delta/8, one array per block of probes.
+
+    The blocks are the mode probes, then the random probes, all through
+    the form of one L(Phi u) operator.  n_samples is checked at the call.
     """
     if n_samples < 0:
         raise ConfigurationError(f"number of random probes must be >= 0, got {n_samples}")
@@ -300,20 +356,14 @@ def positivity_probes(
         rng = np.random.default_rng(0)
     K = u.degree
     op = _LOperator(apply_position_filter(u, cfg), problem, cfg, K)
-    return _probe_margins(op, K, n_samples, delta, rng)
 
+    def margins(h):
+        # |v|_0^2 counts modes m and -m for m > 0
+        sq = h.real**2 + h.imag**2
+        n0 = 2.0 * np.sum(sq, axis=1) - sq[:, 0]
+        return (n0 + op.form(h)) / n0 - delta / 8.0
 
-def _probe_margins(op: _LOperator, K: int, n_samples: int, delta: float, rng):
-    for labels, v, lv in _mode_probes(op):
-        yield from zip(labels, map(float, _rayleigh_margins(v, lv, delta)))
-    for i in range(0, n_samples, _BLOCK_ROWS):
-        # one draw per block gives the stream of per-probe re, im draws
-        draws = rng.standard_normal((min(_BLOCK_ROWS, n_samples - i), 2, 2 * K + 1))
-        c = draws[:, 0] + 1j * draws[:, 1]
-        c = 0.5 * (c + np.conj(c[:, ::-1]))
-        v = c / np.sqrt(np.sum(np.abs(c) ** 2, axis=1))[:, np.newaxis]
-        margins = _rayleigh_margins(v, op.apply(v), delta)
-        yield from ((f"random-{i + k:04d}", m) for k, m in enumerate(map(float, margins)))
+    return map(margins, itertools.chain(_blocks(_mode_basis(K)), _random_probes(K, n_samples, rng)))
 
 
 def positivity_eigen_margin(
@@ -326,13 +376,15 @@ def positivity_eigen_margin(
     N^-1/2 sym(M) N^-1/2 - delta/8, N the diagonal of |b_k|_0^2.  Only the
     symmetric part of M enters a Rayleigh quotient, and the basis spans
     every real field of degree K, so this is the minimum over all probes
-    and never exceeds a sampled margin.
+    and never exceeds a sampled margin.  The images L b_k come from the
+    operator's apply, the sampled margins from its form.
     """
     K = u.degree
     op = _LOperator(apply_position_filter(u, cfg), problem, cfg, K)
-    blocks = list(_mode_probes(op))
-    basis = np.concatenate([v for _, v, _ in blocks])
-    lb = np.concatenate([lv for _, _, lv in blocks])
+    half = _mode_basis(K)
+    # + 0.0 turns the -0.0 that conj leaves in zero parts into +0.0
+    basis = np.concatenate((np.conj(half[:, :0:-1]) + 0.0, half), axis=1)
+    lb = np.concatenate([op.apply(v) for v in _blocks(basis)])
     m = np.real(np.conj(basis) @ lb.T)
     s = 1.0 / np.sqrt(np.sum(np.abs(basis) ** 2, axis=1))
     sym = 0.5 * (m + m.T) * s[:, np.newaxis] * s[np.newaxis, :]

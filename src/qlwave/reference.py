@@ -8,6 +8,7 @@ cross-check against an independently filtered run.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -15,7 +16,15 @@ import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError, ReferenceFailure
-from .integrator import _MAX_STEPS, IntegratorConfig, StatePair, _caller_stacklevel, evolve, step
+from .integrator import (
+    _MAX_STEPS,
+    IntegratorConfig,
+    StatePair,
+    _caller_stacklevel,
+    _require_positive_tau,
+    evolve,
+    step,
+)
 from .problem import ProblemSpec
 from .spectral import embed, pair_norm, project, sobolev_norm
 
@@ -68,13 +77,13 @@ def reference_solution(
     state norm, otherwise a ReferenceFailure is raised.  The finer of the
     two runs is returned.  With ``cross_check`` a Grimm-Hochbruck run at the
     same step must agree within 10x the self-refinement error, otherwise
-    the reference is flagged unreliable via a warning.  A fine run of more
-    than _MAX_STEPS steps is a ConfigurationError, raised before any run.
+    the reference is flagged unreliable via a warning.  A T or tau_min that
+    is not finite and positive, or a fine run of more than _MAX_STEPS steps,
+    is a ConfigurationError, raised before any run.
     """
-    if T <= 0:
-        raise ConfigurationError("reference horizon T must be positive")
-    if tau_min <= 0:
-        raise ConfigurationError("tau_min must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ConfigurationError(f"reference horizon T must be finite and positive, got {T}")
+    _require_positive_tau(tau_min)
     n_min = max(1, round(T / tau_min))
     n_ref = n_min * ref_cfg.refine_factor
     if 2 * n_ref > _MAX_STEPS:

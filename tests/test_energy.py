@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlwave.energy import (
     _LOperator,
-    _mode_probes,
+    _mode_basis,
     apply_l_operator,
     apply_position_filter,
     energy_change_residual,
@@ -27,6 +27,7 @@ from qlwave.spectral import (
     derivative,
     embed,
     inner_product,
+    mirror_half,
     omega_weights,
     pair_norm,
     sobolev_norm,
@@ -207,6 +208,11 @@ class TestLOperator:
         want = np.array(dense_l_operator(u.coeffs, v.coeffs, ku, kv, ka, cfg.tau, p.kappa,
                                          spec.kind, spec.c, p.a))
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+        # the quadratic form <L v, v>_0 is evaluated without the image
+        form = _LOperator(embed(u, ka), p, cfg, kv).form(v.coeffs[np.newaxis, kv:])[0]
+        want_form = np.real(np.vdot(want, v.coeffs))
+        scale = float(np.linalg.norm(want) * np.linalg.norm(v.coeffs))
+        assert abs(form - want_form) <= 1e-13 * max(1.0, scale)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 18), st.integers(1, 12),
@@ -219,9 +225,11 @@ class TestLOperator:
         op = _LOperator(u, p, cfg, kv)
         stack = np.stack([hermitian_field(rng, kv).coeffs for _ in range(rows)])
         out = op.apply(stack)
-        for v, row in zip(stack, out):
+        forms = op.form(stack[:, kv:])
+        for v, row, form in zip(stack, out, forms):
             alone = apply_l_operator(u, SpectralField(v), p, cfg).coeffs
             assert np.array_equal(row, alone)
+            assert np.array_equal(form, op.form(v[np.newaxis, kv:])[0])
 
     @pytest.mark.parametrize("spec", ADMISSIBLE + (impulse(), sinc_c(0.7)), ids=lambda f: f.label)
     def test_bitwise_equal_full_spectrum_operator(self, rng, spec):
@@ -234,8 +242,9 @@ class TestLOperator:
                 u = hermitian_field(rng, ku)
                 op = _LOperator(u, p, cfg, kv)
                 rows = np.stack([hermitian_field(rng, kv).coeffs for _ in range(8)])
-                blocks = [(v, lv) for _, v, lv in _mode_probes(op)]
-                for v, got in [*blocks, (rows, op.apply(rows))]:
+                basis = mirror_half(_mode_basis(kv))
+                for v in (basis, rows):
+                    got = op.apply(v)
                     want = full_spectrum_l_operator(u, p, cfg, kv, v)
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -109,6 +109,25 @@ class TestReferenceSolution:
         with pytest.raises(ReferenceFailure, match="halving the reference step"):
             reference_solution(p, st, T=1.0, ref_cfg=rc, tau_min=0.125)
 
+    @pytest.mark.parametrize("T,tau_min,message", [
+        (float("nan"), 0.125, "T must be finite and positive, got nan"),
+        (float("inf"), 0.125, "T must be finite and positive, got inf"),
+        (0.0, 0.125, "T must be finite and positive, got 0.0"),
+        (1.0, float("nan"), "tau must be positive, got nan"),
+        (1.0, float("inf"), "tau must be positive, got inf"),
+        (1.0, 0.0, "tau must be positive, got 0.0"),
+    ])
+    def test_bad_horizon_or_step_rejected_before_any_run(self, monkeypatch, T, tau_min,
+                                                          message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the reference started a run")
+
+        monkeypatch.setattr("qlwave.reference.evolve", no_run)
+        rc = ReferenceConfig(refine_factor=4)
+        with pytest.raises(ConfigurationError, match=message):
+            reference_solution(model_problem(0.01), data_state(8), T=T, ref_cfg=rc,
+                               tau_min=tau_min)
+
     def test_determinism(self):
         p = model_problem(0.01)
         st = data_state(16)

@@ -491,6 +491,14 @@ class TestTransformPair:
         op.apply(np.stack([hermitian_field(rng, K).coeffs for _ in range(3)]))
         assert transform_calls == {"pair": 4, "core": 4}
 
+    def test_l_operator_form_makes_two(self, rng, transform_calls):
+        K = 9
+        cfg = IntegratorConfig(tau=0.2, K=K, filter=sinc_c(2.0))
+        op = _LOperator(hermitian_field(rng, K), model_problem(1.0), cfg, K)
+        transform_calls.clear()
+        op.form(np.stack([hermitian_field(rng, K).coeffs[K:] for _ in range(3)]))
+        assert transform_calls == {"pair": 2, "core": 2}
+
     def test_dealiased_product_makes_two(self, rng, transform_calls):
         # both factors go through one stacked synthesis
         dealiased_product(hermitian_field(rng, 5), hermitian_field(rng, 8))
