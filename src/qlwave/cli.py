@@ -19,7 +19,7 @@ import numpy as np
 
 from . import filters as flt
 from .energy import identity_residual, positivity_eigen_margin, positivity_probes
-from .exceptions import ConfigurationError, DivergenceError, EstimationError, QlwaveError
+from .exceptions import DivergenceError, EstimationError, QlwaveError
 from .harness import (
     ConvergenceRow,
     ExperimentPlan,
@@ -30,10 +30,9 @@ from .harness import (
     run_convergence_time,
     write_rows_csv,
     _fmt,
-    _n_steps,
     _require_distinct,
 )
-from .integrator import IntegratorConfig, StatePair, _require_positive_tau, evolve
+from .integrator import IntegratorConfig, StatePair, _n_steps, _require_positive_tau, evolve
 from .problem import ellipticity_report, linear_problem, model_problem, power_law_initial_data
 from .reference import ReferenceConfig, local_error
 from .spectral import SpectralField, omega_weights
@@ -107,20 +106,13 @@ def _problem_from(cfg):
     raise QlwaveError(f"unknown problem.name {name!r} (model|linear)")
 
 
-def _filter_from(cfg, default="sinc:2"):
-    kind = _get(cfg, "filter.kind", default)
-    if kind == "sinc" and "filter.c" in cfg:
-        kind = f"sinc:{cfg['filter.c']}"
-    return flt.parse_filter(kind)
+def _filter_from(cfg):
+    return flt.parse_filter(_get(cfg, "filter.kind", "sinc:2"))
 
 
 def _ref_cfg_from(cfg) -> ReferenceConfig:
-    cross = _get(cfg, "reference.cross_check", "false").lower()
-    if cross not in ("1", "true", "yes", "0", "false", "no"):
-        raise ConfigurationError(f"reference.cross_check={cross!r} is not 1/0/true/false/yes/no")
     return ReferenceConfig(
-        refine_factor=int(_get(cfg, "reference.refine_factor", ReferenceConfig.refine_factor)),
-        cross_check=cross in ("1", "true", "yes"),
+        refine_factor=int(_get(cfg, "reference.refine_factor", ReferenceConfig.refine_factor))
     )
 
 
@@ -163,7 +155,8 @@ def cmd_simulate(args) -> int:
     n_steps = _n_steps(float(_get(cfg, "time.T", required=True)), tau)
     spec = _filter_from(cfg)
     icfg = IntegratorConfig(
-        tau=tau, K=K, filter=spec, max_norm=float(_get(cfg, "guard.max_norm", "1e6"))
+        tau=tau, K=K, filter=spec,
+        max_norm=float(_get(cfg, "guard.max_norm", IntegratorConfig.max_norm)),
     )
     u0, ud0 = power_law_initial_data(K)
     state = StatePair(u0, ud0)
@@ -207,7 +200,7 @@ def _plan_from(cfg) -> ExperimentPlan:
         tau_list=_floats(_get(cfg, "sweep.tau", required=True)),
         T=float(_get(cfg, "time.T", required=True)),
         filters=[flt.parse_filter(t) for t in _get(cfg, "sweep.filters", "sinc:2").split(",")],
-        max_norm=float(_get(cfg, "guard.max_norm", "1e6")),
+        max_norm=float(_get(cfg, "guard.max_norm", IntegratorConfig.max_norm)),
     )
 
 

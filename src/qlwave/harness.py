@@ -6,19 +6,13 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
-from .integrator import (
-    _MAX_STEPS,
-    IntegratorConfig,
-    StatePair,
-    _evolve_stack,
-    _require_positive_tau,
-)
+from .integrator import IntegratorConfig, StatePair, _evolve_stack, _n_steps
 from .problem import ProblemSpec, power_law_initial_data
 from .reference import ReferenceConfig, error_h2h1, reference_solution, _fit_degree
 
@@ -38,7 +32,7 @@ class ExperimentPlan:
     tau_list: Sequence[float]
     T: float
     filters: Sequence[flt.FilterSpec]
-    max_norm: float = 1e6
+    max_norm: float = IntegratorConfig.max_norm
 
     def __post_init__(self):
         if not self.K_list or not self.tau_list or not self.filters:
@@ -47,6 +41,9 @@ class ExperimentPlan:
             raise ConfigurationError(f"T must be positive, got {self.T}")
         if not self.max_norm > 0:
             raise ConfigurationError(f"max_norm must be positive, got {self.max_norm}")
+        for K in self.K_list:
+            if K < 1:
+                raise ConfigurationError(f"sweep K {K} must be >= 1")
         for tau in self.tau_list:
             _n_steps(self.T, tau)
         for name, values in (("K", self.K_list), ("tau", self.tau_list),
@@ -70,25 +67,6 @@ def _require_distinct(name: str, values: Sequence) -> None:
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ConfigurationError(f"{name} {repeated[0]} is repeated")
-
-
-def _n_steps(T: float, tau: float) -> int:
-    """The step count T/tau.
-
-    Raises ConfigurationError unless T is finite and >= 0 and T/tau a finite
-    integer of at most _MAX_STEPS.
-    """
-    if not (math.isfinite(T) and T >= 0):
-        raise ConfigurationError(f"T must be finite and >= 0, got {T}")
-    _require_positive_tau(tau)
-    n = T / tau
-    if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
-        raise ConfigurationError(f"T/tau must be an integer; T={T}, tau={tau} gives {n}")
-    if n > _MAX_STEPS:
-        raise ConfigurationError(
-            f"T/tau = {n:g} steps is more than a run may take ({_MAX_STEPS}); T={T}, tau={tau}"
-        )
-    return round(n)
 
 
 def _initial_state(K: int) -> StatePair:
@@ -125,7 +103,7 @@ def _run_cell(spec: flt.FilterSpec, K: int, tau: float, outcome,
 
 
 def run_convergence_time(
-    plan: ExperimentPlan, ref_cfg: Optional[ReferenceConfig] = None
+    plan: ExperimentPlan, ref_cfg: ReferenceConfig = ReferenceConfig()
 ) -> list[ConvergenceRow]:
     """Temporal convergence study: error vs tau against a same-degree reference.
 
@@ -133,8 +111,6 @@ def run_convergence_time(
     are ordered by (filter, K, tau), and divergent cells are recorded
     rather than fatal.
     """
-    if ref_cfg is None:
-        ref_cfg = ReferenceConfig()
     tau_min = min(plan.tau_list)
     references: dict[int, StatePair] = {}
     for K in plan.K_list:

@@ -105,15 +105,34 @@ class IntegratorConfig:
 
 
 # The most steps a config may ask of one run.  That many steps at K = 8
-# already take about a day (42 us a step on a 2-core VM), so
-# harness._n_steps and reference_solution reject a count above it as a
-# configuration error rather than start the run.
+# already take about a day (42 us a step on a 2-core VM), so _n_steps and
+# reference_solution reject a count above it as a configuration error
+# rather than start the run.
 _MAX_STEPS = 2**31
 
 
 def _require_positive_tau(tau: float):
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigurationError(f"tau must be positive, got {tau}")
+
+
+def _n_steps(T: float, tau: float) -> int:
+    """The step count T/tau.
+
+    Raises ConfigurationError unless T is finite and >= 0 and T/tau a finite
+    integer of at most _MAX_STEPS.
+    """
+    if not (math.isfinite(T) and T >= 0):
+        raise ConfigurationError(f"T must be finite and >= 0, got {T}")
+    _require_positive_tau(tau)
+    n = T / tau
+    if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
+        raise ConfigurationError(f"T/tau must be an integer; T={T}, tau={tau} gives {n}")
+    if n > _MAX_STEPS:
+        raise ConfigurationError(
+            f"T/tau = {n:g} steps is more than a run may take ({_MAX_STEPS}); T={T}, tau={tau}"
+        )
+    return round(n)
 
 
 def _caller_stacklevel() -> int:

@@ -2,29 +2,19 @@
 
 Temporal errors are measured against a reference computed with the same
 spatial degree: the sinc:2 scheme run at a refined step together with a
-mandatory step-halving (Richardson) consistency check, and optionally a
-cross-check against an independently filtered run.
+mandatory step-halving (Richardson) consistency check.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError, ReferenceFailure
-from .integrator import (
-    _MAX_STEPS,
-    IntegratorConfig,
-    StatePair,
-    _caller_stacklevel,
-    _require_positive_tau,
-    evolve,
-    step,
-)
+from .integrator import _MAX_STEPS, IntegratorConfig, StatePair, _n_steps, evolve, step
 from .problem import ProblemSpec
 from .spectral import embed, pair_norm, project, sobolev_norm
 
@@ -38,7 +28,6 @@ class ReferenceConfig:
     """How much finer than the finest measured step the reference runs."""
 
     refine_factor: int = 64
-    cross_check: bool = False
 
     def __post_init__(self):
         if self.refine_factor < 2:
@@ -75,16 +64,16 @@ def reference_solution(
     Runs the sinc:2 scheme at tau_min/refine_factor and at half that step;
     the run pair must agree within 1e-4 (_SELF_CHECK_RTOL) relative to the
     state norm, otherwise a ReferenceFailure is raised.  The finer of the
-    two runs is returned.  With ``cross_check`` a Grimm-Hochbruck run at the
-    same step must agree within 10x the self-refinement error, otherwise
-    the reference is flagged unreliable via a warning.  A T or tau_min that
-    is not finite and positive, or a fine run of more than _MAX_STEPS steps,
+    two runs is returned.  A T or tau_min that is not finite and positive,
+    a T/tau_min that is not a whole number of at least one step (the
+    sweeps' rule, _n_steps), or a fine run of more than _MAX_STEPS steps,
     is a ConfigurationError, raised before any run.
     """
     if not (math.isfinite(T) and T > 0):
         raise ConfigurationError(f"reference horizon T must be finite and positive, got {T}")
-    _require_positive_tau(tau_min)
-    n_min = max(1, round(T / tau_min))
+    n_min = _n_steps(T, tau_min)
+    if n_min < 1:
+        raise ConfigurationError(f"reference horizon T={T} is shorter than tau_min={tau_min}")
     n_ref = n_min * ref_cfg.refine_factor
     if 2 * n_ref > _MAX_STEPS:
         raise ConfigurationError(
@@ -103,16 +92,6 @@ def reference_solution(
             f"halving the reference step changed the state by {drift:.3e} "
             f"(> {_SELF_CHECK_RTOL:.1e} x |state| = {_SELF_CHECK_RTOL * scale:.3e})"
         )
-    if ref_cfg.cross_check:
-        other = evolve(state0, problem, replace(cfg, filter=flt.grimm_hochbruck()), n_ref)
-        cross = error_h2h1(coarse, other)
-        if cross > 10.0 * max(drift, np.finfo(float).eps * scale):
-            warnings.warn(
-                f"independent filter disagrees with the reference by {cross:.3e} "
-                f"(self-refinement error {drift:.3e}); reference may be unreliable",
-                RuntimeWarning,
-                stacklevel=_caller_stacklevel(),
-            )
     return fine
 
 
@@ -135,7 +114,7 @@ def local_error(
     tau: float,
     degree: int,
     spec: flt.FilterSpec,
-    ref_cfg: ReferenceConfig | None = None,
+    ref_cfg: ReferenceConfig = ReferenceConfig(),
 ) -> float:
     """One-step defect |phi_tau(state0) - reference(tau)| in H^2 x H^1.
 
@@ -144,8 +123,6 @@ def local_error(
     """
     state0 = _fit_degree(state0, degree)
     _check_spectral_tail(state0.u)
-    if ref_cfg is None:
-        ref_cfg = ReferenceConfig()
     cfg = IntegratorConfig(tau=tau, K=degree, filter=spec)
     one = step(state0, problem, cfg)
     ref = reference_solution(problem, state0, tau, ref_cfg, tau_min=tau)

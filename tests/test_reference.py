@@ -1,11 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from qlwave.exceptions import ConfigurationError, PreconditionError, ReferenceFailure
 from qlwave.filters import grimm_hochbruck, sinc_c
-from qlwave.harness import ExperimentPlan, run_convergence_time
 from qlwave.integrator import IntegratorConfig, StatePair, evolve, step
 from qlwave.problem import linear_problem, model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, local_error, reference_solution
@@ -76,30 +73,6 @@ class TestReferenceSolution:
         b = evolve(st, p, IntegratorConfig(tau=tau_ref, K=32, filter=grimm_hochbruck()), n)
         assert error_h2h1(a, b) <= 1e-9
 
-    def test_cross_check_mode_runs_clean(self):
-        p = model_problem(0.01)
-        st = data_state(16)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            reference_solution(
-                p, st, T=0.5,
-                ref_cfg=ReferenceConfig(refine_factor=8, cross_check=True), tau_min=0.125,
-            )
-
-    def test_cross_check_warning_blames_the_sweeps_caller(self, monkeypatch):
-        # an "independent" filter far from sinc:2 disagrees, and the warning
-        # points at the line that started the sweep, not into qlwave
-        monkeypatch.setattr("qlwave.reference.flt.grimm_hochbruck", lambda: sinc_c(20.0))
-        plan = ExperimentPlan(model_problem(0.01), K_list=[8], tau_list=[0.1, 0.05, 0.025],
-                              T=0.5, filters=[sinc_c(2.0)])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_convergence_time(plan, ReferenceConfig(refine_factor=4, cross_check=True))
-        [w] = [w for w in caught if "independent filter disagrees" in str(w.message)]
-        assert w.filename == __file__
-
     def test_self_inconsistency_raises(self):
         # refine 2 of tau_min = 1/8: halving the step moves the state by
         # 8.2e-4, beyond the bound 1e-4 x |state| = 2.8e-4
@@ -116,6 +89,10 @@ class TestReferenceSolution:
         (1.0, float("nan"), "tau must be positive, got nan"),
         (1.0, float("inf"), "tau must be positive, got inf"),
         (1.0, 0.0, "tau must be positive, got 0.0"),
+        # the sweeps' step-count rule: an overflowing or fractional T/tau_min
+        (1.0, 1e-320, "T/tau must be an integer"),
+        (1.0, 0.3, "T/tau must be an integer"),
+        (1e-12, 1.0, "T=1e-12 is shorter than tau_min=1.0"),
     ])
     def test_bad_horizon_or_step_rejected_before_any_run(self, monkeypatch, T, tau_min,
                                                           message):
