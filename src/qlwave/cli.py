@@ -33,7 +33,7 @@ from .harness import (
     _require_distinct,
 )
 from .integrator import IntegratorConfig, StatePair, _n_steps, _require_positive_tau, evolve
-from .problem import ellipticity_report, linear_problem, model_problem, power_law_initial_data
+from .problem import ellipticity_report, model_problem, power_law_initial_data
 from .reference import ReferenceConfig, local_error
 from .spectral import SpectralField, omega_weights
 
@@ -97,13 +97,7 @@ def _ints(text: str) -> list[int]:
 
 
 def _problem_from(cfg):
-    name = _get(cfg, "problem.name", "model")
-    kappa = float(_get(cfg, "problem.kappa", "0.01"))
-    if name == "model":
-        return model_problem(kappa)
-    if name == "linear":
-        return linear_problem()
-    raise QlwaveError(f"unknown problem.name {name!r} (model|linear)")
+    return model_problem(float(_get(cfg, "problem.kappa", "0.01")))
 
 
 def _filter_from(cfg):
@@ -154,10 +148,7 @@ def cmd_simulate(args) -> int:
     tau = float(_get(cfg, "time.tau", required=True))
     n_steps = _n_steps(float(_get(cfg, "time.T", required=True)), tau)
     spec = _filter_from(cfg)
-    icfg = IntegratorConfig(
-        tau=tau, K=K, filter=spec,
-        max_norm=float(_get(cfg, "guard.max_norm", IntegratorConfig.max_norm)),
-    )
+    icfg = IntegratorConfig(tau=tau, K=K, filter=spec)
     u0, ud0 = power_law_initial_data(K)
     state = StatePair(u0, ud0)
 
@@ -200,7 +191,6 @@ def _plan_from(cfg) -> ExperimentPlan:
         tau_list=_floats(_get(cfg, "sweep.tau", required=True)),
         T=float(_get(cfg, "time.T", required=True)),
         filters=[flt.parse_filter(t) for t in _get(cfg, "sweep.filters", "sinc:2").split(",")],
-        max_norm=float(_get(cfg, "guard.max_norm", IntegratorConfig.max_norm)),
     )
 
 
@@ -289,7 +279,7 @@ def cmd_local_error(args) -> int:
     state = StatePair(u0, ud0)
 
     # every row before the file, so a failing step or fit leaves none
-    rows = [ConvergenceRow(spec.label, K, tau, local_error(problem, state, tau, K, spec, ref_cfg))
+    rows = [ConvergenceRow(spec.label, K, tau, local_error(problem, state, tau, spec, ref_cfg))
             for tau in sorted(taus, reverse=True)]
     est = estimate_order(rows)
     path = _out_path(args, "local_error.csv")

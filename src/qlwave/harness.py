@@ -32,15 +32,10 @@ class ExperimentPlan:
     tau_list: Sequence[float]
     T: float
     filters: Sequence[flt.FilterSpec]
-    max_norm: float = IntegratorConfig.max_norm
 
     def __post_init__(self):
         if not self.K_list or not self.tau_list or not self.filters:
             raise ConfigurationError("K, tau and filter lists must be non-empty")
-        if self.T <= 0:
-            raise ConfigurationError(f"T must be positive, got {self.T}")
-        if not self.max_norm > 0:
-            raise ConfigurationError(f"max_norm must be positive, got {self.max_norm}")
         for K in self.K_list:
             if K < 1:
                 raise ConfigurationError(f"sweep K {K} must be >= 1")
@@ -80,10 +75,7 @@ def _run_filters(plan: ExperimentPlan, K: int, tau: float) -> list:
     Each outcome is the final state at plan.T or the DivergenceError that
     stopped the run.
     """
-    cfgs = [
-        IntegratorConfig(tau=tau, K=K, filter=spec, max_norm=plan.max_norm)
-        for spec in plan.filters
-    ]
+    cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec) for spec in plan.filters]
     return _evolve_stack(_initial_state(K), plan.problem, cfgs, _n_steps(plan.T, tau))
 
 
@@ -91,8 +83,8 @@ def _run_cell(spec: flt.FilterSpec, K: int, tau: float, outcome,
               ref: StatePair) -> ConvergenceRow:
     """The sweep row of one cell from its run's outcome (see _run_filters).
 
-    A finished run is zero-extended or projected to the reference degree
-    and measured in the H^2 x H^1 norm.
+    A finished run is zero-extended to the reference degree and measured
+    in the H^2 x H^1 norm.
     """
     if isinstance(outcome, NormGuardError):
         return ConvergenceRow(spec.label, K, tau, math.nan, STATUS_GUARD)

@@ -169,14 +169,14 @@ def test_criterion_05_local_error_order():
     rc = ReferenceConfig(refine_factor=64)
     taus = [2.0**-m for m in range(4, 10)]
     rows = [
-        ConvergenceRow("sinc:2", K, t, local_error(model_problem(0.01), state0, t, K, spec, rc))
+        ConvergenceRow("sinc:2", K, t, local_error(model_problem(0.01), state0, t, spec, rc))
         for t in taus
     ]
     s = slope_of(rows)
     assert 2.7 <= s <= 3.3, s
     tau = 2.0**-6
-    e_half = local_error(model_problem(0.01), state0, tau, K, spec, rc)
-    e_full = local_error(model_problem(0.02), state0, tau, K, spec, rc)
+    e_half = local_error(model_problem(0.01), state0, tau, spec, rc)
+    e_full = local_error(model_problem(0.02), state0, tau, spec, rc)
     ratio = e_full / e_half
     assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3, ratio
     report(5, f"one-step error of order {s:.2f}; doubling kappa scales it by {ratio:.2f}")

@@ -73,12 +73,6 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError):
             linear_plan(K_list=[])
 
-    @pytest.mark.parametrize("max_norm", [0.0, -1.0, np.nan])
-    def test_max_norm_positive(self, max_norm):
-        with pytest.raises(ConfigurationError, match="max_norm must be positive"):
-            linear_plan(max_norm=max_norm)
-        linear_plan(max_norm=np.inf)
-
     def test_repeated_K_rejected(self):
         with pytest.raises(ConfigurationError, match="sweep K 8 is repeated"):
             linear_plan(K_list=[8, 16, 8])
@@ -157,18 +151,17 @@ class TestSweeps:
             run_convergence_space(plan, K_ref=32)
 
     def test_guard_cells_recorded_not_fatal(self):
-        # tiny per-cell guard: every cell reports guard status, the sweep
-        # and its reference still complete
+        # kappa = 0.3, K = 64, T = 4: every impulse cell passes the norm
+        # guard before T, while the sinc:2 reference completes
         plan = ExperimentPlan(
-            problem=model_problem(0.01),
-            K_list=[8],
-            tau_list=[0.5, 0.25, 0.125],
-            T=2.0,
-            filters=[sinc_c(2.0)],
-            max_norm=1e-300,
+            problem=model_problem(0.3),
+            K_list=[64],
+            tau_list=[0.25, 0.125, 0.0625],
+            T=4.0,
+            filters=[impulse()],
         )
-        rows = run_convergence_time(plan, ReferenceConfig(refine_factor=4))
-        assert all(r.status == "guard" for r in rows)
+        rows = run_convergence_time(plan, ReferenceConfig(refine_factor=64))
+        assert [r.status for r in rows] == ["guard"] * 3
 
     def test_batched_rows_equal_per_cell_evolve(self, monkeypatch):
         # kappa = 1, K = 256, T = 1/2: hl trips the guard at tau = 2^-6 and
@@ -188,7 +181,7 @@ class TestSweeps:
         expected = []
         for spec in plan.filters:
             for tau in plan.tau_list:
-                cfg = IntegratorConfig(tau=tau, K=256, filter=spec, max_norm=plan.max_norm)
+                cfg = IntegratorConfig(tau=tau, K=256, filter=spec)
                 try:
                     with warns_if_inadmissible(spec):
                         final = evolve(state0, plan.problem, cfg, round(plan.T / tau))
@@ -305,14 +298,14 @@ class TestCli:
 
     def test_missing_required_key(self, tmp_path):
         cfg = tmp_path / "partial.cfg"
-        cfg.write_text("problem.name = linear\n")
+        cfg.write_text("problem.kappa = 0\n")
         code = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1
 
     def test_simulate_and_trajectory(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
-            "problem.name = linear\nproblem.kappa = 0\ngrid.K = 8\n"
+            "problem.kappa = 0\ngrid.K = 8\n"
             "time.tau = 0.25\ntime.T = 2\nfilter.kind = sinc:2\n"
         )
         out = tmp_path / "out"
@@ -334,7 +327,7 @@ class TestCli:
     def test_simulate_rejects_nonpositive_every(self, tmp_path, capsys, every):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
-            "problem.name = linear\ngrid.K = 8\ntime.tau = 0.25\n"
+            "problem.kappa = 0\ngrid.K = 8\ntime.tau = 0.25\n"
             "time.T = 2\nfilter.kind = sinc:2\n"
         )
         out = tmp_path / "out"
@@ -353,7 +346,7 @@ class TestCli:
     ])
     def test_simulate_rejects_bad_step_count(self, tmp_path, capsys, tau, message):
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text(f"problem.name = linear\ngrid.K = 8\ntime.T = 1\ntime.tau = {tau}\n")
+        cfg.write_text(f"problem.kappa = 0\ngrid.K = 8\ntime.T = 1\ntime.tau = {tau}\n")
         out = tmp_path / "out"
         code = cli_main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 1
@@ -378,9 +371,8 @@ class TestCli:
     def test_simulate_divergence_exit_code(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
-            "problem.name = model\nproblem.kappa = 1\ngrid.K = 8\n"
-            "time.tau = 0.25\ntime.T = 100\nfilter.kind = impulse\n"
-            "guard.max_norm = 1e-6\n"
+            "problem.kappa = 1\ngrid.K = 8\n"
+            "time.tau = 0.5\ntime.T = 100\nfilter.kind = impulse\n"
         )
         with pytest.warns(RuntimeWarning, match="sinc-compatibility"):
             code = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -389,37 +381,25 @@ class TestCli:
     def test_simulate_divergence_reported_once_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning, match="sinc-compatibility"):
-            code = cli_main(["simulate", "-o", "problem.name=model", "-o", "problem.kappa=1",
-                             "-o", "grid.K=8", "-o", "time.tau=0.25", "-o", "time.T=100",
-                             "-o", "filter.kind=impulse", "-o", "guard.max_norm=1e-6",
+            code = cli_main(["simulate", "-o", "problem.kappa=1", "-o", "grid.K=8",
+                             "-o", "time.tau=0.5", "-o", "time.T=100", "-o", "filter.kind=impulse",
                              "--out", str(out)])
         assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("diverged: norm guard tripped at step 1 (t=0.25): |state| = ")
-        assert err.count("\n") == 1 and err.endswith(" > 1.000e-06\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command,max_norm", [("simulate", "0"), ("simulate", "-1"),
-                                                  ("simulate", "nan"), ("conv-time", "0")])
-    def test_guard_must_be_positive(self, tmp_path, capsys, command, max_norm):
-        # a NaN guard would never trip, and a non-positive one would fail every run at step 1
-        out = tmp_path / "out"
-        code = cli_main([command, "-o", "grid.K=8", "-o", "time.tau=0.1", "-o", "time.T=1",
-                         "-o", "sweep.K=8", "-o", "sweep.tau=0.25 0.125 0.0625",
-                         "-o", "reference.refine_factor=4", "-o", f"guard.max_norm={max_norm}",
-                         "--out", str(out)])
-        assert code == 1
-        assert "max_norm must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "diverged: norm guard tripped at step 3 (t=1.5): |state| = 6.198e+08 > 1.000e+06\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,T,message", [
-        ("simulate", "inf", "T must be finite and >= 0, got inf"),
-        ("simulate", "nan", "T must be finite and >= 0, got nan"),
-        ("simulate", "-1", "T must be finite and >= 0, got -1.0"),
-        ("conv-time", "inf", "T must be finite and >= 0, got inf"),
-        ("conv-time", "nan", "T must be finite and >= 0, got nan"),
-        ("conv-time", "-1", "T must be positive, got -1.0"),
-        ("conv-space", "inf", "T must be finite and >= 0, got inf"),
+        ("simulate", "inf", "T must be finite and positive, got inf"),
+        ("simulate", "nan", "T must be finite and positive, got nan"),
+        ("simulate", "-1", "T must be finite and positive, got -1.0"),
+        ("simulate", "0", "T must be finite and positive, got 0.0"),
+        ("conv-time", "inf", "T must be finite and positive, got inf"),
+        ("conv-time", "nan", "T must be finite and positive, got nan"),
+        ("conv-time", "-1", "T must be finite and positive, got -1.0"),
+        ("conv-space", "inf", "T must be finite and positive, got inf"),
+        # a horizon shorter than one step would run nothing and still fit an order
+        ("conv-space", "1e-12", "T=1e-12 is shorter than one step of tau=0.1"),
     ])
     def test_bad_horizon_rejected_before_any_output(self, tmp_path, capsys, command, T, message):
         # simulate's other failed runs (output.every < 1, divergence) leave
@@ -462,7 +442,7 @@ class TestCli:
         assert not out.exists()
 
     def test_unread_config_keys_named_on_stderr(self, tmp_path, capsys):
-        base = ["simulate", "-o", "problem.name=linear", "-o", "grid.K=8", "-o", "time.tau=0.25",
+        base = ["simulate", "-o", "problem.kappa=0", "-o", "grid.K=8", "-o", "time.tau=0.25",
                 "-o", "time.T=1", "--out"]
         assert cli_main(base + [str(tmp_path / "a")]) == 0
         assert capsys.readouterr().err == ""
@@ -479,7 +459,7 @@ class TestCli:
                 == (tmp_path / "b" / "trajectory.csv").read_bytes())
 
     def test_removed_cross_check_key_is_named_unread(self, tmp_path, capsys):
-        code = cli_main(["conv-time", "-o", "problem.name=linear", "-o", "sweep.K=4",
+        code = cli_main(["conv-time", "-o", "problem.kappa=0", "-o", "sweep.K=4",
                          "-o", "sweep.tau=0.5 0.25 0.125", "-o", "time.T=1",
                          "-o", "reference.refine_factor=2", "-o", "reference.cross_check=1",
                          "--out", str(tmp_path / "out")])
@@ -487,10 +467,31 @@ class TestCli:
         assert capsys.readouterr().err == (
             "warning: conv-time did not read config keys: reference.cross_check\n")
 
+    def test_removed_problem_and_guard_keys_are_named_unread(self, tmp_path, capsys):
+        # problem.kappa alone sets the equation (0 is the linear one) and the
+        # norm guard is fixed, so these keys no longer change a run
+        code = cli_main(["simulate", "-o", "problem.name=linear", "-o", "problem.kappa=1",
+                         "-o", "guard.max_norm=0", "-o", "grid.K=8", "-o", "time.tau=0.1",
+                         "-o", "time.T=0.5", "--out", str(tmp_path / "out")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "simulate: model kappa=1 K=8" in captured.out
+        assert "final |(u, u_t)|_1 = 14.8773478385 " in captured.out
+        assert captured.err == (
+            "warning: simulate did not read config keys: guard.max_norm, problem.name\n")
+
+    def test_non_finite_kappa_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli_main(["simulate", "-o", "problem.kappa=nan", "-o", "grid.K=8",
+                         "-o", "time.tau=0.1", "-o", "time.T=0.5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: kappa must be finite\n"
+        assert not out.exists()
+
     def test_conv_time_linear(self, tmp_path, capsys):
         cfg = tmp_path / "conv.cfg"
         cfg.write_text(
-            "problem.name = linear\nsweep.K = 8\nsweep.tau = 0.5 0.25 0.125\n"
+            "problem.kappa = 0\nsweep.K = 8\nsweep.tau = 0.5 0.25 0.125\n"
             "time.T = 2\nsweep.filters = sinc:2\nreference.refine_factor = 4\n"
         )
         out = tmp_path / "out"
@@ -504,7 +505,7 @@ class TestCli:
     def test_conv_time_rejects_repeated_sweep_values(self, tmp_path, capsys):
         # a repeated value would rerun its cells and count them twice in the order fit
         out = tmp_path / "out"
-        code = cli_main(["conv-time", "-o", "problem.name=linear", "-o", "sweep.K=8 8",
+        code = cli_main(["conv-time", "-o", "problem.kappa=0", "-o", "sweep.K=8 8",
                          "-o", "sweep.tau=0.25,0.25,0.125,0.0625", "-o", "time.T=1",
                          "-o", "reference.refine_factor=16", "--out", str(out)])
         assert code == 1
@@ -525,7 +526,7 @@ class TestCli:
     def test_sinc_needs_its_parameter_in_the_kind(self, tmp_path, capsys):
         # sinc's c is spelled only as filter.kind = sinc:<c>
         out = tmp_path / "out"
-        code = cli_main(["simulate", "-o", "problem.name=linear", "-o", "grid.K=8",
+        code = cli_main(["simulate", "-o", "problem.kappa=0", "-o", "grid.K=8",
                          "-o", "time.tau=0.25", "-o", "time.T=0.5", "-o", "filter.kind=sinc",
                          "-o", "filter.c=3", "--out", str(out)])
         assert code == 1
@@ -536,7 +537,7 @@ class TestCli:
     def test_override_flag(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
-            "problem.name = linear\ngrid.K = 8\ntime.tau = 0.25\n"
+            "problem.kappa = 0\ngrid.K = 8\ntime.tau = 0.25\n"
             "time.T = 1\nfilter.kind = sinc:2\n"
         )
         out = tmp_path / "out"
@@ -550,7 +551,7 @@ class TestCli:
     def test_conv_space_linear(self, tmp_path, capsys):
         cfg = tmp_path / "space.cfg"
         cfg.write_text(
-            "problem.name = linear\nsweep.K = 4 8 16\nsweep.tau = 0.125\n"
+            "problem.kappa = 0\nsweep.K = 4 8 16\nsweep.tau = 0.125\n"
             "time.T = 0.5\nsweep.filters = sinc:2\ngrid.K_ref = 64\n"
         )
         out = tmp_path / "out"
@@ -578,7 +579,7 @@ class TestCli:
     def test_energy_check_quick(self, tmp_path, capsys):
         cfg = tmp_path / "en.cfg"
         cfg.write_text(
-            "problem.name = model\nproblem.kappa = 1\ngrid.K = 8\n"
+            "problem.kappa = 1\ngrid.K = 8\n"
             "time.tau = 0.001\nfilter.kind = sinc:2\nenergy.probes = 8\n"
         )
         out = tmp_path / "out"
@@ -598,7 +599,7 @@ class TestCli:
     def test_local_error_quick(self, tmp_path, capsys):
         cfg = tmp_path / "le.cfg"
         cfg.write_text(
-            "problem.name = model\nproblem.kappa = 0.01\ngrid.K = 64\n"
+            "problem.kappa = 0.01\ngrid.K = 64\n"
             "filter.kind = sinc:2\nlocal.tau = 0.0625 0.03125 0.015625\n"
             "reference.refine_factor = 16\n"
         )

@@ -61,13 +61,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             IntegratorConfig(tau=0.0, K=4, filter=sinc_c(2.0))
 
-    @pytest.mark.parametrize("max_norm", [0.0, -1.0, np.nan, -np.inf])
-    def test_max_norm_positive(self, max_norm):
-        # a NaN guard would never trip and a non-positive one would trip at once
-        with pytest.raises(ConfigurationError, match="max_norm must be positive"):
-            IntegratorConfig(tau=0.1, K=4, filter=sinc_c(2.0), max_norm=max_norm)
-        IntegratorConfig(tau=0.1, K=4, filter=sinc_c(2.0), max_norm=np.inf)
-
     def test_admissibility_policy(self):
         # the entry points warn on every call, so a caller that wants an
         # inadmissible filter to fail turns the warning into an error, also
@@ -405,49 +398,46 @@ class TestEvolve:
         with pytest.raises(ConfigurationError):
             evolve(st, model_problem(0.1), cfg, 5, observer=lambda *a: None, every=every)
 
-    def test_norm_guard(self, rng):
-        p = model_problem(1.0)
-        st = smooth_state(rng, 8, scale=1.0, decay=0.0)
-        cfg = IntegratorConfig(tau=0.2, K=8, filter=impulse(), max_norm=1e2)
+    def test_norm_guard(self):
+        # kappa = 1, tau = 1/2 from the power-law data: impulse passes the
+        # guard's 1e6 at step 3
+        cfg = IntegratorConfig(tau=0.5, K=8, filter=impulse())
         with warns_if_inadmissible(cfg.filter), pytest.raises(NormGuardError) as info:
-            evolve(st, p, cfg, 10_000)
-        assert info.value.step is not None
+            evolve(StatePair(*power_law_initial_data(8)), model_problem(1.0), cfg, 20)
+        assert info.value.step == 3
 
     def test_divergence_reports_step_index(self):
-        # cubic growth through g drives overflow long before 10^6 norm is hit
-        p = model_problem(1.0)
-        big = StatePair(SpectralField.constant(400.0, 2), SpectralField.zeros(2))
-        cfg = IntegratorConfig(tau=0.5, K=2, filter=impulse(), max_norm=np.inf)
-        with warns_if_inadmissible(cfg.filter), pytest.raises(DivergenceError) as info, \
-                np.errstate(all="ignore"):
-            evolve(big, p, cfg, 100)
-        assert info.value.step is not None
+        # the cube of a mode-8 amplitude of 1e103 overflows the nonlinearity
+        # within step 1, before the guard sees the stepped state
+        big = StatePair(field_from_dict(8, {8: 1e103}), SpectralField.zeros(8))
+        cfg = IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0))
+        with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+            evolve(big, model_problem(1.0), cfg, 100)
+        assert type(info.value) is DivergenceError
+        assert info.value.step == 1
 
     def test_failure_messages(self):
-        rng = np.random.default_rng(7)
-        state = StatePair(hermitian_field(rng, 8, 1.0), hermitian_field(rng, 8, 1.0))
-        cfg = IntegratorConfig(tau=0.2, K=8, filter=impulse(), max_norm=1e2)
+        state = StatePair(*power_law_initial_data(8))
+        cfg = IntegratorConfig(tau=0.5, K=8, filter=impulse())
         with warns_if_inadmissible(cfg.filter), pytest.raises(NormGuardError) as guard:
-            evolve(state, model_problem(1.0), cfg, 10_000)
+            evolve(state, model_problem(1.0), cfg, 20)
         assert str(guard.value) == (
-            "norm guard tripped at step 1 (t=0.2): |state| = 2.359e+03 > 1.000e+02"
+            "norm guard tripped at step 3 (t=1.5): |state| = 6.198e+08 > 1.000e+06"
         )
-        assert (guard.value.step, guard.value.time) == (1, 0.2)
+        assert (guard.value.step, guard.value.time) == (3, 1.5)
 
-        big = StatePair(SpectralField.constant(400.0, 2), SpectralField.zeros(2))
-        cfg = IntegratorConfig(tau=0.5, K=2, filter=impulse(), max_norm=np.inf)
-        with warns_if_inadmissible(cfg.filter), pytest.raises(DivergenceError) as over, \
-                np.errstate(all="ignore"):
+        big = StatePair(field_from_dict(8, {8: 1e103}), SpectralField.zeros(8))
+        cfg = IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0))
+        with pytest.raises(DivergenceError) as over, np.errstate(all="ignore"):
             evolve(big, model_problem(1.0), cfg, 100)
         assert type(over.value) is DivergenceError
-        assert str(over.value) == "nonlinearity overflowed at step 4 (t=2)"
-        assert (over.value.step, over.value.time) == (4, 2.0)
+        assert str(over.value) == "nonlinearity overflowed at step 1 (t=0.2)"
+        assert (over.value.step, over.value.time) == (1, 0.2)
         assert str(over.value.__cause__) == "nonlinearity a(u) or g(u, u_x) overflowed"
 
         # kappa = 0 takes no nonlinearity, so the overflowing rotation is
         # caught by the state check
         huge = StatePair(field_from_dict(8, {8: 5e307}), SpectralField.zeros(8))
-        cfg = IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0), max_norm=np.inf)
         with pytest.raises(DivergenceError) as nonfinite, np.errstate(all="ignore"):
             evolve(huge, linear_problem(), cfg, 100)
         assert type(nonfinite.value) is DivergenceError
@@ -455,13 +445,14 @@ class TestEvolve:
         assert (nonfinite.value.step, nonfinite.value.time) == (1, 0.2)
 
     @pytest.mark.parametrize("state,problem,cfg,kind,message", [
-        # the power-law state against a guard below its norm
-        (StatePair(*power_law_initial_data(16)), model_problem(1.0),
-         IntegratorConfig(tau=0.05, K=16, filter=sinc_c(2.0), max_norm=1.0), NormGuardError,
-         "norm guard tripped at step 1 (t=0.05): |state| = 3.062e+00 > 1.000e+00"),
+        # a finite state whose norm overflows: the guard stops it, since
+        # the state check stops only non-finite states
+        (StatePair(field_from_dict(8, {8: 1e200}), SpectralField.zeros(8)),
+         linear_problem(), IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0)), NormGuardError,
+         "norm guard tripped at step 1 (t=0.2): |state| = inf > 1.000e+06"),
         # test_failure_messages' overflowing rotation at kappa = 0
         (StatePair(field_from_dict(8, {8: 5e307}), SpectralField.zeros(8)),
-         linear_problem(), IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0), max_norm=np.inf),
+         linear_problem(), IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0)),
          DivergenceError, "non-finite state at step 1 (t=0.2)"),
     ], ids=["norm-guard", "non-finite"])
     def test_step_fails_as_one_step_evolve(self, state, problem, cfg, kind, message):
@@ -604,16 +595,14 @@ class TestBatchedRuns:
     @given(st.integers(0, 2**31 - 1), st.integers(1, 24), st.sampled_from([0.0, 0.3, 1.0]),
            st.sampled_from([0.05, 0.2, 0.5]), st.integers(0, 25),
            st.floats(0.1, 3.0) | st.sampled_from([1e40, 1e100, 1e307]),
-           st.lists(st.tuples(st.sampled_from(FILTERS), st.sampled_from([1e2, 1e6, np.inf])),
-                    min_size=1, max_size=5))
-    def test_rows_equal_runs_alone(self, seed, K, kappa, tau, n_steps, scale, rows):
-        # large states and small guards make rows overflow, lose finiteness
-        # or trip the guard at different steps while the others go on; an
-        # unbounded guard lets a finite state with an overflowing norm go on
+           st.lists(st.sampled_from(FILTERS), min_size=1, max_size=5))
+    def test_rows_equal_runs_alone(self, seed, K, kappa, tau, n_steps, scale, specs):
+        # large states make rows overflow, lose finiteness or trip the
+        # guard at different steps while the others go on
         rng = np.random.default_rng(seed)
         state = smooth_state(rng, K, scale=scale, decay=1.0)
         problem = model_problem(kappa) if kappa else linear_problem()
-        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec, max_norm=m) for spec, m in rows]
+        cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec) for spec in specs]
         with np.errstate(all="ignore"):
             outcomes = integrator._evolve_stack(state, problem, cfgs, n_steps)
         assert len(outcomes) == len(cfgs)
@@ -623,14 +612,11 @@ class TestBatchedRuns:
     @pytest.mark.parametrize("amplitude,expected", [
         # the first step overflows mode 8's velocity: every row stops
         (5e307, [DivergenceError, DivergenceError, DivergenceError]),
-        # a finite state whose norm overflows passes an unbounded guard only
-        (1e200, [StatePair, NormGuardError, StatePair]),
     ])
     def test_rows_retire_independently(self, amplitude, expected):
         state = StatePair(field_from_dict(8, {8: amplitude}), SpectralField.zeros(8))
-        cfgs = [IntegratorConfig(tau=0.2, K=8, filter=spec, max_norm=m)
-                for spec, m in ((sinc_c(2.0), np.inf), (sinc_c(2.0), 1e6),
-                                (grimm_hochbruck(), np.inf))]
+        cfgs = [IntegratorConfig(tau=0.2, K=8, filter=spec)
+                for spec in (sinc_c(2.0), sinc_c(3.0), grimm_hochbruck())]
         with np.errstate(all="ignore"):
             outcomes = integrator._evolve_stack(state, linear_problem(), cfgs, 5)
         assert [type(o) for o in outcomes] == expected
@@ -638,14 +624,27 @@ class TestBatchedRuns:
             assert_same_outcome(out, run_alone(state, linear_problem(), cfg, 5))
 
     def test_overflowing_rows_retire_alone(self):
-        # kappa = 1, tau = 1/2: the nonlinearity overflows at step 7 for
-        # impulse, hl and gh and at step 8 for sinc:2; sinc:3 stays bounded
-        u0, ud0 = power_law_initial_data(8)
-        state, problem = StatePair(u0, ud0), model_problem(1.0)
-        cfgs = [IntegratorConfig(tau=0.5, K=8, filter=spec, max_norm=np.inf) for spec in FILTERS]
+        # kappa = 1, tau = 1/2, a mode-8 amplitude of 1e35: the nonlinearity
+        # of step 1 overflows for impulse and hl, whose rows retire, while
+        # gh and the sinc rows finish the step and trip the norm guard
+        state = StatePair(field_from_dict(8, {8: 1e35}), SpectralField.zeros(8))
+        problem = model_problem(1.0)
+        cfgs = [IntegratorConfig(tau=0.5, K=8, filter=spec) for spec in FILTERS]
         with np.errstate(all="ignore"):
             outcomes = integrator._evolve_stack(state, problem, cfgs, 20)
-        assert [getattr(o, "step", None) for o in outcomes] == [7, 7, 7, 8, None]
+        assert [type(o) for o in outcomes] == [DivergenceError] * 2 + [NormGuardError] * 3
+        for cfg, out in zip(cfgs, outcomes):
+            assert_same_outcome(out, run_alone(state, problem, cfg, 20))
+
+    def test_guard_retires_rows_at_their_own_steps(self):
+        # kappa = 1, tau = 1/2 from the power-law data: impulse and hl pass
+        # the guard at step 3, gh at step 4 and sinc:2 at step 5, while
+        # sinc:3 finishes its 20 steps
+        state, problem = StatePair(*power_law_initial_data(8)), model_problem(1.0)
+        cfgs = [IntegratorConfig(tau=0.5, K=8, filter=spec) for spec in FILTERS]
+        outcomes = integrator._evolve_stack(state, problem, cfgs, 20)
+        assert [type(o) for o in outcomes] == [NormGuardError] * 4 + [StatePair]
+        assert [getattr(o, "step", None) for o in outcomes] == [3, 3, 4, 5, None]
         for cfg, out in zip(cfgs, outcomes):
             assert_same_outcome(out, run_alone(state, problem, cfg, 20))
 

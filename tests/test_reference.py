@@ -92,7 +92,7 @@ class TestReferenceSolution:
         # the sweeps' step-count rule: an overflowing or fractional T/tau_min
         (1.0, 1e-320, "T/tau must be an integer"),
         (1.0, 0.3, "T/tau must be an integer"),
-        (1e-12, 1.0, "T=1e-12 is shorter than tau_min=1.0"),
+        (1e-12, 1.0, "T=1e-12 is shorter than one step of tau=1.0"),
     ])
     def test_bad_horizon_or_step_rejected_before_any_run(self, monkeypatch, T, tau_min,
                                                           message):
@@ -121,13 +121,13 @@ class TestReferenceSolution:
 
 class TestLocalError:
     def test_linear_case_is_roundoff(self):
-        err = local_error(linear_problem(), data_state(64), 0.1, 64, sinc_c(2.0))
+        err = local_error(linear_problem(), data_state(64), 0.1, sinc_c(2.0))
         assert err <= 1e-13
 
     def test_third_order_in_tau(self):
         p = model_problem(0.01)
         st = data_state(64)
-        errs = [local_error(p, st, 2.0**-m, 64, sinc_c(2.0)) for m in (4, 5, 6, 7)]
+        errs = [local_error(p, st, 2.0**-m, sinc_c(2.0)) for m in (4, 5, 6, 7)]
         slopes = np.diff(np.log(errs)) / np.diff(np.log([2.0**-m for m in (4, 5, 6, 7)]))
         assert np.all((2.7 <= slopes) & (slopes <= 3.3))
 
@@ -142,4 +142,4 @@ class TestLocalError:
     def test_unresolved_state_rejected(self, rng):
         rough = StatePair(hermitian_field(rng, 16, decay=0.0), hermitian_field(rng, 16, decay=0.0))
         with pytest.raises(PreconditionError):
-            local_error(model_problem(0.01), rough, 0.1, 16, sinc_c(2.0))
+            local_error(model_problem(0.01), rough, 0.1, sinc_c(2.0))
