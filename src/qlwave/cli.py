@@ -209,7 +209,8 @@ def cmd_conv_space(args) -> int:
 def cmd_filter_check(args) -> int:
     spec = flt.parse_filter(args.filter)
     report = flt.check_assumptions(spec, delta=args.delta, a0=args.A0)
-    print(f"filter {spec.label}: c0={spec.c0:g}")
+    c = "" if spec.c is None else f"c={spec.c:g} "
+    print(f"filter {spec.label}: {c}c0={spec.c0:g}")
     print(f"  bounds (|phi|<=1, quadratic closeness): {'pass' if report.assumption1_ok else 'FAIL'}")
     print(f"  sinc compatibility psi1 = sinc*phi:     {'pass' if report.assumption2_ok else 'FAIL'}")
     print(

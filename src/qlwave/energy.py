@@ -331,16 +331,20 @@ def _blocks(rows: np.ndarray):
 def _random_probes(K: int, n_samples: int, rng: np.random.Generator):
     """Half spectra of ``n_samples`` random real fields of degree K, block by block.
 
-    Each probe draws the real and imaginary parts of modes -K..K and keeps
-    twice their real-field part, modes 0..K; the Rayleigh quotient does not
-    depend on the probe's norm.
+    Each probe draws 2K+1 standard normals: the real part of mode 0 with
+    variance 4, and the real and imaginary parts of modes 1..K with
+    variance 2 each, the law of twice the real-field part of a complex
+    normal spectrum on modes -K..K.  The Rayleigh quotient does not depend
+    on the probe's norm.
     """
+    scale = np.full(K + 1, np.sqrt(2.0))
+    scale[0] = 2.0
     for i in range(0, n_samples, _BLOCK_ROWS):
-        # one draw per block gives the stream of per-probe re, im draws
-        draws = rng.standard_normal((min(_BLOCK_ROWS, n_samples - i), 2, 2 * K + 1))
-        h = np.empty((len(draws), K + 1), np.complex128)
-        h.real = draws[:, 0, K:] + draws[:, 0, K::-1]
-        h.imag = draws[:, 1, K:] - draws[:, 1, K::-1]
+        # one draw per block gives the stream of per-probe draws
+        draws = rng.standard_normal((min(_BLOCK_ROWS, n_samples - i), 2 * K + 1))
+        h = np.zeros((len(draws), K + 1), np.complex128)
+        h.real = scale * draws[:, : K + 1]
+        h.imag[:, 1:] = scale[1:] * draws[:, K + 1 :]
         yield h
 
 

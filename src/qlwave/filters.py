@@ -2,9 +2,12 @@
 
 A filter is a pair (phi, psi1) of scalar functions applied as Fourier
 multipliers in tau*Omega inside the integrator.  The catalog holds the
-unfiltered impulse variant, the two classical filtered variants, and the
-sinc(c*xi) family for strong nonlinearities.  Admissibility is certified
-by sampling three conditions:
+unfiltered impulse variant (phi = psi1 = 1) and the family
+phi(xi) = sinc(c*xi), psi1 = sinc*phi, for c >= 0.  The two classical
+filters are members of the family: Hairer-Lubich (hl, phi = 1) is c = 0
+and Grimm-Hochbruck (gh, phi = sinc) is c = 1; larger c damps more, for
+strong nonlinearities.  Admissibility is certified by sampling three
+conditions:
 
   1. boundedness:        |phi| <= 1, |1-phi(xi)| <= c0*xi^2 (same for psi1),
   2. sinc compatibility: psi1(xi) = sinc(xi)*phi(xi),
@@ -18,13 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError
-
-KIND_IMPULSE = "impulse"
-KIND_HAIRER_LUBICH = "hl"
-KIND_GRIMM_HOCHBRUCK = "gh"
-KIND_SINC_C = "sinc"
-
-_KINDS = (KIND_IMPULSE, KIND_HAIRER_LUBICH, KIND_GRIMM_HOCHBRUCK, KIND_SINC_C)
 
 # Below this threshold sinc is evaluated by its degree-7 Taylor polynomial,
 # which keeps the relative error <= 1e-16 and gives sinc(0) = 1 exactly.
@@ -45,47 +41,38 @@ def sinc(xi):
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One catalog filter: its kind and, for sinc, the parameter c."""
+    """One catalog filter: impulse (c is None) or the sinc family member c, and its label."""
 
-    kind: str
-    c: float = 0.0
+    label: str
+    c: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigurationError(f"unknown filter kind {self.kind!r}")
-        if self.c < 0 or not np.isfinite(self.c):
+        if self.c is not None and (self.c < 0 or not np.isfinite(self.c)):
             raise ConfigurationError("filter parameter c must be finite and >= 0")
-        if self.c != 0.0 and self.kind != KIND_SINC_C:
-            raise ConfigurationError(f"filter kind {self.kind!r} takes no parameter c")
 
     @property
     def c0(self) -> float:
-        """The constant of |1-phi(xi)| <= c0*xi^2 (same for psi1) that the kind and c fix."""
-        if self.kind == KIND_SINC_C:
-            return max(1.0, (self.c * self.c + 1.0) / 6.0)
-        return 0.0 if self.kind == KIND_IMPULSE else 1.0
-
-    @property
-    def label(self) -> str:
-        if self.kind == KIND_SINC_C:
-            return f"sinc:{self.c:g}"
-        return self.kind
+        """The constant of |1-phi(xi)| <= c0*xi^2 (same for psi1): 0 for impulse, else fixed by c."""
+        return 0.0 if self.c is None else max(1.0, (self.c * self.c + 1.0) / 6.0)
 
 
 def impulse() -> FilterSpec:
-    return FilterSpec(KIND_IMPULSE)
+    return FilterSpec("impulse")
 
 
 def hairer_lubich() -> FilterSpec:
-    return FilterSpec(KIND_HAIRER_LUBICH)
+    """Hairer-Lubich (phi = 1, psi1 = sinc): the family member c = 0."""
+    return FilterSpec("hl", 0.0)
 
 
 def grimm_hochbruck() -> FilterSpec:
-    return FilterSpec(KIND_GRIMM_HOCHBRUCK)
+    """Grimm-Hochbruck (phi = sinc, psi1 = sinc^2): the family member c = 1."""
+    return FilterSpec("gh", 1.0)
 
 
 def sinc_c(c: float) -> FilterSpec:
-    return FilterSpec(KIND_SINC_C, c=float(c))
+    c = float(c) + 0.0  # + 0.0 turns -0.0 into 0.0, so sinc:-0 is sinc:0
+    return FilterSpec(f"sinc:{c:g}", c)
 
 
 def parse_filter(text: str) -> FilterSpec:
@@ -106,24 +93,16 @@ def parse_filter(text: str) -> FilterSpec:
 
 
 def phi(spec: FilterSpec, xi):
-    """Position filter phi evaluated at xi >= 0."""
+    """Position filter phi evaluated at xi >= 0: 1 for impulse, else sinc(c*xi)."""
     x = np.asarray(xi, dtype=float)
-    if spec.kind in (KIND_IMPULSE, KIND_HAIRER_LUBICH):
-        out = np.ones_like(x)
-    elif spec.kind == KIND_GRIMM_HOCHBRUCK:
-        out = np.asarray(sinc(x))
-    else:
-        out = np.asarray(sinc(spec.c * x))
+    out = np.ones_like(x) if spec.c is None else np.asarray(sinc(spec.c * x))
     return out if out.ndim else float(out)
 
 
 def psi1(spec: FilterSpec, xi):
-    """Force filter psi1; equals sinc*phi for every kind except impulse."""
+    """Force filter psi1: 1 for impulse, else sinc*phi."""
     x = np.asarray(xi, dtype=float)
-    if spec.kind == KIND_IMPULSE:
-        out = np.ones_like(x)
-    else:
-        out = np.asarray(sinc(x)) * np.asarray(phi(spec, x))
+    out = np.ones_like(x) if spec.c is None else np.asarray(sinc(x)) * np.asarray(phi(spec, x))
     return out if out.ndim else float(out)
 
 

@@ -41,9 +41,11 @@ class ExperimentPlan:
                 raise ConfigurationError(f"sweep K {K} must be >= 1")
         for tau in self.tau_list:
             _n_steps(self.T, tau)
-        for name, values in (("K", self.K_list), ("tau", self.tau_list),
-                             ("filter", [spec.label for spec in self.filters])):
-            _require_distinct(f"sweep {name}", values)
+        _require_distinct("sweep K", self.K_list)
+        _require_distinct("sweep tau", self.tau_list)
+        # one c is one filter, whatever its label: hl is sinc:0, gh is sinc:1
+        _require_distinct("sweep filter", [spec.label for spec in self.filters],
+                          [spec.c for spec in self.filters])
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,17 @@ class ConvergenceRow:
     status: str = STATUS_OK
 
 
-def _require_distinct(name: str, values: Sequence) -> None:
-    """Reject a repeated value, which would run twice and count twice in an order fit."""
-    repeated = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeated:
-        raise ConfigurationError(f"{name} {repeated[0]} is repeated")
+def _require_distinct(name: str, values: Sequence, keys: Sequence | None = None) -> None:
+    """Reject a value whose key (by default the value) repeats an earlier one's.
+
+    A repeated value would run twice and count twice in an order fit.
+    """
+    keys = list(values if keys is None else keys)
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            first = values[keys.index(key)]
+            also = "" if first == values[i] else f" (as {first})"
+            raise ConfigurationError(f"{name} {values[i]} is repeated{also}")
 
 
 def _initial_state(K: int) -> StatePair:

@@ -153,12 +153,13 @@ def _caller_stacklevel() -> int:
 def _warn_if_inadmissible(cfg: IntegratorConfig):
     """Warn, blaming the first frame outside qlwave, if cfg's filter is inadmissible.
 
-    Assumptions 1-2 in closed form: with its derived c0 every kind meets
-    assumption 1, and only impulse (psi1 = 1) breaks psi1 = sinc*phi, as
+    Assumptions 1-2 in closed form: with its derived c0 every filter meets
+    assumption 1, and every member of the sinc family meets psi1 = sinc*phi,
+    so only impulse (c is None, psi1 = 1) breaks it, as
     filters.check_assumptions samples.  Only _run, the entry of evolve and
     step, calls it, on every call, so it obeys the caller's filters.
     """
-    if cfg.filter.kind == flt.KIND_IMPULSE:
+    if cfg.filter.c is None:
         warnings.warn(
             f"filter {cfg.filter.label!r} violates the sinc-compatibility/boundedness "
             "conditions; expect step-size restrictions coupled to the spatial resolution",
@@ -208,10 +209,9 @@ class _Engine:
     """
 
     def __init__(self, problem: ProblemSpec, cfgs):
-        self.cfgs = tuple(cfgs)
         self.problem = problem
-        K, tau = self.cfgs[0].K, self.cfgs[0].tau
-        if any((c.K, c.tau) != (K, tau) for c in self.cfgs):
+        K, tau = cfgs[0].K, cfgs[0].tau
+        if any((c.K, c.tau) != (K, tau) for c in cfgs):
             raise ConfigurationError("stacked configs must share K and tau")
         self.K = K
         self.tau = tau
@@ -236,8 +236,8 @@ class _Engine:
                 cos_t, tau * sinc_t, 0.5 * tau * tau * self.kappa * sinc_t,
                 -(w1 * np.sin(tau * w1)), 0.5 * tau * self.kappa * cos_t))
         self.khalf = 0.5 * tau * self.kappa
-        phi_t = np.asarray([flt.phi(c.filter, tau * w1) for c in self.cfgs])
-        self.psi1_t = np.asarray([flt.psi1(c.filter, tau * w1) for c in self.cfgs], np.complex128)
+        phi_t = np.asarray([flt.phi(c.filter, tau * w1) for c in cfgs])
+        self.psi1_t = np.asarray([flt.psi1(c.filter, tau * w1) for c in cfgs], np.complex128)
         # position filter times (1, d/dx) and times d^2/dx^2
         self.grad_t = phi_t * _grad(problem, K)[:, None]
         self.dxx_t = np.asarray(phi_t * -(j * j), np.complex128)
@@ -247,7 +247,6 @@ class _Engine:
     def take(self, rows: np.ndarray) -> "_Engine":
         """The engine of the stack rows selected by a boolean mask."""
         sub = copy.copy(self)
-        sub.cfgs = tuple(c for c, keep in zip(self.cfgs, rows) if keep)
         sub.grad_t = self.grad_t[:, rows]
         sub.dxx_t = self.dxx_t[rows]
         sub.psi1_t = self.psi1_t[rows]
@@ -323,8 +322,8 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
     ud = np.broadcast_to(state0.udot.coeffs[K:], engine.dxx_t.shape)
     tau = engine.tau
     max_sq = _MAX_NORM * _MAX_NORM
-    outcomes: list = [None] * len(engine.cfgs)
-    live = list(range(len(engine.cfgs)))
+    outcomes: list = [None] * len(cfgs)
+    live = list(range(len(cfgs)))
     fn = None
 
     def retire(failed: dict) -> bool:

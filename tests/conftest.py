@@ -26,6 +26,6 @@ def hermitian_field(rng, degree, scale=1.0, decay=0.0) -> SpectralField:
 
 def warns_if_inadmissible(spec):
     """Expect the entry points' admissibility warning if spec is impulse; else a no-op context."""
-    if spec.kind == "impulse":
+    if spec.c is None:
         return pytest.warns(RuntimeWarning, match="sinc-compatibility")
     return contextlib.nullcontext()

@@ -43,14 +43,19 @@ def o_sinc(x: float) -> float:
 
 
 def filter_functions(label: str, c: float = 0.0):
-    """(phi, psi1) as plain python callables."""
+    """(phi, psi1) of a filter label as plain python callables.
+
+    hl and gh keep their classical formulas, independent of the sinc(c*xi)
+    family of which they are the members c = 0 and c = 1; any sinc:<c>
+    label takes c from the argument.
+    """
     if label == "impulse":
         return (lambda x: 1.0), (lambda x: 1.0)
     if label == "hl":
         return (lambda x: 1.0), o_sinc
     if label == "gh":
         return o_sinc, (lambda x: o_sinc(x) ** 2)
-    if label == "sinc":
+    if label.startswith("sinc"):
         return (lambda x: o_sinc(c * x)), (lambda x: o_sinc(x) * o_sinc(c * x))
     raise ValueError(label)
 

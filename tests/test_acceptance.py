@@ -285,9 +285,8 @@ def test_criterion_12_oracle_equivalence():
             cfg = IntegratorConfig(tau=0.1, K=K, filter=spec)
             with warns_if_inadmissible(spec):
                 out = step(st, p, cfg)
-            label = "sinc" if spec.kind == "sinc" else spec.kind
             ou, od = dense_one_step(
-                list(cu.coeffs), list(cud.coeffs), K, 0.1, kappa, label, spec.c,
+                list(cu.coeffs), list(cud.coeffs), K, 0.1, kappa, spec.label, spec.c,
                 lambda v: v, lambda uu, pp: pp * pp + kappa * uu**3,
             )
             assert np.max(np.abs(out.u.coeffs - np.asarray(ou))) <= 1e-13, (K, spec.label)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qlwave.energy import (
     _LOperator,
     _mode_basis,
+    _random_probes,
     apply_l_operator,
     apply_position_filter,
     energy_change_residual,
@@ -206,7 +207,7 @@ class TestLOperator:
         u, v = hermitian_field(rng, ku), hermitian_field(rng, kv)
         got = apply_l_operator(embed(u, ka), v, p, cfg).coeffs
         want = np.array(dense_l_operator(u.coeffs, v.coeffs, ku, kv, ka, cfg.tau, p.kappa,
-                                         spec.kind, spec.c, p.a))
+                                         spec.label, spec.c, p.a))
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
         # the quadratic form <L v, v>_0 is evaluated without the image
         form = _LOperator(embed(u, ka), p, cfg, kv).form(v.coeffs[np.newaxis, kv:])[0]
@@ -332,14 +333,32 @@ class TestPositivity:
             want.append((f"mode-cos-{j}", field_from_dict(K, {j: 0.5})))
             want.append((f"mode-sin-{j}", field_from_dict(K, {j: -0.5j})))
         for i in range(1000):
-            c = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
-            v = SpectralField(0.5 * (c + np.conj(c[::-1])))
+            # 2K+1 normals: mode 0, then the real and the imaginary parts of modes 1..K
+            x = rng.standard_normal(2 * K + 1)
+            h = np.concatenate(([x[0]], (x[1 : K + 1] + 1j * x[K + 1 :]) / np.sqrt(2.0)))
+            v = SpectralField(np.concatenate((np.conj(h[:0:-1]), h)))
             want.append((f"random-{i:04d}", SpectralField(v.coeffs / sobolev_norm(v, 0.0))))
         assert [label for label, _ in got] == [label for label, _ in want]
         for (_, margin), (_, v) in zip(got, want):
             n0 = sobolev_norm(v, 0.0) ** 2
             quad = inner_product(apply_l_operator(uf, v, p, cfg), v, s=0.0)
             assert abs(margin - ((n0 + quad) / n0 - delta / 8.0)) <= 1e-13
+
+    @pytest.mark.parametrize("K,n", [(1, 1), (8, 70), (64, 5)])
+    def test_random_probes_draw_2k_plus_1_normals_each(self, K, n):
+        # the generator advances by exactly n*(2K+1) normals, across blocks
+        rng, twin = np.random.default_rng(K + n), np.random.default_rng(K + n)
+        probes = np.concatenate(list(_random_probes(K, n, rng)))
+        twin.standard_normal(n * (2 * K + 1))
+        assert rng.standard_normal() == twin.standard_normal()
+        assert probes.shape == (n, K + 1) and np.all(probes[:, 0].imag == 0.0)
+
+    def test_random_probe_law(self):
+        # twice the real-field part of a complex normal spectrum: mode 0 real
+        # with variance 4, modes j >= 1 with variance 2 in each part
+        probes = np.concatenate(list(_random_probes(2, 20_000, np.random.default_rng(3))))
+        var = np.var(np.concatenate((probes.real, probes[:, 1:].imag), axis=1), axis=0)
+        assert np.allclose(var, [4.0, 2.0, 2.0, 2.0, 2.0], rtol=0.05)
 
     def test_eigen_margin_bounds_sampled_margin(self):
         K = 64
@@ -467,5 +486,5 @@ class TestWarnings:
             positivity_check(u, p, cfg, n_samples=4, rng=rng)
             list(positivity_probes(u, p, cfg, 4, 0.5, rng))
             positivity_eigen_margin(u, p, cfg, 0.5)
-            if spec.kind != "impulse":
+            if spec.c is not None:
                 energy_change_residual(StatePair(e, ed), StatePair(u, ed), p, cfg)

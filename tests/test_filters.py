@@ -80,23 +80,42 @@ class TestCatalog:
             assert np.max(dev) <= 1e-15
 
     def test_negative_c_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FilterSpec("sinc", c=-1.0)
+        for c in (-1.0, np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="finite and >= 0"):
+                FilterSpec("sinc:x", c=c)
 
-    def test_spec_is_its_kind_and_c(self):
-        # c0 follows from kind and c, so a spec built field by field equals
-        # the catalog's and cannot be given another c0
-        assert FilterSpec("sinc", c=3.0) == sinc_c(3.0) == parse_filter("sinc:3")
-        assert FilterSpec("sinc", c=3.0).c0 == 10.0 / 6.0
-        assert FilterSpec("impulse") == impulse()
-        assert (FilterSpec("hl"), FilterSpec("gh")) == (hairer_lubich(), grimm_hochbruck())
+    def test_spec_is_its_label_and_c(self):
+        # c0 follows from c, so a spec built field by field equals the
+        # catalog's and cannot be given another c0
+        assert FilterSpec("sinc:3", c=3.0) == sinc_c(3.0) == parse_filter("sinc:3")
+        assert FilterSpec("sinc:3", c=3.0).c0 == 10.0 / 6.0
+        assert FilterSpec("impulse") == impulse() and impulse().c is None
+        assert (FilterSpec("hl", 0.0), FilterSpec("gh", 1.0)) == (hairer_lubich(), grimm_hochbruck())
         with pytest.raises(TypeError):
-            FilterSpec("sinc", c=3.0, c0=1.0)
+            FilterSpec("sinc:3", c=3.0, c0=1.0)
 
-    @pytest.mark.parametrize("kind", ["impulse", "hl", "gh"])
-    def test_c_on_non_sinc_kind_rejected(self, kind):
-        with pytest.raises(ConfigurationError, match="takes no parameter c"):
-            FilterSpec(kind, c=2.0)
+    def test_classical_filters_are_family_members(self):
+        # hl and gh parse to c = 0 and c = 1 and keep their labels
+        assert [(parse_filter(t).label, parse_filter(t).c) for t in ("hl", "gh", "impulse")] == [
+            ("hl", 0.0), ("gh", 1.0), ("impulse", None)]
+
+    def test_negative_zero_is_zero(self):
+        # sinc:-0 is sinc:0, in its c and in its label
+        spec = parse_filter("sinc:-0")
+        assert spec == sinc_c(-0.0) == sinc_c(0.0)
+        assert spec.label == "sinc:0" and np.copysign(1.0, spec.c) == 1.0
+
+    @pytest.mark.parametrize("classical,member", [("hl", "sinc:0"), ("gh", "sinc:1")])
+    def test_classical_filter_bitwise_equals_its_member(self, classical, member):
+        # phi and psi1 on 0 and 200 001 geometric points up to 1e4, c0 and
+        # the sampled admissibility report: one filter under two labels
+        a, b = parse_filter(classical), parse_filter(member)
+        xi = np.concatenate(([0.0], np.geomspace(1e-8, 1e4, 200_001)))
+        for fn in (phi, psi1):
+            assert np.array_equal(np.asarray(fn(a, xi)), np.asarray(fn(b, xi)))
+            assert fn(a, 0.0) == fn(b, 0.0) == 1.0
+        assert a.c0 == b.c0 == 1.0
+        assert check_assumptions(a, delta=0.15, a0=13.0) == check_assumptions(b, delta=0.15, a0=13.0)
 
 
 class TestCheckAssumptions:

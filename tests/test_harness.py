@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from qlwave import cli, reference
 from qlwave.cli import cli_main, load_config
 from qlwave.exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
 from qlwave.filters import (
-    FilterSpec, grimm_hochbruck, hairer_lubich, impulse, parse_filter, sinc_c,
+    grimm_hochbruck, hairer_lubich, impulse, parse_filter, sinc_c,
 )
 from qlwave.harness import (
     CSV_HEADER,
@@ -82,10 +83,19 @@ class TestPlanValidation:
             linear_plan(tau_list=[0.5, 0.25, 0.125, 0.25])
 
     def test_repeated_filter_rejected(self):
-        # the same filter built two ways has one label, and is one filter
+        # the same filter built two ways has one c, and is one filter
         with pytest.raises(ConfigurationError, match="sweep filter sinc:2 is repeated"):
-            linear_plan(filters=[FilterSpec("sinc", c=2.0), hairer_lubich(),
-                                 parse_filter("sinc:2.0")])
+            linear_plan(filters=[sinc_c(2.0), hairer_lubich(), parse_filter("sinc:2.0")])
+
+    @pytest.mark.parametrize("texts,message", [
+        (("sinc:0", "sinc:-0"), "sweep filter sinc:0 is repeated"),
+        (("hl", "sinc:0"), "sweep filter sinc:0 is repeated (as hl)"),
+        (("sinc:1", "impulse", "gh"), "sweep filter gh is repeated (as sinc:1)"),
+    ], ids=["negative-zero", "hl-is-sinc:0", "gh-is-sinc:1"])
+    def test_one_c_is_one_filter(self, texts, message):
+        # filters are distinct by c, whatever their labels: hl is sinc:0, gh is sinc:1
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            linear_plan(filters=[parse_filter(t) for t in texts])
 
 
 class TestEstimateOrder:
@@ -289,6 +299,18 @@ class TestCli:
         code = cli_main(["filter-check", "--filter", "hl", "--A0", "13", "--delta", "0.15"])
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("classical,member,c", [("hl", "sinc:0", 0), ("gh", "sinc:1", 1)])
+    def test_filter_check_of_classical_filter_is_its_members(self, capsys, classical, member, c):
+        # one filter under two labels: the same c and the same verdicts
+        lines = []
+        for text in (classical, member):
+            code = cli_main(["filter-check", "--filter", text, "--A0", "13", "--delta", "0.15"])
+            assert code == 2
+            lines.append(capsys.readouterr().out.splitlines())
+        assert lines[0][0] == f"filter {classical}: c={c} c0=1"
+        assert lines[1][0] == f"filter {member}: c={c} c0=1"
+        assert lines[0][1:] == lines[1][1:]
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -511,6 +533,15 @@ class TestCli:
         assert code == 1
         assert "sweep K 8 is repeated" in capsys.readouterr().err
         assert not (out / "conv_time.csv").exists()
+
+    def test_conv_time_rejects_a_filter_under_two_labels(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli_main(["conv-time", "-o", "problem.kappa=0", "-o", "sweep.K=8",
+                         "-o", "sweep.tau=0.25,0.125,0.0625", "-o", "time.T=1",
+                         "-o", "sweep.filters=hl,sinc:0", "--out", str(out)])
+        assert code == 1
+        assert "sweep filter sinc:0 is repeated (as hl)" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_config_runs(self, tmp_path, capsys, path):

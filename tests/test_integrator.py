@@ -9,7 +9,7 @@ from qlwave import integrator
 from qlwave.exceptions import ConfigurationError, DivergenceError, NormGuardError
 from qlwave.filters import (
     FilterSpec, check_assumptions, grimm_hochbruck, hairer_lubich,
-    impulse, phi, psi1, sinc_c,
+    impulse, parse_filter, phi, psi1, sinc_c,
 )
 from qlwave.integrator import (
     IntegratorConfig,
@@ -83,7 +83,7 @@ class TestConfig:
 
     def test_sinc_spec_built_from_fields_is_admissible(self):
         # its c0 is (c^2+1)/6, so it passes the boundedness condition and warns nothing
-        cfg = IntegratorConfig(tau=0.2, K=1, filter=FilterSpec("sinc", c=3.0))
+        cfg = IntegratorConfig(tau=0.2, K=1, filter=FilterSpec("sinc:3", c=3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             evolve(StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0), cfg, 2)
@@ -93,7 +93,7 @@ class TestConfig:
         # both assumptions on filters.default_xi_grid() stays the cross-check
         rng = np.random.default_rng(11)
         cs = [0.0, 1e-3, 0.5, 1.0, 1.2, 2.0, 3.0, 100.0, 1e4, *rng.uniform(0.0, 50.0, 20)]
-        specs = [*catalog(), *(FilterSpec("sinc", c=float(c)) for c in cs)]
+        specs = [*catalog(), *(sinc_c(c) for c in cs)]
         for spec in specs:
             report = check_assumptions(spec, delta=0.5, a0=0.0)
             for tau, K in [(0.1, 1), (1e-3, 16), (0.25, 64), (1.0, 128), (0.5, 512)]:
@@ -101,7 +101,7 @@ class TestConfig:
                     warnings.simplefilter("always")
                     integrator._warn_if_inadmissible(IntegratorConfig(tau, K, spec))
                 warned = any("sinc-compatibility" in str(w.message) for w in caught)
-                assert warned == (spec.kind == "impulse"), (spec.label, tau, K)
+                assert warned == (spec.c is None), (spec.label, tau, K)
                 assert warned != (report.assumption1_ok and report.assumption2_ok)
 
     @pytest.mark.parametrize("run", [
@@ -659,6 +659,18 @@ class TestBatchedRuns:
         assert [type(o) for o in outcomes] == [StatePair, StatePair, NormGuardError, StatePair]
         for cfg, out in zip(cfgs, outcomes):
             assert_same_outcome(out, run_alone(state, problem, cfg, 64))
+
+    @pytest.mark.parametrize("kappa,K,tau,n_steps", [(1.0, 64, 2.0**-4, 8),
+                                                     (0.01, 128, 0.05, 400)])
+    def test_classical_filters_run_as_their_family_members(self, kappa, K, tau, n_steps):
+        # hl is sinc:0 and gh is sinc:1, bit for bit along a stacked run
+        state, problem = StatePair(*power_law_initial_data(K)), model_problem(kappa)
+        cfgs = [IntegratorConfig(tau=tau, K=K, filter=parse_filter(text))
+                for text in ("hl", "sinc:0", "gh", "sinc:1")]
+        hl, sinc0, gh, sinc1 = integrator._evolve_stack(state, problem, cfgs, n_steps)
+        for classical, member in ((hl, sinc0), (gh, sinc1)):
+            assert isinstance(classical, StatePair)
+            assert_same_outcome(classical, member)
 
     def test_stacked_configs_must_share_step(self):
         cfgs = [IntegratorConfig(tau=0.1, K=4, filter=impulse()),
