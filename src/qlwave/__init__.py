@@ -16,13 +16,8 @@ from .exceptions import (
 )
 from .spectral import (
     SpectralField,
-    apply_multiplier,
-    dealiased_product,
-    derivative,
     embed,
-    inner_product,
     pair_norm,
-    project,
     sobolev_norm,
 )
 from .filters import (

@@ -262,7 +262,8 @@ def cmd_energy_check(args) -> int:
     print(f"  exact eigenvalue margin vs delta/8 (cross-check): {exact:.6g}")
     print(f"  energy/operator identity residual: {resid:.3e}")
     print(f"  wrote {path}")
-    ok = worst >= 0.0 and resid <= 1e-11
+    # the exact margin is the minimum over every probe, the sampled ones included
+    ok = worst >= 0.0 and exact >= 0.0 and resid <= 1e-11
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

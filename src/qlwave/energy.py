@@ -34,14 +34,12 @@ exactly.  It evaluates L on stacks of degree-K_v fields in two ways:
   rows, so the sampled margins and the exact margin are two independent
   evaluations of L.
 
-Everything else reuses the scheme's own operators: the multipliers
-phi, psi1 and cos in tau*Om go through spectral.apply_multiplier, the
-products through spectral.dealiased_product, and the interpolant a_K(u)
-of U, L and R* is the step's own (integrator._interpolate at K = deg u).
-The energy-change identity forms its quasilinear difference
-P_K(a_K(u) u'' - a_K(v) v'') as A + B from the two products A and B that
-R* is built from (see _g_terms), so the remainder at each time level
-takes two interpolations of a and two products.
+The algebra runs on half spectra (modes 0..K), with a SpectralField only
+at the public arguments and results: the multipliers in tau*Om are rows of
+integrator._tables, the products spectral._pointwise_product, the scalar
+products _dot, and a_K(u) is the step's own interpolant.  Each time level
+of the energy-change identity makes one stacked product of A and B, from
+which U, R* and the quasilinear difference A + B are read (see level).
 """
 
 from __future__ import annotations
@@ -52,23 +50,16 @@ from typing import Optional
 
 import numpy as np
 
-from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError
-from .integrator import IntegratorConfig, StatePair, _interpolants, step
+from .integrator import IntegratorConfig, StatePair, _interpolants, _tables, step
 from .problem import ProblemSpec, ellipticity_report
 from .spectral import (
     SpectralField,
-    apply_multiplier,
+    _pointwise_product,
     coeffs_from_samples,
-    dealiased_product,
-    derivative,
-    inner_product,
     mirror_half,
     next_fast_len,
-    omega_weights,
     pair_norm,
-    project,
-    sobolev_norm,
     synthesize_values,
 )
 
@@ -84,9 +75,26 @@ class EnergyReport:
     identity_residual: Optional[float] = None
 
 
+def _dot(f: np.ndarray, g: np.ndarray, weight=1.0):
+    """sum_j weight_j conj(f_j) g_j over modes -K..K of real fields, from their modes 0..K.
+
+    Mode m > 0 stands for m and -m: 2 sum p - p_0 for p = weight Re(conj(f) g), last axis.
+    """
+    p = weight * (f.real * g.real + f.imag * g.imag)
+    return 2.0 * np.sum(p, axis=-1) - p[..., 0]
+
+
+def _u(exx: np.ndarray, aexx: np.ndarray, t, problem: ProblemSpec, cfg: IntegratorConfig):
+    """U from the half spectra e'' (modes 0..K) and a(u) e'' (modes 0..D), tables t to >= D."""
+    k, d = exx.shape[-1], aexx.shape[-1]
+    psi = t.psi1[:d] * aexx
+    term2 = _dot(psi, psi, t.w2[:d])
+    return _dot(t.cos[:k] * exx, aexx[:k]) - 0.25 * cfg.tau**2 * problem.kappa * term2
+
+
 def apply_position_filter(f: SpectralField, cfg: IntegratorConfig) -> SpectralField:
     """Apply the position filter phi(tau*Om) as a Fourier multiplier."""
-    return apply_multiplier(f, lambda w: flt.phi(cfg.filter, cfg.tau * w))
+    return SpectralField(mirror_half(_tables(cfg, f.degree).phi * f.coeffs[f.degree :]))
 
 
 def u_term(
@@ -106,14 +114,12 @@ def u_term(
     if e.degree != u.degree:
         raise ConfigurationError("e and u must have equal degrees")
     K = e.degree
-    exx = derivative(e, 2)
-    aexx = dealiased_product(_a_field(u, problem), exx)
-    if projected:
-        aexx = project(aexx, K)
-    term1 = inner_product(apply_multiplier(exx, lambda w: np.cos(cfg.tau * w)), aexx, s=0.0)
-    psi1_aexx = apply_multiplier(aexx, lambda w: flt.psi1(cfg.filter, cfg.tau * w))
-    term2 = sobolev_norm(psi1_aexx, 1.0) ** 2
-    return term1 - 0.25 * cfg.tau**2 * problem.kappa * term2
+    D = K if projected else 2 * K
+    t = _tables(cfg, D)
+    exx = t.dxx[: K + 1] * e.coeffs[K:]
+    a = _interpolants(u.coeffs[K:], problem)[0]
+    aexx = _pointwise_product(a, exx, next_fast_len(2 * K + D + 1), D)  # exact on modes 0..D
+    return float(_u(exx, aexx, t, problem, cfg))
 
 
 def modified_energy(
@@ -169,16 +175,12 @@ def identity_residual(
     U is the unprojected variant; returns |LHS - RHS| / (1 + |LHS|), which
     is at roundoff level for sinc-compatible filters.
     """
+    K = e.degree
     uf = apply_position_filter(u, cfg)
     lhs = problem.kappa * u_term(apply_position_filter(e, cfg), uf, problem, cfg, projected=False)
-    exx = derivative(e, 2)
-    rhs = inner_product(apply_l_operator(uf, exx, problem, cfg), exx, s=0.0)
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
-
-
-def _a_field(u: SpectralField, problem: ProblemSpec) -> SpectralField:
-    """The interpolant a_K(u) at K = deg u, the step's own."""
-    return SpectralField(mirror_half(_interpolants(u, problem)[0]))
+    exx = _tables(cfg, K).dxx * e.coeffs[K:]
+    rhs = _dot(apply_l_operator(uf, SpectralField(mirror_half(exx)), problem, cfg).coeffs[K:], exx)
+    return float(abs(lhs - rhs) / (1.0 + abs(lhs)))
 
 
 class _LOperator:
@@ -202,13 +204,10 @@ class _LOperator:
         ka = u.degree
         self.kappa, self.a_degree, self.v_degree = problem.kappa, ka, v_degree
         self.n = next_fast_len(2 * (ka + v_degree) + 1)
-        self.a_vals = synthesize_values(_interpolants(u, problem)[0], self.n)
-        tau, spec = cfg.tau, cfg.filter
-        wv = omega_weights(v_degree)[v_degree:]
-        self.phi_t = np.asarray(flt.phi(spec, tau * wv))
-        self.cos_t = np.cos(tau * wv)
-        wm = omega_weights(ka + v_degree)[ka + v_degree :]
-        self.sin2phi2_t = np.sin(tau * wm) ** 2 * np.asarray(flt.phi(spec, tau * wm)) ** 2
+        self.a_vals = synthesize_values(_interpolants(u.coeffs[ka:], problem)[0], self.n)
+        t = _tables(cfg, ka + v_degree)
+        self.phi_t, self.cos_t = t.phi[: v_degree + 1], t.cos[: v_degree + 1]
+        self.sin2phi2_t = t.sin**2 * t.phi**2
         # Parseval weights of the half spectrum: modes m and -m both count for m > 0
         self.sin2phi2_w = 2.0 * self.sin2phi2_t
         self.sin2phi2_w[0] = self.sin2phi2_t[0]
@@ -362,9 +361,7 @@ def _probe_margins(u, problem, cfg, n_samples, delta, rng):
     op = _LOperator(apply_position_filter(u, cfg), problem, cfg, K)
 
     def margins(h):
-        # |v|_0^2 counts modes m and -m for m > 0
-        sq = h.real**2 + h.imag**2
-        n0 = 2.0 * np.sum(sq, axis=1) - sq[:, 0]
+        n0 = _dot(h, h)
         return (n0 + op.form(h)) / n0 - delta / 8.0
 
     return map(margins, itertools.chain(_blocks(_mode_basis(K)), _random_probes(K, n_samples, rng)))
@@ -395,34 +392,6 @@ def positivity_eigen_margin(
     return float(1.0 + np.linalg.eigvalsh(sym)[0] - delta / 8.0)
 
 
-def _g_terms(up: SpectralField, vp: SpectralField, problem: ProblemSpec,
-             cfg: IntegratorConfig) -> tuple[float, SpectralField]:
-    """R*(u, v) and the quasilinear difference P_K(a_K(u) u'' - a_K(v) v'') at one time level.
-
-    Both arguments are position-filtered states, e = u - v.  With
-    A = P_K(a_K(u) e'') and B = P_K((a_K(u) - a_K(v)) v''), R* is
-
-        <cos e, A>_0 + <cos e, B>_1
-        + tau^2 kappa/2 <Psi1 A, Psi1 B>_1 + tau^2 kappa/4 |Psi1 B|_1^2,
-
-    and the difference is A + B, since a(u)u'' - a(v)v'' = a(u)e'' + (a(u) - a(v))v''.
-    """
-    K = up.degree
-    e = up - vp
-    a_u, a_v = _a_field(up, problem), _a_field(vp, problem)
-    A = project(dealiased_product(a_u, derivative(e, 2)), K)
-    B = project(dealiased_product(a_u - a_v, derivative(vp, 2)), K)
-    ce = apply_multiplier(e, lambda w: np.cos(cfg.tau * w))
-    psiA, psiB = (apply_multiplier(f, lambda w: flt.psi1(cfg.filter, cfg.tau * w)) for f in (A, B))
-    r_star = (
-        inner_product(ce, A, s=0.0)
-        + inner_product(ce, B, s=1.0)
-        + 0.5 * cfg.tau**2 * problem.kappa * inner_product(psiA, psiB, s=1.0)
-        + 0.25 * cfg.tau**2 * problem.kappa * sobolev_norm(psiB, 1.0) ** 2
-    )
-    return r_star, A + B
-
-
 def energy_change_residual(
     un: StatePair,
     vn: StatePair,
@@ -439,23 +408,34 @@ def energy_change_residual(
     """
     if problem.g is not None:
         raise ConfigurationError("the energy-change identity requires a problem with g == 0")
-    kappa = problem.kappa
+    kappa, K = problem.kappa, cfg.K
     up, vp = step(un, problem, cfg), step(vn, problem, cfg)
+    t = _tables(cfg, K)
 
-    e_new = modified_energy((up - vp).u, (up - vp).udot, up.u, problem, cfg).E_value
-    e_old = modified_energy((un - vn).u, (un - vn).udot, un.u, problem, cfg).E_value
+    def level(x: StatePair, y: StatePair):
+        """E of x - y, R*(Phi x, Phi y), e = Phi x - Phi y and A + B at one time level.
 
-    fu0 = apply_position_filter(un.u, cfg)
-    fv0 = apply_position_filter(vn.u, cfg)
-    fu1 = apply_position_filter(up.u, cfg)
-    fv1 = apply_position_filter(vp.u, cfg)
+        A = P_K(a_K(Phi x) e''), B = P_K((a_K(Phi x) - a_K(Phi y)) (Phi y)''), so A + B is
+        P_K(a_K(Phi x) (Phi x)'' - a_K(Phi y) (Phi y)''), U(e, Phi x) is _u of A, and
+        R* = <cos e, A>_0 + <cos e, B>_1 + tau^2 kappa (<Psi1 A, Psi1 B>_1/2 + |Psi1 B|_1^2/4).
+        """
+        fx, fy = t.phi * x.u.coeffs[K:], t.phi * y.u.coeffs[K:]
+        e = fx - fy
+        a_x, a_y = _interpolants(fx, problem)[0], _interpolants(fy, problem)[0]
+        exx = t.dxx * e
+        A, B = _pointwise_product(np.stack((a_x, a_x - a_y)), np.stack((exx, t.dxx * fy)),
+                                  next_fast_len(3 * K + 1), K)
+        d, dd = x.u.coeffs[K:] - y.u.coeffs[K:], x.udot.coeffs[K:] - y.udot.coeffs[K:]
+        pn_sq = _dot(d, d, t.w2 * t.w2) + _dot(dd, dd, t.w2)  # |(x - y, xdot - ydot)|_1^2
+        ce, psi_a, psi_b = t.cos * e, t.psi1 * A, t.psi1 * B
+        r_star = (_dot(ce, A) + _dot(ce, B, t.w2)
+                  + 0.5 * cfg.tau**2 * kappa * _dot(psi_a, psi_b, t.w2)
+                  + 0.25 * cfg.tau**2 * kappa * _dot(psi_b, psi_b, t.w2))
+        return pn_sq + kappa * _u(exx, A, t, problem, cfg), r_star, e, A + B
 
+    e_new, r_star1, e1, dg1 = level(up, vp)
+    e_old, r_star0, e0, dg0 = level(un, vn)
     # with g == 0 the projected nonlinear terms of x and y differ by A + B
-    r_star0, dG0 = _g_terms(fu0, fv0, problem, cfg)
-    r_star1, dG1 = _g_terms(fu1, fv1, problem, cfg)
-    r_tilde = inner_product(fu1 - fv1, dG0, s=1.0) - inner_product(fu0 - fv0, dG1, s=1.0)
-    r_star = r_star1 - r_star0
-
-    lhs = e_new
-    rhs = e_old + kappa * (r_tilde + r_star)
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
+    r_tilde = _dot(e1, dg0, t.w2) - _dot(e0, dg1, t.w2)
+    rhs = e_old + kappa * (r_tilde + (r_star1 - r_star0))
+    return float(abs(e_new - rhs) / (1.0 + abs(e_new)))

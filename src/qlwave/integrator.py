@@ -14,12 +14,12 @@ on next_fast_len(3K+1) nodes, which gives its kept modes |m| <= K exactly
 (Orszag's 3/2 rule: the degree-2K product aliases only onto |m| > K),
 truncates to degree K and applies the force filter.
 
-The step kernel tabulates each multiplier once per step size together
-with the scalar factors written before it (tau*sinc, tau^2/2*kappa*sinc,
--Om*sin, tau/2*kappa*cos), each product formed in the order the formulas
-above are written.  A step is then a dozen array operations besides the
-two nonlinearities, and rounds exactly as the formulas evaluated left to
-right.
+The step kernel, L and the energy diagnostics take their multipliers from
+_tables, the one tabulation in tau*Om.  The kernel multiplies each once by
+the scalar factors written before it (tau*sinc, tau^2/2*kappa*sinc,
+-Om*sin, tau/2*kappa*cos), in the order the formulas above are written.
+A step is then a dozen array operations besides the two nonlinearities,
+and rounds exactly as the formulas evaluated left to right.
 
 The kernel has one shape: it steps a (B, K+1) stack of half spectra,
 modes 0..K of the real fields (see spectral.py), whose row i runs under
@@ -32,11 +32,12 @@ mode below 0.  The transforms and the product are spectral's.  Spectra
 are mirrored to the full -K..K only for an evolve observer and for the
 final StatePairs.  The interpolation of a(u) and g is one function,
 _interpolate, which the kernel and the energy diagnostics (through
-_interpolants, on half spectra) share.
+_interpolants, which takes a half spectrum) share.
 """
 
 from __future__ import annotations
 
+import collections
 import copy
 import math
 import os
@@ -56,7 +57,6 @@ from .spectral import (
     coeffs_from_samples,
     mirror_half,
     next_fast_len,
-    omega_weights,
     pair_norm,
     synthesize_values,
 )
@@ -167,6 +167,22 @@ def _warn_if_inadmissible(cfg: IntegratorConfig):
         )
 
 
+_Tables = collections.namedtuple("_Tables", "w w2 dxx cos sin sinc phi psi1")
+
+
+def _tables(cfg: IntegratorConfig, D: int) -> _Tables:
+    """Rows w = sqrt(j^2+1), w^2, -j^2 and cos, sin, sinc, phi, psi1 of tau*w on modes 0..D.
+
+    The one tabulation in tau*Om.  Each entry is its own mode's, so the
+    prefix 0..k of a row is bitwise the degree-k row.
+    """
+    j = np.arange(D + 1, dtype=float)
+    w = np.sqrt(j * j + 1.0)
+    x = cfg.tau * w
+    return _Tables(w, w * w, -(j * j), np.cos(x), np.sin(x), flt.sinc(x),
+                   flt.phi(cfg.filter, x), flt.psi1(cfg.filter, x))
+
+
 def _grad(problem: ProblemSpec, K: int) -> np.ndarray:
     """The half-spectrum rows 1 and d/dx, the latter only if the problem has a g(u, u_x)."""
     rows = np.stack((np.ones(K + 1), 1j * np.arange(K + 1, dtype=float)))
@@ -217,30 +233,28 @@ class _Engine:
         self.tau = tau
         self.kappa = problem.kappa
 
-        w1 = omega_weights(K)[K:]
-        j = np.arange(K + 1, dtype=float)
+        rows = [_tables(c, K) for c in cfgs]
+        t = rows[0]
         # norm-guard weights w^4 and w^2 of the half spectrum, one per real
         # and one per imaginary part: a mode j >= 1 stands for j and -j,
         # which have equal moduli
-        twice = np.where(j > 0, 2.0, 1.0)
-        self.w2_t = np.repeat(twice * (w1 * w1), 2)
-        self.w4_t = np.repeat(twice * ((w1 * w1) * (w1 * w1)), 2)
+        twice = np.where(np.arange(K + 1) > 0, 2.0, 1.0)
+        self.w2_t = np.repeat(twice * t.w2, 2)
+        self.w4_t = np.repeat(twice * (t.w2 * t.w2), 2)
         # multipliers times their leading scalar factors (module docstring),
         # stored complex: numpy casts a real factor of a complex product to
         # complex, so the bits are the same without the cast, and a (1, K+1)
         # row also skips the broadcast against a one-row stack
-        sinc_t = flt.sinc(tau * w1)
-        cos_t = np.cos(tau * w1)
         self.cos_t, self.tsinc_t, self.ksinc_t, self.mwsin_t, self.kcos_t = (
-            np.asarray(t, np.complex128)[np.newaxis] for t in (
-                cos_t, tau * sinc_t, 0.5 * tau * tau * self.kappa * sinc_t,
-                -(w1 * np.sin(tau * w1)), 0.5 * tau * self.kappa * cos_t))
+            np.asarray(r, np.complex128)[np.newaxis] for r in (
+                t.cos, tau * t.sinc, 0.5 * tau * tau * self.kappa * t.sinc,
+                -(t.w * t.sin), 0.5 * tau * self.kappa * t.cos))
         self.khalf = 0.5 * tau * self.kappa
-        phi_t = np.asarray([flt.phi(c.filter, tau * w1) for c in cfgs])
-        self.psi1_t = np.asarray([flt.psi1(c.filter, tau * w1) for c in cfgs], np.complex128)
+        phi_t = np.asarray([r.phi for r in rows])
+        self.psi1_t = np.asarray([r.psi1 for r in rows], np.complex128)
         # position filter times (1, d/dx) and times d^2/dx^2
         self.grad_t = phi_t * _grad(problem, K)[:, None]
-        self.dxx_t = np.asarray(phi_t * -(j * j), np.complex128)
+        self.dxx_t = np.asarray(phi_t * t.dxx, np.complex128)
         # 3K+1 nodes resolve modes |m| <= K of the degree-2K product exactly
         self.n_prod = next_fast_len(3 * K + 1)
 
@@ -293,13 +307,13 @@ class _Engine:
         return float(self.w4_t @ (x * x) + self.w2_t @ (y * y))
 
 
-def _interpolants(u: SpectralField, problem: ProblemSpec) -> np.ndarray:
-    """The step's _interpolate of u at K = deg u, unfiltered: rows a_K(u) and g_K(u, u_x).
+def _interpolants(u: np.ndarray, problem: ProblemSpec) -> np.ndarray:
+    """The step's unfiltered _interpolate of the half spectrum u at K: rows a_K(u), g_K(u, u_x).
 
     Half spectra, modes 0..K.
     """
-    K = u.degree
-    return _interpolate(problem, _grad(problem, K) * u.coeffs[K:], K)
+    K = u.shape[-1] - 1
+    return _interpolate(problem, _grad(problem, K) * u, K)
 
 
 def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,

@@ -18,9 +18,9 @@ given, and the analysis keeps modes 0..degree.  Every caller hands the
 pair modes 0..K of its fields (coeffs[K:]) and mirrors a result once,
 with mirror_half, where it becomes a SpectralField.  _pointwise_product
 is the one product of two fields, in two calls (one stacked synthesis):
-dealiased_product forms it on a grid that resolves all of its modes, the
-step kernel on its 3K+1-node grid.  apply_multiplier is the one way to
-apply a Fourier multiplier m(Om).
+the step kernel forms it on its 3K+1-node grid, the energy diagnostics on
+grids that resolve the modes they keep.  The multipliers in tau*Om are
+rows of integrator._tables, applied to half spectra by their callers.
 
 The pair calls pocketfft's C entry points c2r and r2c directly, with one
 thread.  At the sizes a step uses (K <= 128), most of the time of a
@@ -255,45 +255,9 @@ def mirror_half(half: np.ndarray) -> np.ndarray:
     return full
 
 
-def project(f: SpectralField, degree: int) -> SpectralField:
-    """Orthogonal projection onto polynomials of lower degree (mode cut)."""
-    if degree > f.degree:
-        raise ConfigurationError(
-            f"projection target degree {degree} exceeds field degree {f.degree}"
-        )
-    k = f.degree - degree
-    return SpectralField(f.coeffs[k : f.coeffs.size - k])
-
-
 def embed(f: SpectralField, degree: int) -> SpectralField:
     """Zero-pad f to a higher degree (exact embedding)."""
     return SpectralField(_padded(f, degree))
-
-
-def apply_multiplier(f: SpectralField, m) -> SpectralField:
-    """Apply a Fourier multiplier m evaluated at the weights sqrt(j^2+1).
-
-    ``m`` must accept a numpy array.  Real multipliers preserve the
-    real-field symmetry exactly.
-    """
-    values = np.asarray(m(omega_weights(f.degree)))
-    if not np.all(np.isfinite(values)):
-        raise NumericsError("multiplier returned non-finite values")
-    return SpectralField(f.coeffs * values)
-
-
-def derivative(f: SpectralField, order: int = 1) -> SpectralField:
-    """Spectral derivative: mode j is multiplied by (i*j)**order."""
-    if order < 1:
-        raise ConfigurationError("derivative order must be >= 1")
-    j = mode_numbers(f.degree).astype(float)
-    # (i*j)**order computed without complex pow so symmetry stays bit-exact
-    mag = j**order
-    if order % 2 == 0:
-        factor = (-1.0) ** (order // 2) * mag
-    else:
-        factor = 1j * (-1.0) ** ((order - 1) // 2) * mag
-    return SpectralField(f.coeffs * factor)
 
 
 def _pointwise_product(f: np.ndarray, g: np.ndarray, n: int, degree: int) -> np.ndarray:
@@ -303,18 +267,6 @@ def _pointwise_product(f: np.ndarray, g: np.ndarray, n: int, degree: int) -> np.
     spec[1, ..., : g.shape[-1]] = g
     vals = synthesize_values(spec, n)
     return coeffs_from_samples(vals[0] * vals[1], degree)
-
-
-def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Exact product of two fields as a degree K1+K2 field.
-
-    The pointwise product is formed on next_fast_len(2(K1+K2)+1) nodes,
-    which resolve every mode of the product.
-    """
-    deg = f.degree + g.degree
-    n = next_fast_len(2 * deg + 1)
-    product = _pointwise_product(f.coeffs[f.degree :], g.coeffs[g.degree :], n, deg)
-    return SpectralField(mirror_half(product))
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -328,13 +280,3 @@ def pair_norm(u: SpectralField, udot: SpectralField, s: float) -> float:
     """Product norm (|u|_{s+1}^2 + |udot|_s^2)^(1/2) of a position/velocity pair."""
     s = _check_order(s)
     return float(np.hypot(sobolev_norm(u, s + 1.0), sobolev_norm(udot, s)))
-
-
-def inner_product(f: SpectralField, g: SpectralField, s: float = 0.0) -> float:
-    """Weighted scalar product sum w_j^{2s} conj(f_j) g_j (real for real fields)."""
-    s = _check_order(s)
-    K = max(f.degree, g.degree)
-    cf = _padded(f, K)
-    cg = _padded(g, K)
-    w = omega_weights(K)
-    return float(np.real(np.sum(w ** (2.0 * s) * np.conj(cf) * cg)))

@@ -16,9 +16,13 @@ must match them bit for bit.
 The test-only forms at the end are what only the tests need of the
 package: a field from a {mode: coefficient} mapping, the filter catalog
 of the shipped experiments, the exact linear flow, the velocity flip of
-time reversal, the unfiltered nonlinearity a_K(u) u_xx + g_K(u, u_x)
-formed through spectral.dealiased_product, and the step kernel's
-filtered nonlinearity of one field, which calls the kernel itself.
+time reversal, the full-spectrum field operations the energy diagnostics
+used before they moved onto half spectra (project, apply_multiplier,
+derivative, dealiased_product through spectral's one pointwise product,
+and the weighted inner_product), the unfiltered nonlinearity
+a_K(u) u_xx + g_K(u, u_x) formed through dealiased_product, and the step
+kernel's filtered nonlinearity of one field, which calls the kernel
+itself.
 """
 
 import math
@@ -27,13 +31,16 @@ import numpy as np
 import scipy.fft
 
 from qlwave import filters
+from qlwave.exceptions import ConfigurationError, NumericsError
 from qlwave.integrator import StatePair, _Engine, _interpolants
 from qlwave.spectral import (
     SpectralField,
-    dealiased_product,
-    derivative,
+    _check_order,
+    _padded,
+    _pointwise_product,
     mirror_half,
     mode_numbers,
+    next_fast_len,
     omega_weights,
 )
 
@@ -348,9 +355,67 @@ def negated_velocity(state: StatePair) -> StatePair:
     return StatePair(state.u, -state.udot)
 
 
+def project(f: SpectralField, degree: int) -> SpectralField:
+    """Orthogonal projection onto polynomials of lower degree (mode cut)."""
+    if degree > f.degree:
+        raise ConfigurationError(
+            f"projection target degree {degree} exceeds field degree {f.degree}"
+        )
+    k = f.degree - degree
+    return SpectralField(f.coeffs[k : f.coeffs.size - k])
+
+
+def apply_multiplier(f: SpectralField, m) -> SpectralField:
+    """Apply a Fourier multiplier m evaluated at the weights sqrt(j^2+1).
+
+    ``m`` must accept a numpy array.  Real multipliers preserve the
+    real-field symmetry exactly.
+    """
+    values = np.asarray(m(omega_weights(f.degree)))
+    if not np.all(np.isfinite(values)):
+        raise NumericsError("multiplier returned non-finite values")
+    return SpectralField(f.coeffs * values)
+
+
+def derivative(f: SpectralField, order: int = 1) -> SpectralField:
+    """Spectral derivative: mode j is multiplied by (i*j)**order."""
+    if order < 1:
+        raise ConfigurationError("derivative order must be >= 1")
+    j = mode_numbers(f.degree).astype(float)
+    # (i*j)**order computed without complex pow so symmetry stays bit-exact
+    mag = j**order
+    if order % 2 == 0:
+        factor = (-1.0) ** (order // 2) * mag
+    else:
+        factor = 1j * (-1.0) ** ((order - 1) // 2) * mag
+    return SpectralField(f.coeffs * factor)
+
+
+def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
+    """Exact product of two fields as a degree K1+K2 field.
+
+    The pointwise product is formed on next_fast_len(2(K1+K2)+1) nodes,
+    which resolve every mode of the product.
+    """
+    deg = f.degree + g.degree
+    n = next_fast_len(2 * deg + 1)
+    product = _pointwise_product(f.coeffs[f.degree :], g.coeffs[g.degree :], n, deg)
+    return SpectralField(mirror_half(product))
+
+
+def inner_product(f: SpectralField, g: SpectralField, s: float = 0.0) -> float:
+    """Weighted scalar product sum w_j^{2s} conj(f_j) g_j (real for real fields)."""
+    s = _check_order(s)
+    K = max(f.degree, g.degree)
+    cf = _padded(f, K)
+    cg = _padded(g, K)
+    w = omega_weights(K)
+    return float(np.real(np.sum(w ** (2.0 * s) * np.conj(cf) * cg)))
+
+
 def nonlinear_term(u: SpectralField, problem) -> SpectralField:
     """Unfiltered interpolated nonlinearity a_K(u) u_xx + g_K(u, u_x), degree 2K."""
-    ag = mirror_half(_interpolants(u, problem))
+    ag = mirror_half(_interpolants(u.coeffs[u.degree :], problem))
     out = dealiased_product(SpectralField(ag[0]), derivative(u, 2))
     return out + SpectralField(ag[1]) if ag.shape[0] > 1 else out
 

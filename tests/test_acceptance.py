@@ -38,9 +38,9 @@ from qlwave.harness import (
 from qlwave.integrator import IntegratorConfig, StatePair, evolve, step
 from qlwave.problem import ProblemSpec, linear_problem, model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, local_error
-from qlwave.spectral import SpectralField, derivative, inner_product
+from qlwave.spectral import SpectralField
 from conftest import hermitian_field, warns_if_inadmissible
-from oracles import catalog, dense_one_step, linear_propagator
+from oracles import catalog, dense_one_step, derivative, inner_product, linear_propagator
 
 
 def report(criterion: int, message: str) -> None:

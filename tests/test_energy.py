@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlwave.energy import (
     _LOperator,
+    _dot,
     _mode_basis,
     _random_probes,
     apply_l_operator,
@@ -20,14 +21,12 @@ from qlwave.energy import (
     u_term,
 )
 from qlwave.exceptions import ConfigurationError, DivergenceError, PreconditionError
-from qlwave.filters import grimm_hochbruck, hairer_lubich, impulse, psi1, sinc_c
+from qlwave.filters import grimm_hochbruck, hairer_lubich, impulse, phi, psi1, sinc_c
 from qlwave.integrator import IntegratorConfig, StatePair
 from qlwave.problem import ProblemSpec, ellipticity_report, model_problem, power_law_initial_data
 from qlwave.spectral import (
     SpectralField,
-    derivative,
     embed,
-    inner_product,
     mirror_half,
     omega_weights,
     pair_norm,
@@ -37,9 +36,12 @@ from qlwave.spectral import (
 
 from conftest import hermitian_field
 from oracles import (
+    apply_multiplier,
     dense_l_operator,
+    derivative,
     field_from_dict,
     full_spectrum_l_operator,
+    inner_product,
     quadrature_inner_product,
 )
 
@@ -422,6 +424,32 @@ class TestEnergyReport:
         )
         assert rep.positivity_margin is not None and rep.positivity_margin >= 0.0
         assert rep.identity_residual is not None and rep.identity_residual <= 1e-11
+
+
+class TestHalfSpectrumAlgebra:
+    # the energy layer works on modes 0..K; its one multiplier path and its
+    # one scalar product against the full-spectrum forms it replaced
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 64), st.floats(1e-3, 2.0),
+           st.sampled_from(ADMISSIBLE + (impulse(), sinc_c(0.7))))
+    def test_position_filter_is_the_multiplier(self, seed, K, tau, spec):
+        cfg = IntegratorConfig(tau=tau, K=max(K, 1), filter=spec)
+        f = hermitian_field(np.random.default_rng(seed), K)
+        got = apply_position_filter(f, cfg).coeffs
+        want = apply_multiplier(f, lambda w: phi(spec, tau * w)).coeffs
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("K", [0, 1, 5, 16, 64])
+    def test_dot_is_the_inner_product(self, rng, K):
+        # relative to |f|_s |g|_s, the scale of the summation's rounding
+        w2 = omega_weights(K)[K:] ** 2
+        for _ in range(10):
+            f, g = hermitian_field(rng, K), hermitian_field(rng, K)
+            for s, weight in ((0.0, 1.0), (1.0, w2)):
+                want = inner_product(f, g, s)
+                got = _dot(f.coeffs[K:], g.coeffs[K:], weight)
+                assert abs(got - want) <= 1e-15 * sobolev_norm(f, s) * sobolev_norm(g, s)
 
 
 class TestEnergyChange:

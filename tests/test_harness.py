@@ -619,6 +619,20 @@ class TestCli:
         assert os.path.exists(out / "energy_margins.csv")
         assert "exact eigenvalue margin" in capsys.readouterr().out
 
+    def test_energy_check_fails_on_negative_exact_margin(self, tmp_path, capsys):
+        # hl at tau*K = 3.2: every sampled probe stays positive, but the
+        # exact margin, the minimum over all probes, is negative
+        out = tmp_path / "out"
+        code = cli_main(["energy-check", "-o", "problem.kappa=0.5", "-o", "grid.K=16",
+                         "-o", "time.tau=0.2", "-o", "filter.kind=hl", "--out", str(out)])
+        text = capsys.readouterr().out
+        worst = float(re.search(r"worst Rayleigh margin vs delta/8: (\S+)", text).group(1))
+        exact = float(re.search(r"exact eigenvalue margin vs delta/8 \(cross-check\): (\S+)",
+                                text).group(1))
+        assert worst > 0.0 > exact
+        assert code == 2
+        assert os.path.exists(out / "energy_margins.csv")
+
     def test_energy_check_rejects_negative_probe_count(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli_main(["energy-check", "-o", "grid.K=8", "-o", "energy.probes=-1",

@@ -24,7 +24,6 @@ from qlwave.spectral import (
     mirror_half,
     omega_weights,
     pair_norm,
-    project,
     synthesize_values,
 )
 
@@ -38,6 +37,7 @@ from oracles import (
     linear_propagator,
     negated_velocity,
     nonlinear_term,
+    project,
     step_three_stage,
     unpremultiplied_step,
 )
@@ -530,6 +530,21 @@ class TestHalfSpectrumKernel:
         c = np.stack([hermitian_field(rng, K, scale=0.5, decay=3.0).coeffs for _ in specs])
         full = full_spectrum_fhat(problem, cfgs, c)[..., K:]
         assert np.array_equal(bits(engine.fhat(c[..., K:])), bits(full))
+
+    @pytest.mark.parametrize("spec", FILTERS + (sinc_c(0.7),), ids=lambda f: f.label)
+    def test_tables_prefix_rows_are_the_degree_k_rows(self, spec):
+        # the one tabulation of the multipliers in tau*Om: each entry is its
+        # own mode's, so a degree-D table serves every degree k <= D
+        cfg = IntegratorConfig(tau=0.3, K=8, filter=spec)
+        big = integrator._tables(cfg, 64)
+        for k in (0, 1, 7, 33, 64):
+            small = integrator._tables(cfg, k)
+            for name, row, want in zip(big._fields, big, small):
+                assert np.array_equal(bits(row[: k + 1]), bits(want)), name
+            x = cfg.tau * omega_weights(k)[k:]
+            assert np.array_equal(bits(small.phi), bits(phi(spec, x)))
+            assert np.array_equal(bits(small.psi1), bits(psi1(spec, x)))
+            assert np.array_equal(bits(small.cos), bits(np.cos(x)))
 
     @pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0])
     def test_outcomes_exactly_hermitian(self, rng, kappa):

@@ -12,34 +12,34 @@ from hypothesis import given, settings, strategies as st
 
 import qlwave
 from qlwave import spectral
-from qlwave.energy import _LOperator, positivity_check
+from qlwave.energy import _LOperator, energy_change_residual, positivity_check
 from qlwave.exceptions import AliasingError, ConfigurationError, NumericsError
 from qlwave.filters import sinc_c
 from qlwave.integrator import IntegratorConfig, StatePair, _Engine, evolve
-from qlwave.problem import ellipticity_report, model_problem, power_law_initial_data
+from qlwave.problem import ProblemSpec, ellipticity_report, model_problem, power_law_initial_data
 from qlwave.spectral import (
     SpectralField,
-    apply_multiplier,
     coeffs_from_samples,
-    dealiased_product,
-    derivative,
     embed,
-    inner_product,
     mirror_half,
     omega_weights,
     pair_norm,
-    project,
     sobolev_norm,
     synthesize_values,
 )
 
 from conftest import hermitian_field
 from oracles import (
+    apply_multiplier,
     assembled_analysis,
+    dealiased_product,
     dense_convolution,
     dense_synthesize,
+    derivative,
     field_from_dict,
+    inner_product,
     padded_synthesis,
+    project,
     two_synthesis_product,
     zeroed_buffer_product,
 )
@@ -503,6 +503,23 @@ class TestTransformPair:
         # both factors go through one stacked synthesis
         dealiased_product(hermitian_field(rng, 5), hermitian_field(rng, 8))
         assert transform_calls == {"pair": 2, "core": 2}
+
+    def test_energy_change_residual_makes_fourteen_and_fourteen(self, rng, transform_calls,
+                                                                monkeypatch):
+        # two steps make 8 syntheses and 8 analyses; each time level then
+        # interpolates a(u) and a(v) and forms the one stacked product that
+        # U and R* share, 3 and 3 (it was 20 and 20 with U's own products)
+        K = 16
+        problem = ProblemSpec(kappa=1.0, a=lambda u: u, g=None)
+        cfg = IntegratorConfig(tau=0.05, K=K, filter=sinc_c(2.0))
+        un, vn = (StatePair(hermitian_field(rng, K, 0.3), hermitian_field(rng, K, 0.3))
+                  for _ in range(2))
+        syntheses = []
+        c2r = spectral.c2r
+        monkeypatch.setattr(spectral, "c2r", lambda *args: syntheses.append(1) or c2r(*args))
+        energy_change_residual(un, vn, problem, cfg)
+        assert transform_calls == {"pair": 28, "core": 28}
+        assert len(syntheses) == 14
 
     def test_core_only_through_the_pair(self, transform_calls):
         K = 8
