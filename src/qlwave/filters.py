@@ -72,7 +72,9 @@ def grimm_hochbruck() -> FilterSpec:
 
 def sinc_c(c: float) -> FilterSpec:
     c = float(c) + 0.0  # + 0.0 turns -0.0 into 0.0, so sinc:-0 is sinc:0
-    return FilterSpec(f"sinc:{c:g}", c)
+    # {c:g} keeps six significant digits; a c it does not spell gets repr
+    short = f"{c:g}"
+    return FilterSpec(f"sinc:{short if float(short) == c else repr(c)}", c)
 
 
 def parse_filter(text: str) -> FilterSpec:

@@ -32,7 +32,7 @@ mode below 0.  The transforms and the product are spectral's.  Spectra
 are mirrored to the full -K..K only for an evolve observer and for the
 final StatePairs.  The interpolation of a(u) and g is one function,
 _interpolate, which the kernel and the energy diagnostics (through
-_interpolants, which takes a half spectrum) share.
+_interpolants, which takes a half spectrum and raises on overflow) share.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import collections
 import copy
 import math
+import operator
 import os
 import sys
 import warnings
@@ -194,24 +195,14 @@ def _interpolate(problem: ProblemSpec, grad_c: np.ndarray, K: int) -> np.ndarray
 
     The degree-K trigonometric interpolants on the 2K+1-node grid: one
     batched synthesis and one batched analysis of half spectra of shape
-    (rows, ..., K+1), (rows, B, K+1) for a stack.  An overflow raises
-    DivergenceError whose ``rows`` masks the overflowed stack rows.
+    (rows, ..., K+1), (rows, B, K+1) for a stack.  An overflowing a or g
+    leaves its stack rows non-finite and the others as they are alone.
     """
     vals = synthesize_values(grad_c, 2 * K + 1)
     rows = [problem.a(vals[0])]
     if problem.g is not None:
         rows.append(problem.g(vals[0], vals[1]))
-    f = np.asarray(rows, dtype=float)
-    # a finite sum proves every sample finite; only a non-finite sum,
-    # which finite samples can also reach by overflow, needs the scan
-    if not math.isfinite(f.sum()):
-        finite = np.all(np.isfinite(f), axis=(0, -1))
-        if not np.all(finite):
-            exc = DivergenceError("nonlinearity a(u) or g(u, u_x) overflowed")
-            # which rows of a stack overflowed, for the step loop to retire
-            exc.rows = ~finite
-            raise exc
-    return coeffs_from_samples(f, K)
+    return coeffs_from_samples(np.asarray(rows, dtype=float), K)
 
 
 class _Engine:
@@ -307,13 +298,21 @@ class _Engine:
         return float(self.w4_t @ (x * x) + self.w2_t @ (y * y))
 
 
+_OVERFLOW = "nonlinearity a(u) or g(u, u_x) overflowed"
+
+
 def _interpolants(u: np.ndarray, problem: ProblemSpec) -> np.ndarray:
     """The step's unfiltered _interpolate of the half spectrum u at K: rows a_K(u), g_K(u, u_x).
 
-    Half spectra, modes 0..K.
+    Half spectra, modes 0..K.  Raises DivergenceError if a row is not
+    finite; the analysis of non-finite samples adds no warning of its own.
     """
     K = u.shape[-1] - 1
-    return _interpolate(problem, _grad(problem, K) * u, K)
+    with np.errstate(invalid="ignore"):
+        ag = _interpolate(problem, _grad(problem, K) * u, K)
+    if not np.all(np.isfinite(ag)):
+        raise DivergenceError(_OVERFLOW)
+    return ag
 
 
 def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
@@ -321,14 +320,15 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
     """Iterate the one-step map n_steps times from state0 under each of cfgs.
 
     ``cfgs`` is a sequence of configs sharing K and tau, run as a (B, K+1)
-    stack of half spectra whose row i follows cfgs[i].  After each step
-    every running row is checked, in this order, for an overflowing
-    nonlinearity, a non-finite state and the norm guard; a failing row
-    retires with its DivergenceError or NormGuardError (step and time set)
-    and the other rows go on.  ``observer(n, t, u, ud)`` sees the
-    (rows, 2K+1) full spectra of the running rows after the steps n with
-    n % every == 0.  Returns one outcome per row: its final StatePair or
-    the exception that retired it.
+    stack of half spectra whose row i follows cfgs[i].  After each step a
+    row whose guard norm is not finite and within _MAX_NORM fails with the
+    first of an overflowing nonlinearity F(u'), a non-finite state and the
+    norm guard (ud' holds tau*kappa/2 F(u'), so a non-finite F(u') makes
+    the norm non-finite).  It retires with its DivergenceError or
+    NormGuardError (step and time set) while the other rows go on.
+    ``observer(n, t, u, ud)`` sees the (rows, 2K+1) full spectra of the
+    running rows after the steps n with n % every == 0.  Returns one
+    outcome per row: its final StatePair or the exception that retired it.
     """
     engine = _Engine(problem, cfgs)
     K = engine.K
@@ -339,64 +339,33 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
     outcomes: list = [None] * len(cfgs)
     live = list(range(len(cfgs)))
     fn = None
-
-    def retire(failed: dict) -> bool:
-        """Record the failed rows' outcomes and drop them; False when none run."""
-        nonlocal engine, u, ud, fn, live
-        keep = np.ones(len(live), dtype=bool)
-        for i, exc in failed.items():
-            outcomes[live[i]] = exc
-            keep[i] = False
-        live = [r for r, k in zip(live, keep) if k]
-        if not live:
-            return False
-        engine, u, ud = engine.take(keep), u[keep], ud[keep]
-        fn = None if fn is None else fn[keep]
-        return True
-
-    def kernel_step(n: int):
-        """Step n of the running rows, retiring those whose nonlinearity overflows."""
-        while True:
-            try:
-                return engine.step_arrays(u, ud, fn)
-            except DivergenceError as exc:
-                failed = {}
-                for i in np.flatnonzero(exc.rows):
-                    failed[i] = DivergenceError(
-                        f"nonlinearity overflowed at step {n} (t={n * tau:g})",
-                        step=n, time=n * tau,
-                    )
-                    failed[i].__cause__ = exc
-                if not retire(failed):
-                    return None
-
     for n in range(1, n_steps + 1):
-        stepped = kernel_step(n)
-        if stepped is None:
-            break
-        u, ud, fn = stepped
-        failed = {}
+        u, ud, fn = engine.step_arrays(u, ud, fn)
+        failed = []
         for i, (ui, udi) in enumerate(zip(u, ud)):
             norm_sq = engine.norm_sq(ui, udi)
             if norm_sq <= max_sq and math.isfinite(norm_sq):
                 continue
-            # a non-finite state makes norm_sq non-finite; a finite state may
-            # still overflow it, which is the norm guard's case below
-            if not math.isfinite(norm_sq) and not (
-                np.all(np.isfinite(ui.view(np.float64)))
-                and np.all(np.isfinite(udi.view(np.float64)))
-            ):
-                failed[i] = DivergenceError(
-                    f"non-finite state at step {n} (t={n * tau:g})", step=n, time=n * tau
-                )
-            elif norm_sq > max_sq:
-                failed[i] = NormGuardError(
-                    f"norm guard tripped at step {n} (t={n * tau:g}): "
-                    f"|state| = {np.sqrt(norm_sq):.3e} > {_MAX_NORM:.3e}",
-                    step=n, time=n * tau,
-                )
-        if failed and not retire(failed):
-            break
+            at = f"at step {n} (t={n * tau:g})"
+            if fn is not None and not np.all(np.isfinite(fn[i])):
+                exc = DivergenceError(f"nonlinearity overflowed {at}")
+                exc.__cause__ = DivergenceError(_OVERFLOW)
+            elif not (np.all(np.isfinite(ui)) and np.all(np.isfinite(udi))):
+                exc = DivergenceError(f"non-finite state {at}")
+            else:
+                exc = NormGuardError(f"norm guard tripped {at}: "
+                                     f"|state| = {np.sqrt(norm_sq):.3e} > {_MAX_NORM:.3e}")
+            exc.step, exc.time = n, n * tau
+            outcomes[live[i]] = exc
+            failed.append(i)
+        if failed:
+            keep = np.ones(len(live), dtype=bool)
+            keep[failed] = False
+            live = [r for r, k in zip(live, keep) if k]
+            if not live:
+                break
+            engine, u, ud = engine.take(keep), u[keep], ud[keep]
+            fn = None if fn is None else fn[keep]
         if observer is not None and n % every == 0:
             observer(n, n * tau, mirror_half(u), mirror_half(ud))
     for row, ui, udi in zip(live, mirror_half(u), mirror_half(ud)):
@@ -420,12 +389,20 @@ def evolve(
     udot)`` is called after the steps n with n % every == 0 (every step
     by default) with fresh full coefficient arrays (modes -K..K) of the
     state; other steps build none.  Raises ConfigurationError for
-    every < 1, DivergenceError (with the failing step index) on
-    non-finite states and NormGuardError when the position/velocity norm
-    exceeds _MAX_NORM (1e6).  Warns on every call if cfg's filter is impulse.
+    every < 1 and for n_steps not an integer in 0.._MAX_STEPS,
+    DivergenceError (with the failing step index) on an overflowing
+    nonlinearity or a non-finite state and NormGuardError when the
+    position/velocity norm exceeds _MAX_NORM (1e6).  Warns on every call
+    if cfg's filter is impulse.
     """
+    try:
+        n_steps = operator.index(n_steps)
+    except TypeError:
+        raise ConfigurationError(f"n_steps must be an integer, got {n_steps!r}") from None
     if n_steps < 0:
         raise ConfigurationError("n_steps must be >= 0")
+    if n_steps > _MAX_STEPS:
+        raise ConfigurationError(f"n_steps = {n_steps} is more than a run may take ({_MAX_STEPS})")
     if every < 1:
         raise ConfigurationError(f"observer interval every must be >= 1, got {every}")
     row0 = None if observer is None else (lambda n, t, u, ud: observer(n, t, u[0], ud[0]))

@@ -57,6 +57,7 @@ def zero_a_problem():
 
 
 class TestUTerm:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_a_raises_the_steps_divergence(self):
         # U and L take a_K(u) from the step's interpolation, with its overflow check
         p = quasilinear_only(1.0, a=lambda x: np.exp(1000.0 * x) - 1.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qlwave.exceptions import ConfigurationError
 from qlwave.filters import (
@@ -45,6 +46,15 @@ class TestCatalog:
     def test_parse_round_trip(self):
         for text in ("impulse", "hl", "gh", "sinc:2", "sinc:0.5"):
             assert parse_filter(text).label == text.replace("sinc:2", "sinc:2")
+
+    @given(st.floats(min_value=0.0, allow_infinity=False))
+    def test_sinc_label_parses_back_to_its_c(self, c):
+        assert parse_filter(sinc_c(c).label).c == c
+
+    def test_sinc_label_keeps_short_spellings(self):
+        # {c:g} where it spells c exactly, repr where six digits lose it
+        assert [sinc_c(c).label for c in (2.0, 0.5, 1e-7, 2.0000001, 1.23456789)] == [
+            "sinc:2", "sinc:0.5", "sinc:1e-07", "sinc:2.0000001", "sinc:1.23456789"]
 
     def test_parse_errors(self):
         for bad in ("nope", "sinc:", "sinc:x"):

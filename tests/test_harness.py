@@ -543,6 +543,17 @@ class TestCli:
         assert "sweep filter sinc:0 is repeated (as hl)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_conv_time_labels_close_sinc_filters_apart(self, tmp_path):
+        # six significant digits cannot tell these two c apart
+        out = tmp_path / "out"
+        code = cli_main(["conv-time", "-o", "sweep.K=8", "-o", "sweep.tau=0.25 0.125 0.0625",
+                         "-o", "time.T=1", "-o", "sweep.filters=sinc:2,sinc:2.0000001",
+                         "-o", "reference.refine_factor=4", "--out", str(out)])
+        assert code == 0
+        with open(out / "conv_time.csv") as fh:
+            labels = [row["filter"] for row in csv.DictReader(fh)]
+        assert sorted(labels) == ["sinc:2"] * 3 + ["sinc:2.0000001"] * 3
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_config_runs(self, tmp_path, capsys, path):
         # shrunk only through keys the file sets, so each of its keys is still read

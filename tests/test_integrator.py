@@ -146,6 +146,20 @@ class TestNonlinearTerm:
         with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
             nonlinear_term(huge, model_problem(1.0))
 
+    def test_interpolate_returns_an_overflowing_row_non_finite(self, rng):
+        # the cube of 1e200 overflows row 1 of the stack; _interpolate does
+        # not raise, and rows 0 and 2 come out as they do alone
+        K, p = 6, model_problem(1.0)
+        c = np.stack([hermitian_field(rng, K).coeffs[K:] for _ in range(3)])
+        c[1, 0] = 1e200
+        grad = integrator._grad(p, K)[:, None]
+        with np.errstate(all="ignore"):
+            ag = integrator._interpolate(p, grad * c, K)
+            alone = [integrator._interpolate(p, grad * c[i:i + 1], K)[:, 0] for i in (0, 2)]
+        assert not np.all(np.isfinite(ag[:, 1]))
+        for i, row in zip((0, 2), alone):
+            assert np.array_equal(bits(ag[:, i]), bits(row))
+
 
 class TestFilteredNonlinearTerm:
     def test_zero_state(self):
@@ -397,6 +411,24 @@ class TestEvolve:
         cfg = IntegratorConfig(tau=0.25, K=4, filter=sinc_c(2.0))
         with pytest.raises(ConfigurationError):
             evolve(st, model_problem(0.1), cfg, 5, observer=lambda *a: None, every=every)
+
+    @pytest.mark.parametrize("n_steps,message", [
+        (2.5, "n_steps must be an integer, got 2.5"),
+        (2**31 + 1, "n_steps = 2147483649 is more than a run may take"),
+    ])
+    def test_step_count_rejected_before_running(self, monkeypatch, n_steps, message):
+        def no_run(*args):
+            raise AssertionError("evolve ran a step count it should reject")
+
+        monkeypatch.setattr(integrator, "_evolve_stack", no_run)
+        cfg = IntegratorConfig(tau=0.25, K=4, filter=sinc_c(2.0))
+        with pytest.raises(ConfigurationError, match=message):
+            evolve(StatePair(*power_law_initial_data(4)), model_problem(0.1), cfg, n_steps)
+
+    def test_numpy_integer_step_count(self):
+        state, p = StatePair(*power_law_initial_data(4)), model_problem(0.1)
+        cfg = IntegratorConfig(tau=0.25, K=4, filter=sinc_c(2.0))
+        assert_same_outcome(evolve(state, p, cfg, np.int64(3)), evolve(state, p, cfg, 3))
 
     def test_norm_guard(self):
         # kappa = 1, tau = 1/2 from the power-law data: impulse passes the
