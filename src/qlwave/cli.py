@@ -11,7 +11,6 @@ summary.  Exit codes: 0 success, 1 malformed configuration,
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -25,12 +24,12 @@ from .harness import (
     ExperimentPlan,
     estimate_order,
     estimate_spatial_order,
-    rows_by_series,
     run_convergence_space,
     run_convergence_time,
     write_rows_csv,
     _fmt,
     _require_distinct,
+    _write_csv,
 )
 from .integrator import IntegratorConfig, StatePair, _n_steps, _require_positive_tau, evolve
 from .problem import ellipticity_report, model_problem, power_law_initial_data
@@ -120,21 +119,18 @@ def _write_sweep(args, rows: list[ConvergenceRow], name: str, spatial: bool = Fa
     path = _out_path(args, name)
     write_rows_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
-    if spatial:
-        # a spatial series runs over K at one (filter, tau)
-        groups: dict = {}
-        for r in rows:
-            groups.setdefault((r.filter, r.tau), []).append(r)
-        fixed = "tau={:<8g}"
-    else:
-        groups, fixed = rows_by_series(rows), "K={:<5d}"
+    held, fixed = ("tau", "tau={:<8g}") if spatial else ("K", "K={:<5d}")
+    groups: dict = {}
+    for r in rows:
+        groups.setdefault((r.filter, getattr(r, held)), []).append(r)
+    width = max([10, *(len(label) for label, _ in groups)])
     for (label, value), series in sorted(groups.items()):
-        where = fixed.format(value)
+        where = f"{label:>{width}s}  {fixed.format(value)}"
         try:
             est = estimate_spatial_order(series) if spatial else estimate_order(series)
-            print(f"{label:>10s}  {where} order={est.slope:6.3f}  R^2={est.r_squared:.5f}")
+            print(f"{where} order={est.slope:6.3f}  R^2={est.r_squared:.5f}")
         except EstimationError as exc:
-            print(f"{label:>10s}  {where} order=n/a ({exc})")
+            print(f"{where} order=n/a ({exc})")
     return EXIT_OK
 
 
@@ -170,11 +166,7 @@ def cmd_simulate(args) -> int:
     final = evolve(state, problem, icfg, n_steps, observer=observer, every=every)
     # evolve rejects every < 1 before it runs, and a failed run makes no directory
     path = _out_path(args, "trajectory.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("n", "t", "pair_norm_h2h1"))
-        for n, t, norm in rows:
-            writer.writerow((n, _fmt(t), _fmt(norm)))
+    _write_csv(path, ("n", "t", "pair_norm_h2h1"), ((n, _fmt(t), _fmt(x)) for n, t, x in rows))
     print(
         f"simulate: {problem.name} kappa={problem.kappa:g} K={K} tau={tau:g} "
         f"steps={n_steps} filter={spec.label}"
@@ -237,15 +229,10 @@ def cmd_energy_check(args) -> int:
         return EXIT_CHECK_FAILED
     delta = rep.delta_est
 
-    probes = positivity_probes(u0, problem, icfg, n_probes, delta)
+    probes = list(positivity_probes(u0, problem, icfg, n_probes, delta))
+    worst = min(margin for _, margin in probes)
     path = _out_path(args, "energy_margins.csv")
-    worst = np.inf
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("probe", "margin"))
-        for label, margin in probes:
-            worst = min(worst, margin)
-            writer.writerow((label, _fmt(margin)))
+    _write_csv(path, ("probe", "margin"), ((label, _fmt(margin)) for label, margin in probes))
     exact = positivity_eigen_margin(u0, problem, icfg, delta)
 
     rng = np.random.default_rng(7)
@@ -285,10 +272,7 @@ def cmd_local_error(args) -> int:
             for tau in sorted(taus, reverse=True)]
     est = estimate_order(rows)
     path = _out_path(args, "local_error.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("tau", "err_h2h1"))
-        writer.writerows((_fmt(r.tau), _fmt(r.err)) for r in rows)
+    _write_csv(path, ("tau", "err_h2h1"), ((_fmt(r.tau), _fmt(r.err)) for r in rows))
     print(f"local-error: K={K} filter={spec.label} kappa={problem.kappa:g}")
     print(f"  one-step order {est.slope:.3f} (R^2={est.r_squared:.5f})")
     print(f"  wrote {path}")

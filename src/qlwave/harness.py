@@ -1,12 +1,14 @@
-"""Experiment orchestration: convergence sweeps, order fits, CSV output."""
+"""Experiment orchestration: both convergence sweeps through one cell loop
+(``_sweep``), order fits of one series each, and one writer (``_write_csv``)
+for every CSV qlwave writes."""
 
 from __future__ import annotations
 
 import csv
 import math
 import os
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,6 +104,17 @@ def _run_cell(spec: flt.FilterSpec, K: int, tau: float, outcome,
     return ConvergenceRow(spec.label, K, tau, err, STATUS_OK)
 
 
+def _sweep(plan: ExperimentPlan, reference) -> list[ConvergenceRow]:
+    """Every cell's row, by (filter, K, tau); filter i at K is measured against reference(K, i)."""
+    rows = []
+    for K in plan.K_list:
+        for tau in sorted(plan.tau_list):
+            outcomes = _run_filters(plan, K, tau)
+            rows += [_run_cell(spec, K, tau, out, reference(K, i))
+                     for i, (spec, out) in enumerate(zip(plan.filters, outcomes))]
+    return sorted(rows, key=lambda r: (r.filter, r.K, r.tau))
+
+
 def run_convergence_time(
     plan: ExperimentPlan, ref_cfg: ReferenceConfig = ReferenceConfig()
 ) -> list[ConvergenceRow]:
@@ -117,15 +130,7 @@ def run_convergence_time(
         references[K] = reference_solution(
             plan.problem, _initial_state(K), plan.T, ref_cfg, tau_min=tau_min
         )
-    rows = []
-    for K in plan.K_list:
-        for tau in sorted(plan.tau_list):
-            outcomes = _run_filters(plan, K, tau)
-            rows += [
-                _run_cell(spec, K, tau, out, references[K])
-                for spec, out in zip(plan.filters, outcomes)
-            ]
-    return sorted(rows, key=lambda r: (r.filter, r.K, r.tau))
+    return _sweep(plan, lambda K, i: references[K])
 
 
 def run_convergence_space(plan: ExperimentPlan, K_ref: int) -> list[ConvergenceRow]:
@@ -149,14 +154,7 @@ def run_convergence_space(plan: ExperimentPlan, K_ref: int) -> list[ConvergenceR
     for ref in references:
         if isinstance(ref, DivergenceError):
             raise ref
-    rows = []
-    for K in plan.K_list:
-        outcomes = _run_filters(plan, K, tau)
-        rows += [
-            _run_cell(spec, K, tau, out, ref)
-            for spec, out, ref in zip(plan.filters, outcomes, references)
-        ]
-    return sorted(rows, key=lambda r: (r.filter, r.K, r.tau))
+    return _sweep(plan, lambda K, i: references[i])
 
 
 @dataclass(frozen=True)
@@ -186,8 +184,11 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> OrderEstimate:
     )
 
 
-def _fit_usable(rows: Sequence[ConvergenceRow], name: str) -> OrderEstimate:
+def _fit_usable(rows: Sequence[ConvergenceRow], name: str, held: str) -> OrderEstimate:
     """Log-log fit of err against the row field ``name`` (tau or K); see estimate_order."""
+    series = sorted({(r.filter, getattr(r, held)) for r in rows})
+    if len(series) > 1:
+        raise EstimationError(f"rows mix {len(series)} (filter, {held}) series: {series}")
     ok = [r for r in rows if r.status == STATUS_OK and r.err > 0 and math.isfinite(r.err)]
     if len(ok) < 3:
         raise EstimationError(f"need >= 3 usable rows, got {len(ok)}")
@@ -202,21 +203,16 @@ def estimate_order(rows: Sequence[ConvergenceRow]) -> OrderEstimate:
     """Temporal order from the ok rows of one (filter, K) series.
 
     Needs at least 3 usable rows spanning at least a factor 4 in tau;
-    rows with non-ok status or non-positive error are excluded.
+    rows with non-ok status or non-positive error are excluded, and rows
+    of more than one series raise EstimationError.
     """
-    return _fit_usable(rows, "tau")
+    return _fit_usable(rows, "tau", "K")
 
 
 def estimate_spatial_order(rows: Sequence[ConvergenceRow]) -> OrderEstimate:
-    """Spatial order (positive for decaying error) of one filter series."""
-    fit = _fit_usable(rows, "K")
-    return OrderEstimate(
-        slope=-fit.slope,
-        intercept=fit.intercept,
-        r_squared=fit.r_squared,
-        n_points=fit.n_points,
-        span=fit.span,
-    )
+    """Spatial order (positive for decaying error) of one (filter, tau) series."""
+    fit = _fit_usable(rows, "K", "tau")
+    return replace(fit, slope=-fit.slope)
 
 
 def _fmt(value: float) -> str:
@@ -226,12 +222,17 @@ def _fmt(value: float) -> str:
 def write_rows_csv(rows: Sequence[ConvergenceRow], path: str) -> None:
     """Emit sweep rows with a stable ordering and 17-significant-digit floats."""
     ordered = sorted(rows, key=lambda r: (r.filter, r.K, r.tau))
+    _write_csv(path, CSV_HEADER,
+               ([r.filter, r.K, _fmt(r.tau), _fmt(r.err), r.status] for r in ordered))
+
+
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows to path, making its directory; every CSV qlwave writes."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in ordered:
-            writer.writerow([r.filter, r.K, _fmt(r.tau), _fmt(r.err), r.status])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def rows_by_series(rows: Sequence[ConvergenceRow]) -> dict[tuple[str, int], list[ConvergenceRow]]:

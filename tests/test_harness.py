@@ -11,6 +11,7 @@ import pytest
 
 from qlwave import cli, reference
 from qlwave.cli import cli_main, load_config
+from qlwave.energy import positivity_probes
 from qlwave.exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
 from qlwave.filters import (
     grimm_hochbruck, hairer_lubich, impulse, parse_filter, sinc_c,
@@ -27,8 +28,8 @@ from qlwave.harness import (
     _fmt,
 )
 from qlwave.integrator import IntegratorConfig, StatePair, evolve
-from qlwave.problem import linear_problem, model_problem, power_law_initial_data
-from qlwave.reference import ReferenceConfig, error_h2h1, reference_solution
+from qlwave.problem import ellipticity_report, linear_problem, model_problem, power_law_initial_data
+from qlwave.reference import ReferenceConfig, error_h2h1, local_error, reference_solution
 from qlwave.spectral import SpectralField, embed
 
 from conftest import warns_if_inadmissible
@@ -134,6 +135,21 @@ class TestEstimateOrder:
         rows = [ConvergenceRow("f", K, 0.1, K**-3.0) for K in Ks]
         est = estimate_spatial_order(rows)
         assert abs(est.slope - 3.0) < 1e-12
+
+    @pytest.mark.parametrize("fit,field,mix,message", [
+        (estimate_order, "filter", "g", "2 (filter, K) series: [('f', 8), ('g', 8)]"),
+        (estimate_order, "K", 16, "2 (filter, K) series: [('f', 8), ('f', 16)]"),
+        (estimate_spatial_order, "tau", 0.05, "2 (filter, tau) series: [('f', 0.05), ('f', 0.1)]"),
+    ], ids=["temporal-filters", "temporal-K", "spatial-tau"])
+    def test_rows_of_several_series_raise(self, fit, field, mix, message):
+        # one fit over several series would mix their errors into one slope
+        if fit is estimate_order:
+            series = self.rows([0.5, 0.25, 0.125, 0.0625], [1.0, 0.25, 0.0625, 0.015625])
+        else:
+            series = [ConvergenceRow("f", K, 0.1, K**-3.0) for K in [8, 16, 32, 64]]
+        rows = series + [replace(r, **{field: mix}) for r in series]
+        with pytest.raises(EstimationError, match=re.escape(f"rows mix {message}") + "$"):
+            fit(rows)
 
 
 class TestSweeps:
@@ -554,6 +570,16 @@ class TestCli:
             labels = [row["filter"] for row in csv.DictReader(fh)]
         assert sorted(labels) == ["sinc:2"] * 3 + ["sinc:2.0000001"] * 3
 
+    def test_order_lines_align_under_a_long_label(self, tmp_path, capsys):
+        # sinc:2.0000001 is longer than the 10-character column that fits every short label
+        code = cli_main(["conv-time", "-o", "sweep.K=8", "-o", "sweep.tau=0.25 0.125 0.0625",
+                         "-o", "time.T=1", "-o", "sweep.filters=sinc:2,sinc:2.0000001",
+                         "-o", "reference.refine_factor=4", "--out", str(tmp_path / "out")])
+        assert code == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "order=" in line]
+        assert [line.split()[0] for line in lines] == ["sinc:2", "sinc:2.0000001"]
+        assert lines[0].index("K=") == lines[1].index("K=")
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_config_runs(self, tmp_path, capsys, path):
         # shrunk only through keys the file sets, so each of its keys is still read
@@ -627,8 +653,13 @@ class TestCli:
         out = tmp_path / "out"
         code = cli_main(["energy-check", "--config", str(cfg), "--out", str(out)])
         assert code == 0
-        assert os.path.exists(out / "energy_margins.csv")
         assert "exact eigenvalue margin" in capsys.readouterr().out
+        problem, (u0, _) = model_problem(1.0), power_law_initial_data(8)
+        icfg = IntegratorConfig(tau=0.001, K=8, filter=sinc_c(2.0))
+        probes = positivity_probes(u0, problem, icfg, 8, ellipticity_report(problem, u0).delta_est)
+        with open(out / "energy_margins.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == (
+                [["probe", "margin"]] + [[label, _fmt(margin)] for label, margin in probes])
 
     def test_energy_check_fails_on_negative_exact_margin(self, tmp_path, capsys):
         # hl at tau*K = 3.2: every sampled probe stays positive, but the
@@ -663,6 +694,12 @@ class TestCli:
         code = cli_main(["local-error", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert "one-step order" in capsys.readouterr().out
+        state = StatePair(*power_law_initial_data(64))
+        expected = [[_fmt(tau), _fmt(local_error(model_problem(0.01), state, tau, sinc_c(2.0),
+                                             ReferenceConfig(refine_factor=16)))]
+                for tau in (0.0625, 0.03125, 0.015625)]
+        with open(out / "local_error.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["tau", "err_h2h1"]] + expected
 
     @pytest.mark.parametrize("taus,message", [
         ("0.0625 0.0625 0.03125 0.015625", "local.tau 0.0625 is repeated"),
