@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from . import filters as flt
-from .energy import identity_residual, positivity_eigen_margin, positivity_probes
-from .exceptions import DivergenceError, EstimationError, QlwaveError
+from .energy import identity_residual, positivity_certificate
+from .exceptions import DivergenceError, EstimationError, PreconditionError, QlwaveError
 from .harness import (
     ConvergenceRow,
     ExperimentPlan,
@@ -32,7 +32,7 @@ from .harness import (
     _write_csv,
 )
 from .integrator import IntegratorConfig, StatePair, _n_steps, _require_positive_tau, evolve
-from .problem import ellipticity_report, model_problem, power_law_initial_data
+from .problem import model_problem, power_law_initial_data
 from .reference import ReferenceConfig, local_error
 from .spectral import SpectralField, omega_weights
 
@@ -223,17 +223,14 @@ def cmd_energy_check(args) -> int:
     icfg = IntegratorConfig(tau=tau, K=K, filter=spec)
     u0, _ = power_law_initial_data(K)
 
-    rep = ellipticity_report(problem, u0)
-    if rep.hyperbolicity_lost:
-        print(f"hyperbolicity lost: min 1 + kappa*a(u) = {rep.delta_est:.3e}", file=sys.stderr)
+    try:
+        rep, probes, exact = positivity_certificate(u0, problem, icfg, n_probes)
+    except PreconditionError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_CHECK_FAILED
-    delta = rep.delta_est
-
-    probes = list(positivity_probes(u0, problem, icfg, n_probes, delta))
     worst = min(margin for _, margin in probes)
     path = _out_path(args, "energy_margins.csv")
     _write_csv(path, ("probe", "margin"), ((label, _fmt(margin)) for label, margin in probes))
-    exact = positivity_eigen_margin(u0, problem, icfg, delta)
 
     rng = np.random.default_rng(7)
     resid = 0.0

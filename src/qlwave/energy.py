@@ -27,12 +27,12 @@ exactly.  It evaluates L on stacks of degree-K_v fields in two ways:
 - apply gives the images L v, in four calls of the transform pair on
   modes 0..K_v (the half spectra of the pair) with one mirror of the
   result.  apply_l_operator, identity_residual and the exact eigenvalue
-  margin (positivity_eigen_margin) use it.
+  margin of positivity_certificate use it.
 - form gives only the Rayleigh numerators <L v, v>_0, by Parseval, in
   two calls of the pair on half spectra.  The sampled positivity probes
-  (positivity_check, positivity_probes) use it, in blocks of at most 32
-  rows, so the sampled margins and the exact margin are two independent
-  evaluations of L.
+  (positivity_check, positivity_certificate) use it, in blocks of at most
+  32 rows, so the sampled margins and the exact margin are two independent
+  evaluations of L.  Both take delta and L(Phi u) from one _snapshot.
 
 The algebra runs on half spectra (modes 0..K), with a SpectralField only
 at the public arguments and results: the multipliers in tau*Om are rows of
@@ -45,13 +45,13 @@ which U, R* and the quasilinear difference A + B are read (see level).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import ConfigurationError, PreconditionError
-from .integrator import IntegratorConfig, StatePair, _interpolants, _tables, step
+from .integrator import IntegratorConfig, StatePair, _integer, _interpolants, _tables, step
 from .problem import ProblemSpec, ellipticity_report
 from .spectral import (
     SpectralField,
@@ -156,13 +156,9 @@ def energy_report(
     unprojected energy correction to the operator quadratic form at
     (e, u).
     """
-    base = modified_energy(e, edot, u, problem, cfg)
-    margin = positivity_check(u, problem, cfg, n_samples=n_probes, rng=rng)
-    return EnergyReport(
-        pair_norm_sq=base.pair_norm_sq,
-        U_value=base.U_value,
-        E_value=base.E_value,
-        positivity_margin=margin,
+    return replace(
+        modified_energy(e, edot, u, problem, cfg),
+        positivity_margin=positivity_check(u, problem, cfg, n_samples=n_probes, rng=rng),
         identity_residual=identity_residual(e, u, problem, cfg),
     )
 
@@ -195,8 +191,8 @@ class _LOperator:
 
     apply gives the images L v in four transform calls per stack; form
     gives the numbers <L v, v>_0 in two, without forming the third
-    product.  The eigenvalue margin and the identity residual take images,
-    the sampled positivity probes take the form.
+    product.  The exact positivity margin and the identity residual take
+    images, the sampled positivity probes take the form.
     """
 
     def __init__(self, u: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig,
@@ -268,6 +264,18 @@ def apply_l_operator(
 _BLOCK_ROWS = 32
 
 
+def _snapshot(u: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig):
+    """The ellipticity report of u (delta is its delta_est) and L(Phi u) on degree-K fields.
+
+    Raises PreconditionError when delta <= 0.
+    """
+    rep = ellipticity_report(problem, u)
+    if rep.hyperbolicity_lost:
+        raise PreconditionError(
+            f"hyperbolicity lost: min 1 + kappa*a(u) = {rep.delta_est:.3e} <= 0")
+    return rep, _LOperator(apply_position_filter(u, cfg), problem, cfg, u.degree)
+
+
 def positivity_check(
     u: SpectralField,
     problem: ProblemSpec,
@@ -283,33 +291,41 @@ def positivity_check(
     certifies the sampled lower bound.  delta is the hyperbolicity margin
     min 1 + kappa*a(u) of the snapshot (problem.ellipticity_report).
     Raises PreconditionError when that margin is <= 0 and
-    ConfigurationError for n_samples < 0.
+    ConfigurationError when n_samples is not an integer >= 0.
     """
-    delta = ellipticity_report(problem, u).delta_est
-    if delta <= 0.0:
-        raise PreconditionError(f"hyperbolicity lost: min 1 + kappa*a(u) = {delta:.3e} <= 0")
-    return float(min(map(np.min, _probe_margins(u, problem, cfg, n_samples, delta, rng))))
+    return float(min(map(np.min, _probe_margins(*_snapshot(u, problem, cfg), n_samples, rng))))
 
 
-def positivity_probes(
-    u: SpectralField,
-    problem: ProblemSpec,
-    cfg: IntegratorConfig,
-    n_samples: int,
-    delta: float,
-    rng: Optional[np.random.Generator] = None,
-):
-    """Iterator of (probe label, Rayleigh margin) pairs; see positivity_check.
+def positivity_certificate(u: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig,
+                           n_samples: int, rng: Optional[np.random.Generator] = None):
+    """(report, probes, exact): sampled and exact margins of 1 + L(Phi u) against delta/8.
 
-    The probes are the 2K+1 single-mode fields (labels mode-cos-0,
-    mode-cos-1, mode-sin-1, ...), then ``n_samples`` random real fields
-    (labels random-0000, ...).  Raises ConfigurationError for n_samples < 0.
+    report is problem.ellipticity_report of u (delta is its delta_est).
+    probes lists the (label, margin) pairs that positivity_check takes the
+    minimum of: the 2K+1 single-mode fields (labels mode-cos-0, mode-cos-1,
+    mode-sin-1, ...), then ``n_samples`` random real fields (random-0000,
+    ...).  exact is 1 + lambda_min of N^-1/2 sym(M) N^-1/2 - delta/8, M =
+    <L(Phi u) b_k, b_i>_0 over the real basis b = 1, cos(jx), sin(jx) (the
+    single-mode probes), N the diagonal of |b_k|_0^2; only sym(M) enters a
+    Rayleigh quotient, and b spans every real field of degree K, so exact
+    is the minimum over all probes and never exceeds a sampled margin.
+    One L(Phi u) gives both: the images L b_k by its apply, the sampled
+    margins by its form.  Raises as positivity_check does.
     """
-    margins = _probe_margins(u, problem, cfg, n_samples, delta, rng)
+    rep, op = _snapshot(u, problem, cfg)
+    margins = _probe_margins(rep, op, n_samples, rng)
     labels = ["mode-cos-0"]
     labels += (f"mode-{kind}-{j}" for j in range(1, u.degree + 1) for kind in ("cos", "sin"))
     labels += (f"random-{i:04d}" for i in range(n_samples))
-    return zip(labels, map(float, itertools.chain.from_iterable(margins)))
+    probes = list(zip(labels, map(float, itertools.chain.from_iterable(margins))))
+    half = _mode_basis(u.degree)
+    # + 0.0 turns the -0.0 that conj leaves in zero parts into +0.0
+    basis = np.concatenate((np.conj(half[:, :0:-1]) + 0.0, half), axis=1)
+    lb = np.concatenate([op.apply(v) for v in _blocks(basis)])
+    m = np.real(np.conj(basis) @ lb.T)
+    s = 1.0 / np.sqrt(np.sum(np.abs(basis) ** 2, axis=1))
+    sym = 0.5 * (m + m.T) * s[:, np.newaxis] * s[np.newaxis, :]
+    return rep, probes, float(1.0 + np.linalg.eigvalsh(sym)[0] - rep.delta_est / 8.0)
 
 
 def _mode_basis(K: int) -> np.ndarray:
@@ -347,49 +363,24 @@ def _random_probes(K: int, n_samples: int, rng: np.random.Generator):
         yield h
 
 
-def _probe_margins(u, problem, cfg, n_samples, delta, rng):
-    """Rayleigh margins of 1 + L(Phi u) against delta/8, one array per block of probes.
+def _probe_margins(rep, op, n_samples, rng):
+    """Rayleigh margins of 1 + op against rep.delta_est/8, one array per block of probes.
 
-    The blocks are the mode probes, then the random probes, all through
-    the form of one L(Phi u) operator.  n_samples is checked at the call.
+    rep and op are a _snapshot.  The blocks are the mode probes, then the
+    random probes, all through op's form.  n_samples is checked at the call.
     """
+    n_samples = _integer("number of random probes", n_samples)
     if n_samples < 0:
         raise ConfigurationError(f"number of random probes must be >= 0, got {n_samples}")
     if rng is None:
         rng = np.random.default_rng(0)
-    K = u.degree
-    op = _LOperator(apply_position_filter(u, cfg), problem, cfg, K)
+    K = op.v_degree
 
     def margins(h):
         n0 = _dot(h, h)
-        return (n0 + op.form(h)) / n0 - delta / 8.0
+        return (n0 + op.form(h)) / n0 - rep.delta_est / 8.0
 
     return map(margins, itertools.chain(_blocks(_mode_basis(K)), _random_probes(K, n_samples, rng)))
-
-
-def positivity_eigen_margin(
-    u: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig, delta: float
-) -> float:
-    """Exact Rayleigh margin of 1 + L(Phi u) against delta/8.
-
-    Assembles M = <L(Phi u) b_k, b_i>_0 over the real basis b = 1, cos(jx),
-    sin(jx) (the single-mode probes) and returns 1 + lambda_min of
-    N^-1/2 sym(M) N^-1/2 - delta/8, N the diagonal of |b_k|_0^2.  Only the
-    symmetric part of M enters a Rayleigh quotient, and the basis spans
-    every real field of degree K, so this is the minimum over all probes
-    and never exceeds a sampled margin.  The images L b_k come from the
-    operator's apply, the sampled margins from its form.
-    """
-    K = u.degree
-    op = _LOperator(apply_position_filter(u, cfg), problem, cfg, K)
-    half = _mode_basis(K)
-    # + 0.0 turns the -0.0 that conj leaves in zero parts into +0.0
-    basis = np.concatenate((np.conj(half[:, :0:-1]) + 0.0, half), axis=1)
-    lb = np.concatenate([op.apply(v) for v in _blocks(basis)])
-    m = np.real(np.conj(basis) @ lb.T)
-    s = 1.0 / np.sqrt(np.sum(np.abs(basis) ** 2, axis=1))
-    sym = 0.5 * (m + m.T) * s[:, np.newaxis] * s[np.newaxis, :]
-    return float(1.0 + np.linalg.eigvalsh(sym)[0] - delta / 8.0)
 
 
 def energy_change_residual(

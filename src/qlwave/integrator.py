@@ -112,6 +112,14 @@ _MAX_STEPS = 2**31
 _MAX_NORM = 1e6
 
 
+def _integer(name: str, value) -> int:
+    """value as an int (operator.index), or ConfigurationError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _require_positive_tau(tau: float):
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigurationError(f"tau must be positive, got {tau}")
@@ -388,22 +396,19 @@ def evolve(
     trajectory is bitwise that of n step() calls.  ``observer(n, t, u,
     udot)`` is called after the steps n with n % every == 0 (every step
     by default) with fresh full coefficient arrays (modes -K..K) of the
-    state; other steps build none.  Raises ConfigurationError for
-    every < 1 and for n_steps not an integer in 0.._MAX_STEPS,
+    state; other steps build none.  Raises ConfigurationError for every
+    not an integer >= 1 and for n_steps not an integer in 0.._MAX_STEPS,
     DivergenceError (with the failing step index) on an overflowing
     nonlinearity or a non-finite state and NormGuardError when the
     position/velocity norm exceeds _MAX_NORM (1e6).  Warns on every call
     if cfg's filter is impulse.
     """
-    try:
-        n_steps = operator.index(n_steps)
-    except TypeError:
-        raise ConfigurationError(f"n_steps must be an integer, got {n_steps!r}") from None
+    n_steps = _integer("n_steps", n_steps)
     if n_steps < 0:
         raise ConfigurationError("n_steps must be >= 0")
     if n_steps > _MAX_STEPS:
         raise ConfigurationError(f"n_steps = {n_steps} is more than a run may take ({_MAX_STEPS})")
-    if every < 1:
+    if _integer("observer interval every", every) < 1:
         raise ConfigurationError(f"observer interval every must be >= 1, got {every}")
     row0 = None if observer is None else (lambda n, t, u, ud: observer(n, t, u[0], ud[0]))
     return _run(state0, problem, cfg, n_steps, row0, every)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError, ReferenceFailure
-from .integrator import _MAX_STEPS, IntegratorConfig, StatePair, _n_steps, evolve, step
+from .integrator import _MAX_STEPS, IntegratorConfig, StatePair, _integer, _n_steps, evolve, step
 from .problem import ProblemSpec
 from .spectral import embed, pair_norm, sobolev_norm
 
@@ -29,7 +29,7 @@ class ReferenceConfig:
     refine_factor: int = 64
 
     def __post_init__(self):
-        if self.refine_factor < 2:
+        if _integer("refine_factor", self.refine_factor) < 2:
             raise ConfigurationError("refine_factor must be >= 2")
 
 

@@ -15,9 +15,8 @@ from qlwave.energy import (
     energy_report,
     identity_residual,
     modified_energy,
+    positivity_certificate,
     positivity_check,
-    positivity_eigen_margin,
-    positivity_probes,
     u_term,
 )
 from qlwave.exceptions import ConfigurationError, DivergenceError, PreconditionError
@@ -303,12 +302,40 @@ class TestPositivity:
             positivity_check(SpectralField.constant(2.0, degree=4), lost, cfg, n_samples=5)
         p = model_problem(1.0)
         u = SpectralField.constant(0.5, degree=4)
-        delta = ellipticity_report(p, u).delta_est
-        probes = positivity_probes(u, p, cfg, 5, delta, np.random.default_rng(1))
+        rep, probes, _ = positivity_certificate(u, p, cfg, 5, np.random.default_rng(1))
+        assert rep == ellipticity_report(p, u)
         assert positivity_check(u, p, cfg, n_samples=5, rng=np.random.default_rng(1)) == min(
             m for _, m in probes)
         with pytest.raises(TypeError):
             positivity_check(u, p, cfg, n_samples=5, delta=0.2, a0=0.01)
+        with pytest.raises(TypeError):
+            positivity_certificate(u, p, cfg, 5, delta=0.2)
+        with pytest.raises(PreconditionError, match=r"= -1\.000e\+00 <= 0"):
+            positivity_certificate(SpectralField.constant(2.0, degree=4), lost, cfg, 5)
+
+    def test_certificate_derives_delta_and_operator_once(self, monkeypatch):
+        # one ellipticity report and one L(Phi u) serve the sampled and the
+        # exact margins
+        import qlwave.energy as energy
+
+        calls = []
+
+        def counted(name):
+            original = getattr(energy, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in ("ellipticity_report", "_LOperator"):
+            monkeypatch.setattr(energy, name, counted(name))
+        p = model_problem(1.0)
+        u, _ = power_law_initial_data(8)
+        cfg = IntegratorConfig(tau=1e-3, K=8, filter=sinc_c(2.0))
+        positivity_certificate(u, p, cfg, 40)
+        assert sorted(calls) == ["_LOperator", "ellipticity_report"]
 
     def test_negative_sample_count_rejected(self):
         p = model_problem(1.0)
@@ -317,7 +344,12 @@ class TestPositivity:
         with pytest.raises(ConfigurationError, match="probes"):
             positivity_check(u, p, cfg, n_samples=-1)
         with pytest.raises(ConfigurationError, match="probes"):
-            positivity_probes(u, p, cfg, -1, 0.5)
+            positivity_certificate(u, p, cfg, -1)
+        for n_samples in (2.5, "3"):
+            with pytest.raises(ConfigurationError, match="probes must be an integer"):
+                positivity_check(u, p, cfg, n_samples=n_samples)
+            with pytest.raises(ConfigurationError, match="probes must be an integer"):
+                positivity_certificate(u, p, cfg, n_samples)
 
     def test_blocked_probes_match_per_probe_margins(self):
         # criterion 8's setup; the reference redraws each probe as the
@@ -327,7 +359,7 @@ class TestPositivity:
         u0, _ = power_law_initial_data(K)
         cfg = IntegratorConfig(tau=1e-3, K=K, filter=sinc_c(2.0))
         delta = ellipticity_report(p, u0).delta_est
-        got = list(positivity_probes(u0, p, cfg, 1000, delta, np.random.default_rng(8)))
+        _, got, _ = positivity_certificate(u0, p, cfg, 1000, np.random.default_rng(8))
 
         rng = np.random.default_rng(8)
         uf = apply_position_filter(u0, cfg)
@@ -368,9 +400,8 @@ class TestPositivity:
         p = model_problem(1.0)
         u0, _ = power_law_initial_data(K)
         cfg = IntegratorConfig(tau=1e-3, K=K, filter=sinc_c(2.0))
-        delta = ellipticity_report(p, u0).delta_est
         sampled = positivity_check(u0, p, cfg, n_samples=1000, rng=np.random.default_rng(8))
-        exact = positivity_eigen_margin(u0, p, cfg, delta)
+        _, _, exact = positivity_certificate(u0, p, cfg, 0)
         assert 0.0 <= exact <= sampled + 1e-12
 
     def test_eigen_margin_is_attained(self, rng):
@@ -393,12 +424,12 @@ class TestPositivity:
         v = SpectralField(sum(xk * b.coeffs for xk, b in zip(x, basis)))
         n0 = sobolev_norm(v, 0.0) ** 2
         quad = inner_product(apply_l_operator(uf, v, p, cfg), v)
-        exact = positivity_eigen_margin(u, p, cfg, delta)
+        _, _, exact = positivity_certificate(u, p, cfg, 0)
         assert abs(exact - ((n0 + quad) / n0 - delta / 8.0)) <= 1e-12
 
     def test_eigen_margin_of_zero_a(self):
         cfg = IntegratorConfig(tau=0.1, K=8, filter=sinc_c(2.0))
-        margin = positivity_eigen_margin(SpectralField.zeros(8), zero_a_problem(), cfg, 1.0)
+        _, _, margin = positivity_certificate(SpectralField.zeros(8), zero_a_problem(), cfg, 0)
         assert margin == 1.0 - 1.0 / 8.0
 
     def test_hyperbolicity_loss_rejected(self):
@@ -513,7 +544,6 @@ class TestWarnings:
             identity_residual(e, u, p, cfg)
             apply_l_operator(u, e, p, cfg)
             positivity_check(u, p, cfg, n_samples=4, rng=rng)
-            list(positivity_probes(u, p, cfg, 4, 0.5, rng))
-            positivity_eigen_margin(u, p, cfg, 0.5)
+            positivity_certificate(u, p, cfg, 4, rng)
             if spec.c is not None:
                 energy_change_residual(StatePair(e, ed), StatePair(u, ed), p, cfg)

@@ -11,7 +11,7 @@ import pytest
 
 from qlwave import cli, reference
 from qlwave.cli import cli_main, load_config
-from qlwave.energy import positivity_probes
+from qlwave.energy import positivity_certificate
 from qlwave.exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
 from qlwave.filters import (
     grimm_hochbruck, hairer_lubich, impulse, parse_filter, sinc_c,
@@ -28,7 +28,7 @@ from qlwave.harness import (
     _fmt,
 )
 from qlwave.integrator import IntegratorConfig, StatePair, evolve
-from qlwave.problem import ellipticity_report, linear_problem, model_problem, power_law_initial_data
+from qlwave.problem import linear_problem, model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, local_error, reference_solution
 from qlwave.spectral import SpectralField, embed
 
@@ -656,7 +656,7 @@ class TestCli:
         assert "exact eigenvalue margin" in capsys.readouterr().out
         problem, (u0, _) = model_problem(1.0), power_law_initial_data(8)
         icfg = IntegratorConfig(tau=0.001, K=8, filter=sinc_c(2.0))
-        probes = positivity_probes(u0, problem, icfg, 8, ellipticity_report(problem, u0).delta_est)
+        _, probes, _ = positivity_certificate(u0, problem, icfg, 8)
         with open(out / "energy_margins.csv", newline="") as fh:
             assert list(csv.reader(fh)) == (
                 [["probe", "margin"]] + [[label, _fmt(margin)] for label, margin in probes])
@@ -674,6 +674,19 @@ class TestCli:
         assert worst > 0.0 > exact
         assert code == 2
         assert os.path.exists(out / "energy_margins.csv")
+
+    def test_energy_check_reports_lost_hyperbolicity(self, tmp_path, capsys):
+        # kappa = -1 on the power-law data: min 1 + kappa*a(u) < 0, so the
+        # check fails before it computes a margin or makes its directory
+        out = tmp_path / "out"
+        code = cli_main(["energy-check", "-o", "problem.kappa=-1", "-o", "grid.K=16",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert any(line.startswith("hyperbolicity lost: min 1 + kappa*a(u) = -1.464e+00")
+                   for line in err.splitlines())
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_energy_check_rejects_negative_probe_count(self, tmp_path, capsys):
         out = tmp_path / "out"

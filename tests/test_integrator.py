@@ -405,7 +405,7 @@ class TestEvolve:
             assert np.array_equal(u, u1)
             assert np.array_equal(ud, ud1)
 
-    @pytest.mark.parametrize("every", [0, -3])
+    @pytest.mark.parametrize("every", [0, -3, 2.5, "3"])
     def test_observer_interval_must_be_positive(self, rng, every):
         st = smooth_state(rng, 4)
         cfg = IntegratorConfig(tau=0.25, K=4, filter=sinc_c(2.0))

@@ -117,6 +117,9 @@ class TestReferenceSolution:
     def test_refine_factor_validated(self):
         with pytest.raises(ConfigurationError):
             ReferenceConfig(refine_factor=1)
+        for factor in (2.5, float("nan"), "4"):
+            with pytest.raises(ConfigurationError, match="refine_factor must be an integer"):
+                ReferenceConfig(refine_factor=factor)
 
 
 class TestLocalError:
