@@ -79,12 +79,15 @@ class _ReadConfig(dict):
         return super().__getitem__(key)
 
 
-def _get(cfg, key, default=None, required=False):
-    if key in cfg:
-        return cfg[key]
-    if required:
+def _read(cfg, key: str, parse, default=None):
+    """parse(value) of a config key, or parse(default) if it is unset; no default: required."""
+    text = cfg[key] if key in cfg else default
+    if text is None:
         raise QlwaveError(f"missing required config key {key!r}")
-    return default
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise QlwaveError(f"bad config value {key} = {text!r}: {exc}") from None
 
 
 def _floats(text: str) -> list[float]:
@@ -95,17 +98,21 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in text.replace(",", " ").split()]
 
 
+def _filters(text: str) -> list[flt.FilterSpec]:
+    return [flt.parse_filter(t) for t in text.split(",")]
+
+
 def _problem_from(cfg):
-    return model_problem(float(_get(cfg, "problem.kappa", "0.01")))
+    return model_problem(_read(cfg, "problem.kappa", float, "0.01"))
 
 
 def _filter_from(cfg):
-    return flt.parse_filter(_get(cfg, "filter.kind", "sinc:2"))
+    return _read(cfg, "filter.kind", flt.parse_filter, "sinc:2")
 
 
 def _ref_cfg_from(cfg) -> ReferenceConfig:
     return ReferenceConfig(
-        refine_factor=int(_get(cfg, "reference.refine_factor", ReferenceConfig.refine_factor))
+        refine_factor=_read(cfg, "reference.refine_factor", int, ReferenceConfig.refine_factor)
     )
 
 
@@ -140,9 +147,9 @@ def _write_sweep(args, rows: list[ConvergenceRow], name: str, spatial: bool = Fa
 def cmd_simulate(args) -> int:
     cfg = args.cfg
     problem = _problem_from(cfg)
-    K = int(_get(cfg, "grid.K", required=True))
-    tau = float(_get(cfg, "time.tau", required=True))
-    n_steps = _n_steps(float(_get(cfg, "time.T", required=True)), tau)
+    K = _read(cfg, "grid.K", int)
+    tau = _read(cfg, "time.tau", float)
+    n_steps = _n_steps(_read(cfg, "time.T", float), tau)
     spec = _filter_from(cfg)
     icfg = IntegratorConfig(tau=tau, K=K, filter=spec)
     u0, ud0 = power_law_initial_data(K)
@@ -158,7 +165,7 @@ def cmd_simulate(args) -> int:
                               float(np.sqrt(np.sum(w_ud * np.abs(ud) ** 2)))))
 
     rows = [(0, 0.0, norm(u0.coeffs, ud0.coeffs))]
-    every = int(_get(cfg, "output.every", "1"))
+    every = _read(cfg, "output.every", int, "1")
 
     def observer(n, t, u, ud):
         rows.append((n, t, norm(u, ud)))
@@ -179,10 +186,10 @@ def cmd_simulate(args) -> int:
 def _plan_from(cfg) -> ExperimentPlan:
     return ExperimentPlan(
         problem=_problem_from(cfg),
-        K_list=_ints(_get(cfg, "sweep.K", required=True)),
-        tau_list=_floats(_get(cfg, "sweep.tau", required=True)),
-        T=float(_get(cfg, "time.T", required=True)),
-        filters=[flt.parse_filter(t) for t in _get(cfg, "sweep.filters", "sinc:2").split(",")],
+        K_list=_read(cfg, "sweep.K", _ints),
+        tau_list=_read(cfg, "sweep.tau", _floats),
+        T=_read(cfg, "time.T", float),
+        filters=_read(cfg, "sweep.filters", _filters, "sinc:2"),
     )
 
 
@@ -194,7 +201,7 @@ def cmd_conv_time(args) -> int:
 
 def cmd_conv_space(args) -> int:
     plan = _plan_from(args.cfg)
-    K_ref = int(_get(args.cfg, "grid.K_ref", required=True))
+    K_ref = _read(args.cfg, "grid.K_ref", int)
     return _write_sweep(args, run_convergence_space(plan, K_ref), "conv_space.csv", spatial=True)
 
 
@@ -216,10 +223,10 @@ def cmd_filter_check(args) -> int:
 def cmd_energy_check(args) -> int:
     cfg = args.cfg
     problem = _problem_from(cfg)
-    K = int(_get(cfg, "grid.K", "32"))
-    tau = float(_get(cfg, "time.tau", "1e-3"))
+    K = _read(cfg, "grid.K", int, "32")
+    tau = _read(cfg, "time.tau", float, "1e-3")
     spec = _filter_from(cfg)
-    n_probes = int(_get(cfg, "energy.probes", "200"))
+    n_probes = _read(cfg, "energy.probes", int, "200")
     icfg = IntegratorConfig(tau=tau, K=K, filter=spec)
     u0, _ = power_law_initial_data(K)
 
@@ -254,9 +261,9 @@ def cmd_energy_check(args) -> int:
 def cmd_local_error(args) -> int:
     cfg = args.cfg
     problem = _problem_from(cfg)
-    K = int(_get(cfg, "grid.K", "64"))
+    K = _read(cfg, "grid.K", int, "64")
     spec = _filter_from(cfg)
-    taus = _floats(_get(cfg, "local.tau", "0.0625 0.03125 0.015625 0.0078125"))
+    taus = _read(cfg, "local.tau", _floats, "0.0625 0.03125 0.015625 0.0078125")
     for tau in taus:
         _require_positive_tau(tau)
     _require_distinct("local.tau", taus)

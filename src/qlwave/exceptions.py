@@ -35,7 +35,7 @@ class DivergenceError(QlwaveError):
 
 
 class NormGuardError(DivergenceError):
-    """The solution norm exceeded the configured guard bound."""
+    """The H^2 x H^1 solution norm exceeded the guard bound integrator._MAX_NORM (1e6)."""
 
 
 class PreconditionError(QlwaveError):

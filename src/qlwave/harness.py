@@ -14,7 +14,7 @@ import numpy as np
 
 from . import filters as flt
 from .exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
-from .integrator import IntegratorConfig, StatePair, _evolve_stack, _n_steps
+from .integrator import IntegratorConfig, StatePair, _evolve_stack, _integer, _n_steps
 from .problem import ProblemSpec, power_law_initial_data
 from .reference import ReferenceConfig, error_h2h1, reference_solution, _fit_degree
 
@@ -39,7 +39,7 @@ class ExperimentPlan:
         if not self.K_list or not self.tau_list or not self.filters:
             raise ConfigurationError("K, tau and filter lists must be non-empty")
         for K in self.K_list:
-            if K < 1:
+            if _integer("sweep K", K) < 1:
                 raise ConfigurationError(f"sweep K {K} must be >= 1")
         for tau in self.tau_list:
             _n_steps(self.T, tau)

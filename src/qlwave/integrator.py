@@ -97,7 +97,7 @@ class IntegratorConfig:
 
     def __post_init__(self):
         _require_positive_tau(self.tau)
-        if self.K < 1:
+        if _integer("spectral degree K", self.K) < 1:
             raise ConfigurationError("spectral degree K must be >= 1")
 
 
@@ -300,10 +300,10 @@ class _Engine:
         ud1 = self.mwsin_t * u + self.cos_t * ud + self.kcos_t * fn + self.khalf * fn1
         return u1, ud1, fn1
 
-    def norm_sq(self, u, ud) -> float:
-        """|u|_2^2 + |ud|_1^2 of one contiguous half-spectrum state, the norm guard's measure."""
+    def norm_sq(self, u, ud) -> np.ndarray:
+        """|u|_2^2 + |ud|_1^2 per row of a contiguous half-spectrum stack, the guard's measure."""
         x, y = u.view(np.float64), ud.view(np.float64)
-        return float(self.w4_t @ (x * x) + self.w2_t @ (y * y))
+        return np.dot(x * x, self.w4_t) + np.dot(y * y, self.w2_t)
 
 
 _OVERFLOW = "nonlinearity a(u) or g(u, u_x) overflowed"
@@ -328,12 +328,12 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
     """Iterate the one-step map n_steps times from state0 under each of cfgs.
 
     ``cfgs`` is a sequence of configs sharing K and tau, run as a (B, K+1)
-    stack of half spectra whose row i follows cfgs[i].  After each step a
-    row whose guard norm is not finite and within _MAX_NORM fails with the
-    first of an overflowing nonlinearity F(u'), a non-finite state and the
-    norm guard (ud' holds tau*kappa/2 F(u'), so a non-finite F(u') makes
-    the norm non-finite).  It retires with its DivergenceError or
-    NormGuardError (step and time set) while the other rows go on.
+    stack of half spectra whose row i follows cfgs[i].  After each step one
+    guard evaluation covers the stack: a row whose guard norm is not within
+    _MAX_NORM fails with the first of an overflowing nonlinearity F(u'), a
+    non-finite state and the norm guard (ud' holds tau*kappa/2 F(u'), so a
+    non-finite F(u') makes the norm non-finite).  It retires with its
+    DivergenceError or NormGuardError (step and time set) while the others go on.
     ``observer(n, t, u, ud)`` sees the (rows, 2K+1) full spectra of the
     running rows after the steps n with n % every == 0.  Returns one
     outcome per row: its final StatePair or the exception that retired it.
@@ -345,32 +345,27 @@ def _evolve_stack(state0: StatePair, problem: ProblemSpec, cfgs, n_steps: int,
     tau = engine.tau
     max_sq = _MAX_NORM * _MAX_NORM
     outcomes: list = [None] * len(cfgs)
-    live = list(range(len(cfgs)))
+    live = np.arange(len(cfgs))
     fn = None
     for n in range(1, n_steps + 1):
         u, ud, fn = engine.step_arrays(u, ud, fn)
-        failed = []
-        for i, (ui, udi) in enumerate(zip(u, ud)):
-            norm_sq = engine.norm_sq(ui, udi)
-            if norm_sq <= max_sq and math.isfinite(norm_sq):
-                continue
+        norm_sq = engine.norm_sq(u, ud)
+        # a nan norm fails too; all() over a list is the cheapest one-row check
+        if not all(v <= max_sq for v in norm_sq.tolist()):
+            keep = norm_sq <= max_sq
             at = f"at step {n} (t={n * tau:g})"
-            if fn is not None and not np.all(np.isfinite(fn[i])):
-                exc = DivergenceError(f"nonlinearity overflowed {at}")
-                exc.__cause__ = DivergenceError(_OVERFLOW)
-            elif not (np.all(np.isfinite(ui)) and np.all(np.isfinite(udi))):
-                exc = DivergenceError(f"non-finite state {at}")
-            else:
-                exc = NormGuardError(f"norm guard tripped {at}: "
-                                     f"|state| = {np.sqrt(norm_sq):.3e} > {_MAX_NORM:.3e}")
-            exc.step, exc.time = n, n * tau
-            outcomes[live[i]] = exc
-            failed.append(i)
-        if failed:
-            keep = np.ones(len(live), dtype=bool)
-            keep[failed] = False
-            live = [r for r, k in zip(live, keep) if k]
-            if not live:
+            for i in np.flatnonzero(~keep):
+                if fn is not None and not np.all(np.isfinite(fn[i])):
+                    exc = DivergenceError(f"nonlinearity overflowed {at}", n, n * tau)
+                    exc.__cause__ = DivergenceError(_OVERFLOW)
+                elif not (np.all(np.isfinite(u[i])) and np.all(np.isfinite(ud[i]))):
+                    exc = DivergenceError(f"non-finite state {at}", n, n * tau)
+                else:
+                    exc = NormGuardError(f"norm guard tripped {at}: |state| = "
+                                         f"{np.sqrt(norm_sq[i]):.3e} > {_MAX_NORM:.3e}", n, n * tau)
+                outcomes[live[i]] = exc
+            live = live[keep]
+            if not live.size:
                 break
             engine, u, ud = engine.take(keep), u[keep], ud[keep]
             fn = None if fn is None else fn[keep]

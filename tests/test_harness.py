@@ -71,6 +71,11 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError, match="more than a run may take"):
             linear_plan(T=2.0**31 + 1, tau_list=[1.0])
 
+    @pytest.mark.parametrize("K", [2.5, "8"])
+    def test_non_integer_degree_rejected(self, K):
+        with pytest.raises(ConfigurationError, match="sweep K must be an integer"):
+            linear_plan(K_list=[K])
+
     def test_empty_lists(self):
         with pytest.raises(ConfigurationError):
             linear_plan(K_list=[])
@@ -389,6 +394,24 @@ class TestCli:
         code = cli_main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,key,value", [
+        (["energy-check", "-o", "grid.K=2.5"], "grid.K", "2.5"),
+        (["energy-check", "-o", "grid.K=8", "-o", "energy.probes=2.5"], "energy.probes", "2.5"),
+        (["simulate", "-o", "grid.K=8", "-o", "time.tau=0.25", "-o", "time.T=1",
+          "-o", "output.every=2.5"], "output.every", "2.5"),
+        (["conv-time", "-o", "sweep.K=8.0", "-o", "sweep.tau=0.5 0.25", "-o", "time.T=1"],
+         "sweep.K", "8.0"),
+        (["simulate", "-o", "grid.K=8", "-o", "time.tau=x", "-o", "time.T=1"], "time.tau", "x"),
+    ], ids=["grid.K", "energy.probes", "output.every", "sweep.K", "time.tau"])
+    def test_malformed_number_names_its_key(self, tmp_path, capsys, argv, key, value):
+        out = tmp_path / "out"
+        code = cli_main([*argv, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad config value {key} = {value!r}: ")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_reference_defaults_are_the_dataclass_defaults(self):

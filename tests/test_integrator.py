@@ -61,6 +61,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             IntegratorConfig(tau=0.0, K=4, filter=sinc_c(2.0))
 
+    @pytest.mark.parametrize("K", [2.5, "8"])
+    def test_degree_must_be_an_integer(self, K):
+        with pytest.raises(ConfigurationError, match="spectral degree K must be an integer"):
+            IntegratorConfig(tau=0.1, K=K, filter=sinc_c(2.0))
+
     def test_admissibility_policy(self):
         # the entry points warn on every call, so a caller that wants an
         # inadmissible filter to fail turns the warning into an error, also
@@ -616,6 +621,19 @@ class TestHalfSpectrumKernel:
         with np.errstate(over="ignore"):
             full = float(np.sum(w2 * w2 * np.abs(u) ** 2) + np.sum(w2 * np.abs(zero) ** 2))
             assert engine.norm_sq(u[K:], zero[K:]) == full == np.inf
+        # one value per row of a (3, K+1) stack, each its row's full-spectrum
+        # norm, and inf for a finite middle row whose norm overflows
+        states = [smooth_state(rng, K, scale=10.0, decay=decay) for decay in (0.0, 1.0, 3.0)]
+        u = np.stack([s.u.coeffs for s in states])
+        ud = np.stack([s.udot.coeffs for s in states])
+        full = np.sum(w2 * w2 * np.abs(u) ** 2, axis=1) + np.sum(w2 * np.abs(ud) ** 2, axis=1)
+        half = engine.norm_sq(u[:, K:], ud[:, K:])
+        assert half.shape == (3,) and np.all(np.abs(half - full) <= 1e-15 * full)
+        u[1], ud[1] = field_from_dict(K, {K: 1e200}).coeffs, 0.0
+        with np.errstate(over="ignore"):
+            half = engine.norm_sq(u[:, K:], ud[:, K:])
+        assert half[1] == np.inf
+        assert np.all(np.abs(half[::2] - full[::2]) <= 1e-15 * full[::2])
 
 
 def run_alone(state, problem, cfg, n_steps):
@@ -694,6 +712,21 @@ class TestBatchedRuns:
         assert [getattr(o, "step", None) for o in outcomes] == [3, 3, 4, 5, None]
         for cfg, out in zip(cfgs, outcomes):
             assert_same_outcome(out, run_alone(state, problem, cfg, 20))
+
+    @pytest.mark.parametrize("tau,n_steps,retired", [(0.05, 7, 0), (0.5, 20, 3)])
+    def test_guard_is_evaluated_once_per_step(self, monkeypatch, tau, n_steps, retired):
+        # one norm_sq call per step for the whole stack, also on the steps
+        # where rows retire (at tau = 1/2 three of the four rows trip the guard)
+        calls = []
+        norm_sq = integrator._Engine.norm_sq
+        monkeypatch.setattr(integrator._Engine, "norm_sq",
+                            lambda self, u, ud: calls.append(len(u)) or norm_sq(self, u, ud))
+        state, problem = StatePair(*power_law_initial_data(8)), model_problem(1.0)
+        cfgs = [IntegratorConfig(tau=tau, K=8, filter=spec) for spec in FILTERS[1:]]
+        outcomes = integrator._evolve_stack(state, problem, cfgs, n_steps)
+        assert len(calls) == n_steps
+        assert calls[0] == 4
+        assert sum(isinstance(o, NormGuardError) for o in outcomes) == retired
 
     def test_mixed_status_group(self):
         # the kappa = 1 sweep cell K = 256, tau = 2^-7, T = 1/2, where hl
