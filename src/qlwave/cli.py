@@ -18,7 +18,13 @@ import numpy as np
 
 from . import filters as flt
 from .energy import identity_residual, positivity_certificate
-from .exceptions import DivergenceError, EstimationError, PreconditionError, QlwaveError
+from .exceptions import (
+    ConfigurationError,
+    DivergenceError,
+    EstimationError,
+    PreconditionError,
+    QlwaveError,
+)
 from .harness import (
     ConvergenceRow,
     ExperimentPlan,
@@ -27,6 +33,8 @@ from .harness import (
     run_convergence_space,
     run_convergence_time,
     write_rows_csv,
+    _FIT_MIN_ROWS,
+    _FIT_MIN_SPAN,
     _fmt,
     _require_distinct,
     _write_csv,
@@ -267,6 +275,11 @@ def cmd_local_error(args) -> int:
     for tau in taus:
         _require_positive_tau(tau)
     _require_distinct("local.tau", taus)
+    # the order fit needs them all, so a short list fails before any reference runs
+    if len(taus) < _FIT_MIN_ROWS or max(taus) < _FIT_MIN_SPAN * min(taus):
+        raise ConfigurationError(
+            f"local.tau needs >= {_FIT_MIN_ROWS} steps spanning at least a factor of "
+            f"{_FIT_MIN_SPAN:g} for the order fit, got {taus}")
     ref_cfg = _ref_cfg_from(cfg)
     u0, ud0 = power_law_initial_data(K)
     state = StatePair(u0, ud0)

@@ -29,7 +29,8 @@ exactly.  It evaluates L on stacks of degree-K_v fields in two ways:
   result.  apply_l_operator, identity_residual and the exact eigenvalue
   margin of positivity_certificate use it.
 - form gives only the Rayleigh numerators <L v, v>_0, by Parseval, in
-  two calls of the pair on half spectra.  The sampled positivity probes
+  two calls of the pair on half spectra: one synthesis of phi v per probe
+  and one analysis of a*(phi v).  The sampled positivity probes
   (positivity_check, positivity_certificate) use it, in blocks of at most
   32 rows, so the sampled margins and the exact margin are two independent
   evaluations of L.  Both take delta and L(Phi u) from one _snapshot.
@@ -189,10 +190,11 @@ class _LOperator:
     modes |m| > K_v, so every kept mode is exact.  The tables and the
     transforms hold half spectra, modes 0..K_v and 0..K_a+K_v.
 
-    apply gives the images L v in four transform calls per stack; form
-    gives the numbers <L v, v>_0 in two, without forming the third
-    product.  The exact positivity margin and the identity residual take
-    images, the sampled positivity probes take the form.
+    apply gives the images L v in four transform calls per stack.  form
+    gives the numbers <L v, v>_0 in two, one row per probe each: it forms
+    only a*(phi v) and reads the cos term off its modes 0..K_v.  The exact
+    positivity margin and the identity residual take images, the sampled
+    positivity probes take the form.
     """
 
     def __init__(self, u: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig,
@@ -229,17 +231,16 @@ class _LOperator:
 
         With p = a*(phi v), exact to degree K_a + K_v, the form is
 
-            kappa <a cos phi v, phi v>_0 - kappa^2/4 sum_m sin^2 phi^2 |p_m|^2.
+            kappa <p, cos phi v>_0 - kappa^2/4 sum_m sin^2 phi^2 |p_m|^2.
 
-        The first term is the n-node mean of a*(phi v)*(cos phi v), exact
-        because its degree K_a + 2K_v is below n.  Two transform calls per
-        stack; each row of the result is bitwise what that row gives alone.
+        The first term takes modes 0..K_v of p by Parseval.  One synthesis
+        of phi v and one analysis of a*(phi v) per stack; each row of the
+        result is bitwise what that row gives alone.
         """
         t1 = self.phi_t * h
-        vals = synthesize_values(np.stack((self.cos_t * t1, t1)), self.n)
-        av = vals[1] * self.a_vals
-        qa = np.sum(av * vals[0], axis=-1) / self.n
-        p = coeffs_from_samples(av, self.a_degree + self.v_degree)
+        p = coeffs_from_samples(synthesize_values(t1, self.n) * self.a_vals,
+                                self.a_degree + self.v_degree)
+        qa = _dot(p[..., : self.v_degree + 1], self.cos_t * t1)
         qb = np.sum(self.sin2phi2_w * (p.real**2 + p.imag**2), axis=-1)
         return self.kappa * qa - 0.25 * self.kappa * self.kappa * qb
 

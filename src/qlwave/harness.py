@@ -184,18 +184,23 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> OrderEstimate:
     )
 
 
+# an order fit needs this many usable rows, spanning at least this factor
+_FIT_MIN_ROWS = 3
+_FIT_MIN_SPAN = 4.0
+
+
 def _fit_usable(rows: Sequence[ConvergenceRow], name: str, held: str) -> OrderEstimate:
     """Log-log fit of err against the row field ``name`` (tau or K); see estimate_order."""
     series = sorted({(r.filter, getattr(r, held)) for r in rows})
     if len(series) > 1:
         raise EstimationError(f"rows mix {len(series)} (filter, {held}) series: {series}")
     ok = [r for r in rows if r.status == STATUS_OK and r.err > 0 and math.isfinite(r.err)]
-    if len(ok) < 3:
-        raise EstimationError(f"need >= 3 usable rows, got {len(ok)}")
+    if len(ok) < _FIT_MIN_ROWS:
+        raise EstimationError(f"need >= {_FIT_MIN_ROWS} usable rows, got {len(ok)}")
     x = np.array([getattr(r, name) for r in ok], dtype=float)
     err = np.array([r.err for r in ok])
-    if np.max(x) / np.min(x) < 4.0:
-        raise EstimationError(f"{name} range must span at least a factor of 4")
+    if np.max(x) / np.min(x) < _FIT_MIN_SPAN:
+        raise EstimationError(f"{name} range must span at least a factor of {_FIT_MIN_SPAN:g}")
     return _loglog_fit(x, err)
 
 

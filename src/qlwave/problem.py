@@ -10,7 +10,6 @@ pointwise-evaluable nonlinearities a and g with a(0) = 0, g(0,0) = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -99,55 +98,89 @@ class EllipticityReport:
     hyperbolicity_lost: bool
 
 
-# golden-section shrink factor (sqrt(5) - 1) / 2, and the bracket width
-# at which _refine_extrema stops
-_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
-_XATOL = 1e-12
+# _refine_extrema: its stencils are at least _DMIN wide, so that roundoff
+# does not blur their parabolas; it skips steps of at most _XTOL and stops
+# after _MAX_CALLS calls of fn
+_DMIN = 1e-6
+_XTOL = 1e-8
+_MAX_CALLS = 16
 
 
 def _refine_extrema(fn, xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     """Polished minimum and maximum of a smooth periodic function.
 
     ``vals`` samples ``fn`` at the equispaced nodes ``xs``.  Every local
-    sampled extremum is polished by a golden-section search on its
-    bracketing interval xs[i] +- 2*pi/n, all brackets of both kinds at
-    once (``fn`` maps an array of points to an array of values), until the
-    brackets are narrower than _XATOL.  The results are grid-independent
-    once the grid resolves all oscillations, and never worse than the best
-    samples.
+    sampled extremum is polished on its bracket xs[i] +- 2*pi/n (the whole
+    circle when n = 1), all brackets of both kinds at once: ``fn`` maps an
+    array of points to an array of values, and each call takes three points
+    of every bracket that still steps.  The search is derivative-free, a
+    safeguarded parabolic step after Brent (1973, Algorithms for
+    Minimization without Derivatives).  A bracket keeps its best point x and
+    the values at x - d, x, x + d, at first the samples.  The vertex x + t
+    of the parabola through them is a Newton step; a concave or flat stencil
+    steps to its better neighbour.  One call evaluates x - t, x + t and
+    x + 2t: x + t becomes x if it improves on it, and either way the new x
+    has a stencil of spacing |t|.  A step stays in the bracket, within 8
+    stencil spacings and within half a rejected step from the same x.  A
+    stencil of spacing _DMIN locates the vertex to roundoff, so a step
+    shorter than _DMIN from it is the bracket's last, and one from a wider
+    stencil is lengthened to _DMIN.  The results are the extrema of the
+    samples and of every evaluated value, so they are never worse than the
+    best samples, and they are grid-independent once the grid resolves all
+    oscillations.
     """
     n = xs.size
-    is_min = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
-    is_max = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
-    # search for minima of sign * fn: +1 on the minima's brackets, -1 on the maxima's
+    before, after = np.roll(vals, 1), np.roll(vals, -1)
+    is_min = (vals <= before) & (vals <= after)
+    is_max = (vals >= before) & (vals >= after)
+    # minimize sign * fn: +1 on the minima's brackets, -1 on the maxima's
     sign = np.concatenate((np.ones(np.count_nonzero(is_min)), -np.ones(np.count_nonzero(is_max))))
-    # every bracket [lo, lo + w] has the same width w, and its inner points
-    # lo + (1 - phi) w and lo + phi w have the values fc and fd
-    w = 4.0 * np.pi / n
-    lo = np.concatenate((xs[is_min], xs[is_max])) - 0.5 * w
-    fc = sign * fn(lo + (1.0 - _INV_PHI) * w)
-    fd = sign * fn(lo + _INV_PHI * w)
-    while w > _XATOL:
-        # keep [lo, d] around the better inner point c, or [c, hi] around d;
-        # the kept point is an inner point of the new bracket (phi^2 = 1 - phi)
-        left = fc < fd
-        lo = np.where(left, lo, lo + (1.0 - _INV_PHI) * w)
-        w *= _INV_PHI
-        f_new = sign * fn(lo + np.where(left, 1.0 - _INV_PHI, _INV_PHI) * w)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-    # each step keeps the better of fc and fd, so their minimum is the best
-    # value seen in the bracket
-    best = np.minimum(fc, fd)
-    low = best[sign > 0]
-    high = best[sign < 0]
-    return float(min(np.min(vals), np.min(low))), float(max(np.max(vals), -np.min(high)))
+    x = np.concatenate((xs[is_min], xs[is_max]))
+    g_lo, g0, g_hi = (sign * np.concatenate((f[is_min], f[is_max])) for f in (before, vals, after))
+    h = 2.0 * np.pi / n
+    node = x
+    # g_lo and g_hi are the values at x - d and x + d; d is signed, and a
+    # bracket's last step sets it to 0
+    d = np.full(x.size, h)
+    reach = np.full(x.size, np.inf)
+    s_min, s_max = np.min(vals), np.max(vals)
+    for _ in range(_MAX_CALLS):
+        curv, slope = g_hi - 2.0 * g0 + g_lo, g_hi - g_lo
+        convex = curv > 0.0
+        t = d * np.where(convex, -0.5 * slope / np.where(convex, curv, 1.0), -np.sign(slope))
+        limit = np.minimum(reach, 8.0 * np.abs(d))
+        t = np.clip(t, -limit, limit)
+        short = np.abs(t) < _DMIN
+        last = short & (np.abs(d) <= _DMIN)
+        probe = short & ~last
+        t = np.clip(np.where(probe, np.copysign(_DMIN, t), t), node - h - x, node + h - x)
+        # a bracket with no step keeps its stencil, so it takes no more steps
+        live = np.abs(t) > _XTOL
+        if not live.any():
+            break
+        x, t, g_lo, g0, g_hi, d, reach, node, sign, last, probe = (
+            a[live] for a in (x, t, g_lo, g0, g_hi, d, reach, node, sign, last, probe))
+        values = fn(np.concatenate((x - t, x + t, x + 2.0 * t)))
+        s_min, s_max = min(s_min, np.min(values)), max(s_max, np.max(values))
+        g_back, g_step, g_far = (sign * v for v in np.split(values, 3))
+        moved = g_step < g0
+        x = np.where(moved, x + t, x)
+        g_lo, g_hi = np.where(moved, g0, g_back), np.where(moved, g_far, g_step)
+        g0, d = np.minimum(g_step, g0), np.where(last, 0.0, t)
+        # a rejected probe says nothing about the step's length
+        reach = np.where(moved, np.inf, np.where(probe, reach, 0.5 * np.abs(t)))
+    return float(s_min), float(s_max)
 
 
 def ellipticity_report(problem: ProblemSpec, u: SpectralField) -> EllipticityReport:
     """Estimate the hyperbolicity margin and amplitude bound for a snapshot.
 
-    Samples kappa*a(u(x)) on the 4K+1 equispaced nodes and polishes the
-    sampled extrema so the estimates are stable under grid refinement.
+    Samples kappa*a(u(x)) on the 4K+1 equispaced nodes and polishes every
+    sampled extremum with _refine_extrema, which evaluates u by direct
+    summation at its points, so the estimates are stable under grid
+    refinement.  On smooth data the polish takes about two calls of
+    kappa*a(u(x)) for all extrema at once, on rough data at most
+    _MAX_CALLS.
     """
     n = 4 * u.degree + 1
     xs = 2.0 * np.pi * np.arange(n) / n
@@ -155,13 +188,15 @@ def ellipticity_report(problem: ProblemSpec, u: SpectralField) -> EllipticityRep
     uvals = synthesize_values(half, n)
     svals = problem.kappa * np.asarray(problem.a(uvals), dtype=float)
 
-    # u(x) = c_0 + 2 Re sum_{j>=1} c_j e^{ijx} at arbitrary points, since
-    # c_{-j} = conj(c_j)
+    # u(x) = c_0 + 2 sum_{j>=1} (Re c_j cos jx - Im c_j sin jx) at arbitrary
+    # points, since c_{-j} = conj(c_j)
     j = np.arange(u.degree + 1.0)
     half = half * np.where(j == 0.0, 1.0, 2.0)
+    re, im = half.real.copy(), half.imag.copy()
 
     def s_of_x(x):
-        uvals = np.real(np.exp(np.multiply.outer(x, 1j * j)) @ half)
+        jx = np.multiply.outer(x, j)
+        uvals = np.cos(jx) @ re - np.sin(jx) @ im
         return problem.kappa * np.asarray(problem.a(uvals), dtype=float)
 
     s_min, s_max = _refine_extrema(s_of_x, xs, svals)

@@ -740,6 +740,11 @@ class TestCli:
     @pytest.mark.parametrize("taus,message", [
         ("0.0625 0.0625 0.03125 0.015625", "local.tau 0.0625 is repeated"),
         ("0.0625 -0.03125 0.015625", "tau must be positive, got -0.03125"),
+        # the order fit needs >= 3 steps spanning a factor of 4
+        ("", "local.tau needs >= 3 steps spanning at least a factor of 4 for the order fit, "
+             "got []"),
+        ("0.0625 0.015625", "local.tau needs >= 3 steps"),
+        ("0.0625 0.03125 0.02", "local.tau needs >= 3 steps"),
     ])
     def test_local_error_checks_steps_before_running(self, tmp_path, capsys, monkeypatch,
                                                      taus, message):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qlwave import problem as problem_module
 from qlwave.exceptions import ConfigurationError
 from qlwave.problem import (
     ProblemSpec,
@@ -92,6 +93,33 @@ class TestEllipticity:
         rep = ellipticity_report(p, SpectralField.constant(2.0, degree=1))
         assert np.isclose(rep.delta_est, -1.0)
         assert rep.hyperbolicity_lost
+
+    def test_degree_zero_field(self):
+        # one node, n = 1, so the bracket of its extremum is the whole circle
+        rep = ellipticity_report(ProblemSpec(kappa=0.7, a=np.sin, g=None),
+                                 SpectralField.constant(0.3))
+        assert rep.delta_est == 1.0 + 0.7 * np.sin(0.3)
+        assert rep.A0_est == 0.7 * np.sin(0.3)
+
+    @pytest.mark.parametrize("field,most", [
+        (lambda rng: power_law_initial_data(64)[0], 8),  # criterion 8's snapshot
+        (lambda rng: hermitian_field(rng, 256, decay=1.5), 20),  # rough: ~150 brackets
+    ])
+    def test_polish_cost(self, rng, monkeypatch, field, most):
+        # one call of fn takes every bracket at once, so the calls are the cost
+        calls = []
+        refine = problem_module._refine_extrema
+
+        def counted(fn, xs, vals):
+            def fn_counted(x):
+                calls.append(x.size)
+                return fn(x)
+
+            return refine(fn_counted, xs, vals)
+
+        monkeypatch.setattr(problem_module, "_refine_extrema", counted)
+        ellipticity_report(model_problem(1.0), field(rng))
+        assert 1 <= len(calls) <= most
 
     def test_initial_data_amplitude_bound(self):
         p = model_problem(1.0)
