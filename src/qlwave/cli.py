@@ -30,6 +30,7 @@ from .harness import (
     ExperimentPlan,
     estimate_order,
     estimate_spatial_order,
+    rows_by_series,
     run_convergence_space,
     run_convergence_time,
     write_rows_csv,
@@ -42,7 +43,7 @@ from .harness import (
 from .integrator import IntegratorConfig, StatePair, _n_steps, _require_positive_tau, evolve
 from .problem import model_problem, power_law_initial_data
 from .reference import ReferenceConfig, local_error
-from .spectral import SpectralField, omega_weights
+from .spectral import SpectralField, half_pair_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -135,9 +136,7 @@ def _write_sweep(args, rows: list[ConvergenceRow], name: str, spatial: bool = Fa
     write_rows_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
     held, fixed = ("tau", "tau={:<8g}") if spatial else ("K", "K={:<5d}")
-    groups: dict = {}
-    for r in rows:
-        groups.setdefault((r.filter, getattr(r, held)), []).append(r)
+    groups = rows_by_series(rows, held)
     width = max([10, *(len(label) for label, _ in groups)])
     for (label, value), series in sorted(groups.items()):
         where = f"{label:>{width}s}  {fixed.format(value)}"
@@ -153,6 +152,7 @@ def _write_sweep(args, rows: list[ConvergenceRow], name: str, spatial: bool = Fa
 
 
 def cmd_simulate(args) -> int:
+    """One trajectory; trajectory.csv holds its H^2 x H^1 norm by half_pair_norm's parseval_sums."""
     cfg = args.cfg
     problem = _problem_from(cfg)
     K = _read(cfg, "grid.K", int)
@@ -160,23 +160,12 @@ def cmd_simulate(args) -> int:
     n_steps = _n_steps(_read(cfg, "time.T", float), tau)
     spec = _filter_from(cfg)
     icfg = IntegratorConfig(tau=tau, K=K, filter=spec)
-    u0, ud0 = power_law_initial_data(K)
-    state = StatePair(u0, ud0)
-
-    # the H^2 x H^1 weights w^(2s) of pair_norm(u, udot, 1.0), tabulated
-    # once; norm() is the same expression, so the CSV keeps its bits
-    w = omega_weights(K)
-    w_u, w_ud = w ** (2.0 * 2.0), w ** (2.0 * 1.0)
-
-    def norm(u: np.ndarray, ud: np.ndarray) -> float:
-        return float(np.hypot(float(np.sqrt(np.sum(w_u * np.abs(u) ** 2))),
-                              float(np.sqrt(np.sum(w_ud * np.abs(ud) ** 2)))))
-
-    rows = [(0, 0.0, norm(u0.coeffs, ud0.coeffs))]
+    state = StatePair(*power_law_initial_data(K))
+    rows = [(0, 0.0, state.norm(1.0))]
     every = _read(cfg, "output.every", int, "1")
 
     def observer(n, t, u, ud):
-        rows.append((n, t, norm(u, ud)))
+        rows.append((n, t, half_pair_norm(u[K:], ud[K:], 1.0)))
 
     final = evolve(state, problem, icfg, n_steps, observer=observer, every=every)
     # evolve rejects every < 1 before it runs, and a failed run makes no directory

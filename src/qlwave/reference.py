@@ -15,7 +15,7 @@ from . import filters as flt
 from .exceptions import ConfigurationError, PreconditionError, ReferenceFailure
 from .integrator import _MAX_STEPS, IntegratorConfig, StatePair, _integer, _n_steps, evolve, step
 from .problem import ProblemSpec
-from .spectral import embed, pair_norm, sobolev_norm
+from .spectral import embed, pair_norm, parseval_sum, parseval_weights, sobolev_norm
 
 
 # Bound on the reference's step-halving drift, relative to the state norm
@@ -90,13 +90,13 @@ def reference_solution(
 
 def _check_spectral_tail(u, rtol: float = 1e-8):
     """Require the top 10% of modes to carry < rtol of the field's norm."""
-    K = u.degree
+    K, h = u.degree, u.coeffs[u.degree :]
     cut = max(1, int(np.ceil(0.9 * K)))
     total = sobolev_norm(u, 0.0)
-    tail_sq = float(np.sum(np.abs(u.coeffs[K + cut :]) ** 2)) * 2.0
-    if np.sqrt(tail_sq) > rtol * total:
+    tail = float(np.sqrt(parseval_sum(h, h, parseval_weights(1.0 * (np.arange(K + 1) >= cut)))))
+    if tail > rtol * total:
         raise PreconditionError(
-            f"spectral tail (modes |j| >= {cut}) carries {np.sqrt(tail_sq):.2e} "
+            f"spectral tail (modes |j| >= {cut}) carries {tail:.2e} "
             f"of a norm-{total:.2e} field; the state is not resolved at degree {K}"
         )
 

@@ -19,10 +19,11 @@ of the shipped experiments, the exact linear flow, the velocity flip of
 time reversal, the full-spectrum field operations the energy diagnostics
 used before they moved onto half spectra (project, apply_multiplier,
 derivative, dealiased_product through spectral's one pointwise product,
-and the weighted inner_product), the unfiltered nonlinearity
-a_K(u) u_xx + g_K(u, u_x) formed through dealiased_product, and the step
-kernel's filtered nonlinearity of one field, which calls the kernel
-itself.
+the weighted inner_product), the full-spectrum Sobolev and pair norms
+that spectral computed before its half-spectrum Parseval sum, the
+unfiltered nonlinearity a_K(u) u_xx + g_K(u, u_x) formed through
+dealiased_product, and the step kernel's filtered nonlinearity of one
+field, which calls the kernel itself.
 """
 
 import math
@@ -411,6 +412,22 @@ def inner_product(f: SpectralField, g: SpectralField, s: float = 0.0) -> float:
     cg = _padded(g, K)
     w = omega_weights(K)
     return float(np.real(np.sum(w ** (2.0 * s) * np.conj(cf) * cg)))
+
+
+def full_sobolev_sq(f: SpectralField, s: float) -> float:
+    """sum_{j=-K..K} w_j^{2s} |c_j|^2, summed over the full spectrum."""
+    w = omega_weights(f.degree)
+    return float(np.sum(w ** (2.0 * s) * np.abs(f.coeffs) ** 2))
+
+
+def full_sobolev_norm(f: SpectralField, s: float) -> float:
+    """full_sobolev_sq(f, s)^(1/2)."""
+    return float(np.sqrt(full_sobolev_sq(f, s)))
+
+
+def full_pair_norm(u: SpectralField, udot: SpectralField, s: float) -> float:
+    """(|u|_{s+1}^2 + |udot|_s^2)^(1/2) from full_sobolev_norm."""
+    return float(np.hypot(full_sobolev_norm(u, s + 1.0), full_sobolev_norm(udot, s)))
 
 
 def nonlinear_term(u: SpectralField, problem) -> SpectralField:

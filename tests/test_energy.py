@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from qlwave.energy import (
     _LOperator,
-    _dot,
     _mode_basis,
     _random_probes,
     apply_l_operator,
@@ -29,6 +28,8 @@ from qlwave.spectral import (
     mirror_half,
     omega_weights,
     pair_norm,
+    parseval_sum,
+    parseval_weights,
     sobolev_norm,
     synthesize_values,
 )
@@ -459,8 +460,9 @@ class TestEnergyReport:
 
 
 class TestHalfSpectrumAlgebra:
-    # the energy layer works on modes 0..K; its one multiplier path and its
-    # one scalar product against the full-spectrum forms it replaced
+    # the energy layer works on modes 0..K; its one multiplier path and the
+    # one scalar product, spectral.parseval_sum, against the full-spectrum
+    # forms they replaced
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(0, 64), st.floats(1e-3, 2.0),
@@ -478,9 +480,9 @@ class TestHalfSpectrumAlgebra:
         w2 = omega_weights(K)[K:] ** 2
         for _ in range(10):
             f, g = hermitian_field(rng, K), hermitian_field(rng, K)
-            for s, weight in ((0.0, 1.0), (1.0, w2)):
+            for s, weight in ((0.0, np.ones(K + 1)), (1.0, w2)):
                 want = inner_product(f, g, s)
-                got = _dot(f.coeffs[K:], g.coeffs[K:], weight)
+                got = parseval_sum(f.coeffs[K:], g.coeffs[K:], parseval_weights(weight))
                 assert abs(got - want) <= 1e-15 * sobolev_norm(f, s) * sobolev_norm(g, s)
 
 

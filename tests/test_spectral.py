@@ -24,6 +24,8 @@ from qlwave.spectral import (
     mirror_half,
     omega_weights,
     pair_norm,
+    parseval_sum,
+    parseval_weights,
     sobolev_norm,
     synthesize_values,
 )
@@ -37,6 +39,9 @@ from oracles import (
     dense_synthesize,
     derivative,
     field_from_dict,
+    full_pair_norm,
+    full_sobolev_norm,
+    full_sobolev_sq,
     inner_product,
     padded_synthesis,
     project,
@@ -424,6 +429,36 @@ class TestNorms:
     def test_pair_norm_two_mode_hand_sum(self):
         # (cos x, cos x) at s=0: |cos|_1^2 + |cos|_0^2 = 1 + 1/2
         assert np.isclose(pair_norm(COS_X, COS_X, 0.0), np.sqrt(1.5), atol=1e-15)
+
+
+class TestParsevalSum:
+    @pytest.mark.parametrize("s", [0, 1, 2, 5])
+    @pytest.mark.parametrize("K", [0, 1, 8, 64, 512])
+    def test_norms_match_full_spectrum_and_rows_sum_alone(self, rng, K, s):
+        fields = [hermitian_field(rng, K, decay=decay) for decay in (0.0, 0.5, 1.0, 2.0, 3.0)]
+        pairs = list(zip(fields, fields[::-1]))
+        # the one sum against the full-spectrum sums, relative to the norm
+        for f, g in pairs:
+            want = full_sobolev_norm(f, s)
+            assert abs(sobolev_norm(f, s) - want) <= 1e-15 * want
+            want = full_pair_norm(f, g, s)
+            assert abs(pair_norm(f, g, s) - want) <= 1e-15 * want
+        if K >= 1 and s == 1:
+            # the guard's dot takes its weights from parseval_weights
+            cfg = IntegratorConfig(tau=0.1, K=K, filter=sinc_c(2.0))
+            engine = _Engine(model_problem(1.0), [cfg])
+            u = np.stack([f.coeffs[K:] for f, _ in pairs])
+            ud = np.stack([g.coeffs[K:] for _, g in pairs])
+            for (f, g), got in zip(pairs, engine.norm_sq(u, ud)):
+                want = full_sobolev_sq(f, 2.0) + full_sobolev_sq(g, 1.0)
+                assert abs(got - want) <= 1e-15 * want
+        # a (5, K+1) stack, sliced from full spectra, sums each row as it sums alone
+        full = np.stack([f.coeffs for f in fields])
+        half = full[:, K:]
+        weights = parseval_weights(omega_weights(K)[K:] ** (2.0 * s))
+        stacked = parseval_sum(half, half[::-1], weights)
+        alone = [parseval_sum(f, g, weights) for f, g in zip(half, half[::-1])]
+        assert stacked.shape == (5,) and np.array_equal(stacked, alone)
 
 
 class TestInnerProduct:
