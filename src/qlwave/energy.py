@@ -24,10 +24,9 @@ u: it samples a(u) once on a grid of next_fast_len(2(K + K_v) + 1)
 nodes, K = deg u, which resolves every kept mode of the three products
 exactly.  It evaluates L on stacks of degree-K_v fields in two ways:
 
-- apply gives the images L v, in four calls of the transform pair on
-  modes 0..K_v (the half spectra of the pair) with one mirror of the
-  result.  apply_l_operator, identity_residual and the exact eigenvalue
-  margin of positivity_certificate use it.
+- apply gives the images L v on modes 0..K_v, in four calls of the
+  transform pair.  apply_l_operator mirrors its one image, and the exact
+  eigenvalue margin of positivity_certificate takes those of its basis.
 - form gives only the Rayleigh numerators <L v, v>_0, by Parseval, in
   two calls of the pair on half spectra: one synthesis of phi v per probe
   and one analysis of a*(phi v).  The sampled positivity probes
@@ -38,9 +37,10 @@ exactly.  It evaluates L on stacks of degree-K_v fields in two ways:
 The algebra runs on half spectra (modes 0..K), with a SpectralField only
 at the public arguments and results: the multipliers in tau*Om are rows of
 integrator._tables, the products spectral._pointwise_product, a_K(u) is the
-step's own interpolant, and every scalar product is one half-spectrum sum,
-spectral.parseval_sum.  Each time level of the energy-change identity makes
-one stacked product of A and B, from which U, R* and A + B are read (level).
+step's own interpolant, every scalar product is one half-spectrum sum,
+spectral.parseval_sum, and the exact margin's Gram matrix one real product
+of half spectra.  Each time level of the energy-change identity makes one
+stacked product of A and B, from which U, R* and A + B are read (level).
 """
 
 from __future__ import annotations
@@ -184,11 +184,11 @@ class _LOperator:
     modes |m| > K_v, so every kept mode is exact.  The tables and the
     transforms hold half spectra, modes 0..K_v and 0..K_a+K_v.
 
-    apply gives the images L v in four transform calls per stack.  form
-    gives the numbers <L v, v>_0 in two, one row per probe each: it forms
-    only a*(phi v) and reads the cos term off its modes 0..K_v.  The exact
-    positivity margin and the identity residual take images, the sampled
-    positivity probes take the form.
+    apply gives the images L v on modes 0..K_v in four transform calls per
+    stack.  form gives the numbers <L v, v>_0 in two, one row per probe
+    each: it forms only a*(phi v) and reads the cos term off its modes
+    0..K_v.  The exact positivity margin and the identity residual take
+    images, the sampled positivity probes take the form.
     """
 
     def __init__(self, u: SpectralField, problem: ProblemSpec, cfg: IntegratorConfig,
@@ -203,21 +203,20 @@ class _LOperator:
         self.cos_w, self.sin2phi2_w, self.unit_w = map(parseval_weights, (
             self.cos_t, self.sin2phi2_t, np.ones(v_degree + 1)))
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """L(u) applied to each row of a (rows, 2K_v+1) array, truncated to degree K_v.
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """Modes 0..K_v of L(u) v for each row v of a (rows, K_v+1) stack of half spectra.
 
-        Four transform calls per stack on modes 0..K_v of v; the result
-        is mirrored once.  Each row of the result is bitwise what that
-        row gives alone.
+        Four transform calls per stack.  Each row of the result is bitwise
+        what that row gives alone.
         """
         kappa, ka, kv = self.kappa, self.a_degree, self.v_degree
-        t1 = self.phi_t * v[..., kv:]
+        t1 = self.phi_t * h
         vals = synthesize_values(np.stack((self.cos_t * t1, t1)), self.n)
         prods = coeffs_from_samples(vals * self.a_vals, ka + kv)
         branch_a = self.phi_t * prods[0, :, : kv + 1]
         inner = synthesize_values(self.sin2phi2_t * prods[1], self.n)
         branch_b = self.phi_t * coeffs_from_samples(inner * self.a_vals, kv)
-        return mirror_half(kappa * branch_a - 0.25 * kappa * kappa * branch_b)
+        return kappa * branch_a - 0.25 * kappa * kappa * branch_b
 
     def form(self, h: np.ndarray) -> np.ndarray:
         """<L(u) v, v>_0 for each row v of a (rows, K_v+1) stack of half spectra.
@@ -249,7 +248,7 @@ def apply_l_operator(
     the unprojected U variant.
     """
     op = _LOperator(u, problem, cfg, v.degree)
-    return SpectralField(op.apply(v.coeffs[np.newaxis])[0])
+    return SpectralField(mirror_half(op.apply(v.coeffs[np.newaxis, v.degree :])[0]))
 
 
 # Rows per application of the stacked L kernel.  It bounds the working set:
@@ -313,10 +312,9 @@ def positivity_certificate(u: SpectralField, problem: ProblemSpec, cfg: Integrat
     labels += (f"random-{i:04d}" for i in range(n_samples))
     probes = list(zip(labels, map(float, itertools.chain.from_iterable(margins))))
     half = _mode_basis(u.degree)
-    # + 0.0 turns the -0.0 that conj leaves in zero parts into +0.0
-    basis = np.concatenate((np.conj(half[:, :0:-1]) + 0.0, half), axis=1)
-    lb = np.concatenate([op.apply(v) for v in _blocks(basis)])
-    m = np.real(np.conj(basis) @ lb.T)
+    lb = np.concatenate([op.apply(h) for h in _blocks(half)])
+    # BLAS, not parseval_sum: its pairwise sums need a (2K+1)^2 (2K+2) temporary, 17 MB at K = 64
+    m = (half.view(np.float64) * op.unit_w) @ lb.view(np.float64).T
     s = 1.0 / np.sqrt(parseval_sum(half, half, op.unit_w))
     sym = 0.5 * (m + m.T) * s[:, np.newaxis] * s[np.newaxis, :]
     return rep, probes, float(1.0 + np.linalg.eigvalsh(sym)[0] - rep.delta_est / 8.0)

@@ -112,8 +112,8 @@ def min_c_for(a0: float, delta: float) -> float:
     """Smallest admissible sinc parameter c for given bound a0 and margin delta."""
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
-    if a0 < 0:
-        raise ConfigurationError(f"a0 must be >= 0, got {a0}")
+    if a0 < 0 or not np.isfinite(a0):
+        raise ConfigurationError(f"A0 must be finite and >= 0, got {a0}")
     return 0.5 * np.sqrt(a0 / (1.0 - delta))
 
 

@@ -54,6 +54,7 @@ from .exceptions import ConfigurationError, DivergenceError, NormGuardError
 from .problem import ProblemSpec
 from .spectral import (
     SpectralField,
+    _omega,
     _pointwise_product,
     coeffs_from_samples,
     mirror_half,
@@ -183,11 +184,11 @@ _Tables = collections.namedtuple("_Tables", "w w2 dxx cos sin sinc phi psi1")
 def _tables(cfg: IntegratorConfig, D: int) -> _Tables:
     """Rows w = sqrt(j^2+1), w^2, -j^2 and cos, sin, sinc, phi, psi1 of tau*w on modes 0..D.
 
-    The one tabulation in tau*Om.  Each entry is its own mode's, so the
-    prefix 0..k of a row is bitwise the degree-k row.
+    The one tabulation in tau*Om, on spectral._omega's w.  Each entry is its
+    own mode's, so the prefix 0..k of a row is bitwise the degree-k row.
     """
     j = np.arange(D + 1, dtype=float)
-    w = np.sqrt(j * j + 1.0)
+    w = _omega(D)
     x = cfg.tau * w
     return _Tables(w, w * w, -(j * j), np.cos(x), np.sin(x), flt.sinc(x),
                    flt.phi(cfg.filter, x), flt.psi1(cfg.filter, x))

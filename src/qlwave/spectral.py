@@ -5,8 +5,8 @@ trigonometric polynomial,
 
     v(x) = sum_{j=-K}^{K} c_j e^{i j x},      c_{-j} = conj(c_j),
 
-together with weighted Sobolev norms built from the weights
-w_j = sqrt(j^2 + 1) by parseval_sum, the one scalar product of real
+together with weighted Sobolev norms built from the weights _omega,
+w_j = sqrt(j^2 + 1), by parseval_sum, the one scalar product of real
 fields.  All operations are pure functions; fields are immutable values.
 
 synthesize_values and coeffs_from_samples are the one transform pair;
@@ -103,9 +103,9 @@ def mode_numbers(degree: int) -> np.ndarray:
     return np.arange(-degree, degree + 1)
 
 
-def omega_weights(degree: int) -> np.ndarray:
-    """Weights sqrt(j^2+1) for j = -degree..degree."""
-    j = mode_numbers(degree).astype(float)
+def _omega(degree: int) -> np.ndarray:
+    """The weights w_j = sqrt(j^2+1) on modes 0..degree, the one tabulation of w."""
+    j = np.arange(degree + 1, dtype=float)
     return np.sqrt(j * j + 1.0)
 
 
@@ -283,7 +283,7 @@ def parseval_sum(f: np.ndarray, g: np.ndarray, weights: np.ndarray):
 
 
 def _norm(h: np.ndarray, s: float):
-    w = np.sqrt(np.arange(h.shape[-1], dtype=float) ** 2 + 1.0) ** (2.0 * _check_order(s))
+    w = _omega(h.shape[-1] - 1) ** (2.0 * _check_order(s))
     return np.sqrt(parseval_sum(h, h, parseval_weights(w)))
 
 

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlwave.spectral import SpectralField, omega_weights
+from qlwave.spectral import SpectralField
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import omega_weights
 
 
 @pytest.fixture

@@ -9,21 +9,22 @@ transforms and the kernels on full spectra -K..K, through scipy.fft's
 public irfft/rfft only: an explicitly zero-padded half spectrum, an
 element-by-element assembled analysis, the two ways the pointwise product
 of two fields used to be formed, the filtered nonlinearity, the operator
-L of the energy diagnostics, and the step formulas with every factor
-applied at the call.  The package's lean half-spectrum kernels
+L of the energy diagnostics, the exact positivity margin with its Gram
+matrix as a complex full-spectrum matmul, and the step formulas with every
+factor applied at the call.  The package's lean half-spectrum kernels
 must match them bit for bit.
 
 The test-only forms at the end are what only the tests need of the
-package: a field from a {mode: coefficient} mapping, the filter catalog
-of the shipped experiments, the exact linear flow, the velocity flip of
-time reversal, the full-spectrum field operations the energy diagnostics
-used before they moved onto half spectra (project, apply_multiplier,
-derivative, dealiased_product through spectral's one pointwise product,
-the weighted inner_product), the full-spectrum Sobolev and pair norms
-that spectral computed before its half-spectrum Parseval sum, the
-unfiltered nonlinearity a_K(u) u_xx + g_K(u, u_x) formed through
-dealiased_product, and the step kernel's filtered nonlinearity of one
-field, which calls the kernel itself.
+package: the weights sqrt(j^2+1) on modes -K..K, a field from a {mode:
+coefficient} mapping, the filter catalog of the shipped experiments, the
+exact linear flow, the velocity flip of time reversal, the full-spectrum
+field operations the energy diagnostics used before they moved onto half
+spectra (project, apply_multiplier, derivative, dealiased_product through
+spectral's one pointwise product, the weighted inner_product), the
+full-spectrum Sobolev and pair norms that spectral computed before its
+half-spectrum Parseval sum, the unfiltered nonlinearity
+a_K(u) u_xx + g_K(u, u_x) formed through dealiased_product, and the step
+kernel's filtered nonlinearity of one field, which calls the kernel itself.
 """
 
 import math
@@ -32,8 +33,10 @@ import numpy as np
 import scipy.fft
 
 from qlwave import filters
+from qlwave.energy import _mode_basis, apply_position_filter
 from qlwave.exceptions import ConfigurationError, NumericsError
 from qlwave.integrator import StatePair, _Engine, _interpolants
+from qlwave.problem import ellipticity_report
 from qlwave.spectral import (
     SpectralField,
     _check_order,
@@ -42,7 +45,6 @@ from qlwave.spectral import (
     mirror_half,
     mode_numbers,
     next_fast_len,
-    omega_weights,
 )
 
 
@@ -271,6 +273,24 @@ def full_spectrum_l_operator(u, problem, cfg, v_degree, v):
     return kappa * branch_a - 0.25 * kappa * kappa * branch_b
 
 
+def full_spectrum_exact_margin(u, problem, cfg):
+    """positivity_certificate's exact margin, its Gram matrix formed on full spectra.
+
+    The single-mode basis is mirrored onto -K..K, its images under
+    L(Phi u) come from full_spectrum_l_operator, and M = Re(conj(b) (L b)^T)
+    is one complex matmul over all 2K+1 modes.
+    """
+    half = _mode_basis(u.degree)
+    # + 0.0 turns the -0.0 that conj leaves in zero parts into +0.0
+    basis = np.concatenate((np.conj(half[:, :0:-1]) + 0.0, half), axis=1)
+    lb = full_spectrum_l_operator(apply_position_filter(u, cfg), problem, cfg, u.degree, basis)
+    m = np.real(np.conj(basis) @ lb.T)
+    s = 1.0 / np.sqrt(np.real(np.sum(np.conj(basis) * basis, axis=1)))
+    sym = 0.5 * (m + m.T) * s[:, np.newaxis] * s[np.newaxis, :]
+    delta = ellipticity_report(problem, u).delta_est
+    return float(1.0 + np.linalg.eigvalsh(sym)[0] - delta / 8.0)
+
+
 def step_tables(K, tau):
     """cos(tau*Om), sinc(tau*Om) and Om*sin(tau*Om) on modes -K..K."""
     w1 = omega_weights(K)
@@ -314,6 +334,12 @@ def step_three_stage(state, problem, cfg):
 
 
 # -- test-only forms -------------------------------------------------------
+
+
+def omega_weights(degree: int) -> np.ndarray:
+    """Weights sqrt(j^2+1) for j = -degree..degree."""
+    j = mode_numbers(degree).astype(float)
+    return np.sqrt(j * j + 1.0)
 
 
 def field_from_dict(degree: int, modes: dict) -> SpectralField:

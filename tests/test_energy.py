@@ -26,7 +26,6 @@ from qlwave.spectral import (
     SpectralField,
     embed,
     mirror_half,
-    omega_weights,
     pair_norm,
     parseval_sum,
     parseval_weights,
@@ -40,8 +39,10 @@ from oracles import (
     dense_l_operator,
     derivative,
     field_from_dict,
+    full_spectrum_exact_margin,
     full_spectrum_l_operator,
     inner_product,
+    omega_weights,
     quadrature_inner_product,
 )
 
@@ -227,17 +228,17 @@ class TestLOperator:
         cfg = IntegratorConfig(tau=0.2, K=ku, filter=spec)
         u = hermitian_field(rng, ku)
         op = _LOperator(u, p, cfg, kv)
-        stack = np.stack([hermitian_field(rng, kv).coeffs for _ in range(rows)])
+        stack = np.stack([hermitian_field(rng, kv).coeffs[kv:] for _ in range(rows)])
         out = op.apply(stack)
-        forms = op.form(stack[:, kv:])
-        for v, row, form in zip(stack, out, forms):
-            alone = apply_l_operator(u, SpectralField(v), p, cfg).coeffs
-            assert np.array_equal(row, alone)
-            assert np.array_equal(form, op.form(v[np.newaxis, kv:])[0])
+        forms = op.form(stack)
+        for h, row, form in zip(stack, out, forms):
+            alone = apply_l_operator(u, SpectralField(mirror_half(h)), p, cfg).coeffs
+            assert np.array_equal(mirror_half(row), alone)
+            assert np.array_equal(form, op.form(h[np.newaxis])[0])
 
     @pytest.mark.parametrize("spec", ADMISSIBLE + (impulse(), sinc_c(0.7)), ids=lambda f: f.label)
     def test_bitwise_equal_full_spectrum_operator(self, rng, spec):
-        # half-spectrum transforms with one mirror give the bits of L on full
+        # half-spectrum images, mirrored once, give the bits of L on full
         # spectra -K_v..K_v, on the mode basis and on random real rows
         for kappa in (0.01, 0.3, 1.0):
             p = model_problem(kappa)
@@ -245,11 +246,10 @@ class TestLOperator:
                 cfg = IntegratorConfig(tau=0.3, K=ku, filter=spec)
                 u = hermitian_field(rng, ku)
                 op = _LOperator(u, p, cfg, kv)
-                rows = np.stack([hermitian_field(rng, kv).coeffs for _ in range(8)])
-                basis = mirror_half(_mode_basis(kv))
-                for v in (basis, rows):
-                    got = op.apply(v)
-                    want = full_spectrum_l_operator(u, p, cfg, kv, v)
+                rows = np.stack([hermitian_field(rng, kv).coeffs[kv:] for _ in range(8)])
+                for h in (_mode_basis(kv), rows):
+                    got = mirror_half(op.apply(h))
+                    want = full_spectrum_l_operator(u, p, cfg, kv, mirror_half(h))
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_identity_fails_without_sinc_compatibility(self, rng):
@@ -427,6 +427,20 @@ class TestPositivity:
         quad = inner_product(apply_l_operator(uf, v, p, cfg), v)
         _, _, exact = positivity_certificate(u, p, cfg, 0)
         assert abs(exact - ((n0 + quad) / n0 - delta / 8.0)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", (sinc_c(2.0), hairer_lubich(), impulse()),
+                             ids=lambda f: f.label)
+    @pytest.mark.parametrize("kappa", (0.01, 1.0))
+    @pytest.mark.parametrize("K", (1, 4, 16, 32, 64, 128))
+    def test_eigen_margin_bitwise_equal_full_spectrum_gram(self, rng, K, kappa, spec):
+        # the Gram matrix as a real product of half spectra gives the bits of
+        # the complex full-spectrum matmul: each basis row has one nonzero mode
+        u = hermitian_field(rng, K, scale=0.1, decay=2.0)
+        cfg = IntegratorConfig(tau=0.01, K=K, filter=spec)
+        p = model_problem(kappa)
+        _, _, exact = positivity_certificate(u, p, cfg, 0)
+        want = full_spectrum_exact_margin(u, p, cfg)
+        assert np.array_equal(np.float64(exact).view(np.uint64), np.float64(want).view(np.uint64))
 
     def test_eigen_margin_of_zero_a(self):
         cfg = IntegratorConfig(tau=0.1, K=8, filter=sinc_c(2.0))

@@ -195,6 +195,12 @@ class TestMinC:
             with pytest.raises(ConfigurationError):
                 min_c_for(1.0, delta)
 
+    def test_a0_range(self):
+        # the bound check_assumptions enforces, with its message
+        for a0 in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ConfigurationError, match="A0 must be finite and >= 0"):
+                min_c_for(a0, 0.5)
+
 
 class TestScalarInequality:
     def test_zero_amplitude_trivial(self):

@@ -22,7 +22,6 @@ from qlwave.spectral import (
     SpectralField,
     coeffs_from_samples,
     mirror_half,
-    omega_weights,
     pair_norm,
     synthesize_values,
 )
@@ -37,6 +36,7 @@ from oracles import (
     linear_propagator,
     negated_velocity,
     nonlinear_term,
+    omega_weights,
     project,
     step_three_stage,
     unpremultiplied_step,
