@@ -72,25 +72,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
     return cfg
 
 
-class _ReadConfig(dict):
-    """A command's config that records the keys it looks up with ``in`` or ``[]``."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.read: set[str] = set()
-
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-
 def _read(cfg, key: str, parse, default=None):
-    """parse(value) of a config key, or parse(default) if it is unset; no default: required."""
-    text = cfg[key] if key in cfg else default
+    """parse(value) of a key taken out of cfg, or parse(default) if unset; no default: required."""
+    text = cfg.pop(key, default)
     if text is None:
         raise QlwaveError(f"missing required config key {key!r}")
     try:
@@ -213,7 +197,7 @@ def cmd_filter_check(args) -> int:
         f"  damping A0*sin^2(xi/2)*phi^2 <= 1-delta: {'pass' if report.assumption3_ok else 'FAIL'}"
         f"  (margin {report.worst_margin:.6g} at xi={report.worst_xi:.6g})"
     )
-    print(f"  smallest admissible sinc parameter c:   {flt.min_c_for(args.A0, args.delta):.6g}")
+    print(f"  sufficient c = sqrt(A0/(1-delta))/2:    {flt.min_c_for(args.A0, args.delta):.6g}")
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 
 
@@ -304,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("energy-check", help="energy positivity and identity margins"))
     common(sub.add_parser("local-error", help="one-step error vs tau"))
 
-    pf = sub.add_parser("filter-check", help="sampled filter admissibility check")
+    pf = sub.add_parser("filter-check", help="filter admissibility check")
     pf.add_argument("--filter", required=True, help="impulse | hl | gh | sinc:<c>")
     pf.add_argument("--A0", type=float, required=True, help="amplitude bound")
     pf.add_argument("--delta", type=float, required=True, help="hyperbolicity margin in (0,1)")
@@ -327,7 +311,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.cfg = _ReadConfig(load_config(args.config, args.override) if "config" in args else {})
+        # every read takes its key out, so the keys left are the unread ones
+        args.cfg = load_config(args.config, args.override) if "config" in args else {}
         code = _COMMANDS[args.command](args)
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
@@ -335,7 +320,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (QlwaveError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    unread = sorted(set(args.cfg) - args.cfg.read)
+    unread = sorted(args.cfg)
     if unread:
         print(f"warning: {args.command} did not read config keys: {', '.join(unread)}",
               file=sys.stderr)

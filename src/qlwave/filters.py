@@ -6,16 +6,20 @@ unfiltered impulse variant (phi = psi1 = 1) and the family
 phi(xi) = sinc(c*xi), psi1 = sinc*phi, for c >= 0.  The two classical
 filters are members of the family: Hairer-Lubich (hl, phi = 1) is c = 0
 and Grimm-Hochbruck (gh, phi = sinc) is c = 1; larger c damps more, for
-strong nonlinearities.  Admissibility is certified by sampling three
-conditions:
+strong nonlinearities.  Admissibility is three conditions:
 
   1. boundedness:        |phi| <= 1, |1-phi(xi)| <= c0*xi^2 (same for psi1),
   2. sinc compatibility: psi1(xi) = sinc(xi)*phi(xi),
   3. damping:            A0*sin(xi/2)^2*phi(xi)^2 <= 1-delta.
+
+Conditions 1-2 depend on the filter alone and are decided in closed form,
+by FilterSpec.bounded and FilterSpec.sinc_compatible; only the damping
+condition, which depends on (delta, A0), is sampled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +58,16 @@ class FilterSpec:
     def c0(self) -> float:
         """The constant of |1-phi(xi)| <= c0*xi^2 (same for psi1): 0 for impulse, else fixed by c."""
         return 0.0 if self.c is None else max(1.0, (self.c * self.c + 1.0) / 6.0)
+
+    @property
+    def bounded(self) -> bool:
+        """Condition 1: it holds with the derived c0 whenever c0 is finite, so for c <= 1.34e154."""
+        return math.isfinite(self.c0)
+
+    @property
+    def sinc_compatible(self) -> bool:
+        """Condition 2, psi1 = sinc*phi: every sinc-family member meets it, impulse does not."""
+        return self.c is not None
 
 
 def impulse() -> FilterSpec:
@@ -108,12 +122,21 @@ def psi1(spec: FilterSpec, xi):
     return out if out.ndim else float(out)
 
 
-def min_c_for(a0: float, delta: float) -> float:
-    """Smallest admissible sinc parameter c for given bound a0 and margin delta."""
+def _require_margins(delta: float, a0: float = 0.0):
+    """Reject a delta outside (0, 1) and an A0 that is negative or not finite."""
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
     if a0 < 0 or not np.isfinite(a0):
         raise ConfigurationError(f"A0 must be finite and >= 0, got {a0}")
+
+
+def min_c_for(a0: float, delta: float) -> float:
+    """The paper's sufficient sinc parameter sqrt(a0/(1-delta))/2 for bound a0 and margin delta.
+
+    Since sin(xi/2)^2*sinc(c*xi)^2 <= 1/(4c^2), every c at or above it meets
+    the damping condition; the bound is not sharp, so a smaller c may too.
+    """
+    _require_margins(delta, a0)
     return 0.5 * np.sqrt(a0 / (1.0 - delta))
 
 
@@ -124,7 +147,7 @@ def default_xi_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Sampled verdicts for the three filter conditions.
+    """Verdicts for the three filter conditions.
 
     ``worst_margin``/``worst_xi`` record the tightest slack of the damping
     condition 1-delta - A0*sin(xi/2)^2*phi(xi)^2 over the grid.
@@ -135,8 +158,6 @@ class AdmissibilityReport:
     assumption3_ok: bool
     worst_margin: float
     worst_xi: float
-    delta: float
-    A0: float
 
     @property
     def all_ok(self) -> bool:
@@ -144,41 +165,21 @@ class AdmissibilityReport:
 
 
 def check_assumptions(spec: FilterSpec, delta: float, a0: float) -> AdmissibilityReport:
-    """Sample the three admissibility conditions on default_xi_grid().
+    """Conditions 1-2 from spec's closed forms; the damping condition sampled on default_xi_grid().
 
-    The conditions are universally quantified in xi; this is a desk-scale
-    certification on the sampled grid, not a proof.
+    The damping condition is universally quantified in xi; its verdict is a
+    desk-scale certification on the sampled grid, not a proof.
     """
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
-    if a0 < 0 or not np.isfinite(a0):
-        raise ConfigurationError(f"A0 must be finite and >= 0, got {a0}")
+    _require_margins(delta, a0)
     xi = default_xi_grid()
-    ph = np.asarray(phi(spec, xi))
-    ps = np.asarray(psi1(spec, xi))
-    tol = 1e-12
-
-    quad = spec.c0 * xi * xi
-    ok1 = bool(
-        np.all(np.abs(ph) <= 1.0 + tol)
-        and np.all(np.abs(1.0 - ph) <= quad + tol)
-        and np.all(np.abs(ps) <= 1.0 + tol)
-        and np.all(np.abs(1.0 - ps) <= quad + tol)
-    )
-    ok2 = bool(np.max(np.abs(ps - np.asarray(sinc(xi)) * ph)) <= tol)
-
-    slack = (1.0 - delta) - a0 * np.sin(0.5 * xi) ** 2 * ph**2
+    slack = (1.0 - delta) - a0 * np.sin(0.5 * xi) ** 2 * np.asarray(phi(spec, xi)) ** 2
     i = int(np.argmin(slack))
-    ok3 = bool(slack[i] >= 0.0)
-
     return AdmissibilityReport(
-        assumption1_ok=ok1,
-        assumption2_ok=ok2,
-        assumption3_ok=ok3,
+        assumption1_ok=spec.bounded,
+        assumption2_ok=spec.sinc_compatible,
+        assumption3_ok=bool(slack[i] >= 0.0),
         worst_margin=float(slack[i]),
         worst_xi=float(xi[i]),
-        delta=float(delta),
-        A0=float(a0),
     )
 
 
@@ -189,7 +190,6 @@ class ScalarInequalityReport:
     min_margin: float
     worst_A: float
     worst_xi: float
-    delta: float
 
     @property
     def certified(self) -> bool:
@@ -208,8 +208,7 @@ def scalar_inequality_check(
     the inequality is a parabola in A, so certifying the two boundary
     values certifies the whole interval for each xi.
     """
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
+    _require_margins(delta)
     a = np.asarray(a_grid, dtype=float)
     xi = np.asarray(xi_grid, dtype=float)
     if a.size == 0 or xi.size == 0:
@@ -225,5 +224,4 @@ def scalar_inequality_check(
         min_margin=float(margin[ia, ix]),
         worst_A=float(a[ia]),
         worst_xi=float(xi[ix]),
-        delta=float(delta),
     )

@@ -162,15 +162,13 @@ def _caller_stacklevel() -> int:
 
 
 def _warn_if_inadmissible(cfg: IntegratorConfig):
-    """Warn, blaming the first frame outside qlwave, if cfg's filter is inadmissible.
+    """Warn, blaming the first frame outside qlwave, if cfg's filter breaks assumption 1 or 2.
 
-    Assumptions 1-2 in closed form: with its derived c0 every filter meets
-    assumption 1, and every member of the sinc family meets psi1 = sinc*phi,
-    so only impulse (c is None, psi1 = 1) breaks it, as
-    filters.check_assumptions samples.  Only _run, the entry of evolve and
-    step, calls it, on every call, so it obeys the caller's filters.
+    The verdicts are the filter's own (FilterSpec.bounded, .sinc_compatible).
+    Only _run, the entry of evolve and step, calls it, on every call, so it
+    obeys the caller's filters.
     """
-    if cfg.filter.c is None:
+    if not (cfg.filter.bounded and cfg.filter.sinc_compatible):
         warnings.warn(
             f"filter {cfg.filter.label!r} violates the sinc-compatibility/boundedness "
             "conditions; expect step-size restrictions coupled to the spatial resolution",

@@ -20,6 +20,8 @@ from .spectral import embed, pair_norm, parseval_sum, parseval_weights, sobolev_
 
 # Bound on the reference's step-halving drift, relative to the state norm
 _SELF_CHECK_RTOL = 1e-4
+# Bound on the share of a resolved state's norm in its top 10% of modes
+_SPECTRAL_TAIL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,13 +90,13 @@ def reference_solution(
     return fine
 
 
-def _check_spectral_tail(u, rtol: float = 1e-8):
-    """Require the top 10% of modes to carry < rtol of the field's norm."""
+def _check_spectral_tail(u):
+    """Require the top 10% of modes to carry < _SPECTRAL_TAIL_RTOL of the field's norm."""
     K, h = u.degree, u.coeffs[u.degree :]
     cut = max(1, int(np.ceil(0.9 * K)))
     total = sobolev_norm(u, 0.0)
     tail = float(np.sqrt(parseval_sum(h, h, parseval_weights(1.0 * (np.arange(K + 1) >= cut)))))
-    if tail > rtol * total:
+    if tail > _SPECTRAL_TAIL_RTOL * total:
         raise PreconditionError(
             f"spectral tail (modes |j| >= {cut}) carries {tail:.2e} "
             f"of a norm-{total:.2e} field; the state is not resolved at degree {K}"

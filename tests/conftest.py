@@ -27,7 +27,7 @@ def hermitian_field(rng, degree, scale=1.0, decay=0.0) -> SpectralField:
 
 
 def warns_if_inadmissible(spec):
-    """Expect the entry points' admissibility warning if spec is impulse; else a no-op context."""
-    if spec.c is None:
+    """Expect the entry points' admissibility warning if spec breaks assumption 1 or 2."""
+    if not (spec.bounded and spec.sinc_compatible):
         return pytest.warns(RuntimeWarning, match="sinc-compatibility")
     return contextlib.nullcontext()

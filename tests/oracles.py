@@ -17,14 +17,16 @@ must match them bit for bit.
 The test-only forms at the end are what only the tests need of the
 package: the weights sqrt(j^2+1) on modes -K..K, a field from a {mode:
 coefficient} mapping, the filter catalog of the shipped experiments, the
-exact linear flow, the velocity flip of time reversal, the full-spectrum
-field operations the energy diagnostics used before they moved onto half
-spectra (project, apply_multiplier, derivative, dealiased_product through
-spectral's one pointwise product, the weighted inner_product), the
-full-spectrum Sobolev and pair norms that spectral computed before its
-half-spectrum Parseval sum, the unfiltered nonlinearity
-a_K(u) u_xx + g_K(u, u_x) formed through dealiased_product, and the step
-kernel's filtered nonlinearity of one field, which calls the kernel itself.
+sampled verdicts on filter conditions 1-2 that cross-check the filters'
+closed forms, the exact linear flow, the velocity flip of time reversal,
+the full-spectrum field operations the energy diagnostics used before
+they moved onto half spectra (project, apply_multiplier, derivative,
+dealiased_product through spectral's one pointwise product, the weighted
+inner_product), the full-spectrum Sobolev and pair norms that spectral
+computed before its half-spectrum Parseval sum, the unfiltered
+nonlinearity a_K(u) u_xx + g_K(u, u_x) formed through dealiased_product,
+and the step kernel's filtered nonlinearity of one field, which calls
+the kernel itself.
 """
 
 import math
@@ -363,6 +365,28 @@ def catalog():
     """The filters exercised by the shipped experiments."""
     return (filters.impulse(), filters.hairer_lubich(), filters.grimm_hochbruck(),
             filters.sinc_c(2.0), filters.sinc_c(3.0))
+
+
+def sampled_assumptions_1_and_2(spec) -> tuple[bool, bool]:
+    """Boundedness and sinc compatibility of spec, sampled on filters.default_xi_grid() to 1e-12.
+
+    The cross-check of FilterSpec.bounded and FilterSpec.sinc_compatible.
+    """
+    xi = filters.default_xi_grid()
+    ph = np.asarray(filters.phi(spec, xi))
+    ps = np.asarray(filters.psi1(spec, xi))
+    tol = 1e-12
+    # c0*xi^2 may overflow to inf, and an infinite c0 times xi = 0 is nan, which fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = spec.c0 * xi * xi
+    ok1 = bool(
+        np.all(np.abs(ph) <= 1.0 + tol)
+        and np.all(np.abs(1.0 - ph) <= quad + tol)
+        and np.all(np.abs(ps) <= 1.0 + tol)
+        and np.all(np.abs(1.0 - ps) <= quad + tol)
+    )
+    ok2 = bool(np.max(np.abs(ps - np.asarray(filters.sinc(xi)) * ph)) <= tol)
+    return ok1, ok2
 
 
 def linear_propagator(state: StatePair, t: float) -> StatePair:

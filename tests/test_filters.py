@@ -159,9 +159,23 @@ class TestCheckAssumptions:
         assert report.worst_xi in grid
 
     def test_parameter_validation(self):
-        for delta, a0 in ((0.0, 1.0), (1.0, 1.0), (0.5, -1.0)):
-            with pytest.raises(ConfigurationError):
-                check_assumptions(sinc_c(2.0), delta=delta, a0=a0)
+        # one range check of (delta, A0): check_assumptions and min_c_for
+        # raise the same message, and scalar_inequality_check the same for delta
+        nan, inf, grid = float("nan"), float("inf"), np.array([1.0])
+        bad = [*((d, 1.0) for d in (0.0, 1.0, -0.1, nan)), *((0.5, a) for a in (-1.0, nan, inf))]
+        for delta, a0 in bad:
+            calls = [lambda: check_assumptions(sinc_c(2.0), delta=delta, a0=a0),
+                     lambda: min_c_for(a0, delta)]
+            if a0 == 1.0:
+                calls.append(lambda: scalar_inequality_check(sinc_c(2.0), delta, grid, grid))
+            messages = set()
+            for call in calls:
+                with pytest.raises(ConfigurationError) as info:
+                    call()
+                messages.add(str(info.value))
+            expected = (f"delta must lie in (0, 1), got {delta}" if a0 == 1.0
+                        else f"A0 must be finite and >= 0, got {a0}")
+            assert messages == {expected}, (delta, a0)
 
     def test_quadratic_closeness_for_sinc_c(self):
         # |1 - phi(xi)| <= max(1, (c^2+1)/6) xi^2 for xi <= 3

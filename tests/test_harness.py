@@ -321,6 +321,15 @@ class TestCli:
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_filter_check_prints_a_sufficient_c(self, capsys):
+        # sinc:1.92 meets all three conditions below the paper's sufficient
+        # c = sqrt(13/0.85)/2, so that c is no smallest admissible one
+        code = cli_main(["filter-check", "--filter", "sinc:1.92", "--A0", "13", "--delta", "0.15"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL" not in "".join(lines)
+        assert lines[-1] == "  sufficient c = sqrt(A0/(1-delta))/2:    1.95538"
+
     @pytest.mark.parametrize("classical,member,c", [("hl", "sinc:0", 0), ("gh", "sinc:1", 1)])
     def test_filter_check_of_classical_filter_is_its_members(self, capsys, classical, member, c):
         # one filter under two labels: the same c and the same verdicts
@@ -415,7 +424,7 @@ class TestCli:
         assert not out.exists()
 
     def test_reference_defaults_are_the_dataclass_defaults(self):
-        assert cli._ref_cfg_from(cli._ReadConfig({})) == ReferenceConfig()
+        assert cli._ref_cfg_from({}) == ReferenceConfig()
 
     def test_reference_step_count_rejected(self, tmp_path, capsys):
         # 8 steps at the finest tau, refined 1e11-fold and halved

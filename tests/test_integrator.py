@@ -38,6 +38,7 @@ from oracles import (
     nonlinear_term,
     omega_weights,
     project,
+    sampled_assumptions_1_and_2,
     step_three_stage,
     unpremultiplied_step,
 )
@@ -94,20 +95,25 @@ class TestConfig:
             evolve(StatePair(COS_X, SpectralField.zeros(1)), model_problem(1.0), cfg, 2)
 
     def test_warning_is_the_sampled_verdict_on_assumptions_1_and_2(self):
-        # the entry points warn in closed form, for impulse only; sampling
-        # both assumptions on filters.default_xi_grid() stays the cross-check
+        # the filter decides assumptions 1-2 in closed form, and the report
+        # and the entry points' warning read its verdicts; sampling both on
+        # filters.default_xi_grid() is the cross-check.  c0 overflows past
+        # c = 1.34e154, which breaks assumption 1
         rng = np.random.default_rng(11)
-        cs = [0.0, 1e-3, 0.5, 1.0, 1.2, 2.0, 3.0, 100.0, 1e4, *rng.uniform(0.0, 50.0, 20)]
+        cs = [0.0, 1e-3, 0.5, 1.0, 1.2, 2.0, 3.0, 100.0, 1e4, *rng.uniform(0.0, 50.0, 20),
+              1.34e154, 1.35e154, 1e200]
         specs = [*catalog(), *(sinc_c(c) for c in cs)]
         for spec in specs:
+            sampled = sampled_assumptions_1_and_2(spec)
+            assert (spec.bounded, spec.sinc_compatible) == sampled, spec.label
             report = check_assumptions(spec, delta=0.5, a0=0.0)
+            assert (report.assumption1_ok, report.assumption2_ok) == sampled, spec.label
             for tau, K in [(0.1, 1), (1e-3, 16), (0.25, 64), (1.0, 128), (0.5, 512)]:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     integrator._warn_if_inadmissible(IntegratorConfig(tau, K, spec))
                 warned = any("sinc-compatibility" in str(w.message) for w in caught)
-                assert warned == (spec.c is None), (spec.label, tau, K)
-                assert warned != (report.assumption1_ok and report.assumption2_ok)
+                assert warned != all(sampled), (spec.label, tau, K)
 
     @pytest.mark.parametrize("run", [
         lambda state, p, cfg: evolve(state, p, cfg, 1),
