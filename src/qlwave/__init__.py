@@ -31,7 +31,6 @@ from .filters import (
     parse_filter,
     phi,
     psi1,
-    scalar_inequality_check,
     sinc,
     sinc_c,
 )

@@ -79,7 +79,7 @@ def _read(cfg, key: str, parse, default=None):
         raise QlwaveError(f"missing required config key {key!r}")
     try:
         return parse(text)
-    except ValueError as exc:
+    except (ValueError, ConfigurationError) as exc:
         raise QlwaveError(f"bad config value {key} = {text!r}: {exc}") from None
 
 
@@ -110,7 +110,6 @@ def _ref_cfg_from(cfg) -> ReferenceConfig:
 
 
 def _out_path(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
 
 
@@ -197,6 +196,8 @@ def cmd_filter_check(args) -> int:
         f"  damping A0*sin^2(xi/2)*phi^2 <= 1-delta: {'pass' if report.assumption3_ok else 'FAIL'}"
         f"  (margin {report.worst_margin:.6g} at xi={report.worst_xi:.6g})"
     )
+    print(f"  scalar stability inequality (all A):    {'pass' if report.scalar_ok else 'FAIL'}"
+          f"  (margin {report.scalar_margin:.6g})")
     print(f"  sufficient c = sqrt(A0/(1-delta))/2:    {flt.min_c_for(args.A0, args.delta):.6g}")
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 

@@ -10,11 +10,18 @@ strong nonlinearities.  Admissibility is three conditions:
 
   1. boundedness:        |phi| <= 1, |1-phi(xi)| <= c0*xi^2 (same for psi1),
   2. sinc compatibility: psi1(xi) = sinc(xi)*phi(xi),
-  3. damping:            A0*sin(xi/2)^2*phi(xi)^2 <= 1-delta.
+  3. damping:            A0*sin(xi/2)^2*phi(xi)^2 <= 1-delta,
+
+and the energy estimate needs the scalar stability inequality
+
+  A*cos(xi)*phi^2 - A^2*sin(xi)^2*phi^4/4 >= -1 + delta/2
+  for every A in [-1 + delta/2, A0 + delta/2].
 
 Conditions 1-2 depend on the filter alone and are decided in closed form,
-by FilterSpec.bounded and FilterSpec.sinc_compatible; only the damping
-condition, which depends on (delta, A0), is sampled.
+by FilterSpec.bounded and FilterSpec.sinc_compatible.  check_assumptions
+certifies a filter for (delta, A0): it samples phi once on one xi grid
+for both the damping condition and the inequality, which is concave in A
+and so takes A at the two ends of its interval alone.
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ def sinc(xi):
     """Unnormalized sinc sin(xi)/xi, stable near zero."""
     x = np.asarray(xi, dtype=float)
     small = np.abs(x) < _SINC_TAYLOR_CUTOFF
-    x2 = x * x
+    # the polynomial sees only its own arguments, so a large x cannot overflow in it
+    xs = np.where(small, x, 0.0)
+    x2 = xs * xs
     taylor = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
     safe = np.where(small, 1.0, x)
     direct = np.sin(safe) / safe
@@ -147,10 +156,12 @@ def default_xi_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Verdicts for the three filter conditions.
+    """Verdicts for the three filter conditions and the scalar stability inequality.
 
     ``worst_margin``/``worst_xi`` record the tightest slack of the damping
-    condition 1-delta - A0*sin(xi/2)^2*phi(xi)^2 over the grid.
+    condition 1-delta - A0*sin(xi/2)^2*phi(xi)^2 over the grid, and
+    ``scalar_margin`` the least slack of the scalar inequality over the
+    grid and A in [-1 + delta/2, A0 + delta/2].
     """
 
     assumption1_ok: bool
@@ -158,70 +169,40 @@ class AdmissibilityReport:
     assumption3_ok: bool
     worst_margin: float
     worst_xi: float
+    scalar_ok: bool
+    scalar_margin: float
 
     @property
     def all_ok(self) -> bool:
-        return self.assumption1_ok and self.assumption2_ok and self.assumption3_ok
+        return (self.assumption1_ok and self.assumption2_ok and self.assumption3_ok
+                and self.scalar_ok)
 
 
 def check_assumptions(spec: FilterSpec, delta: float, a0: float) -> AdmissibilityReport:
-    """Conditions 1-2 from spec's closed forms; the damping condition sampled on default_xi_grid().
+    """Conditions 1-2 from spec's closed forms; damping and scalar inequality on default_xi_grid().
 
-    The damping condition is universally quantified in xi; its verdict is a
-    desk-scale certification on the sampled grid, not a proof.
+    Both sampled checks are universally quantified in xi; their verdicts are
+    a desk-scale certification on the grid, not a proof.  The inequality is
+    a concave parabola in A, so its minimum over the A interval is at one of
+    the two ends, and those two values of A are exact.
     """
     _require_margins(delta, a0)
     xi = default_xi_grid()
-    slack = (1.0 - delta) - a0 * np.sin(0.5 * xi) ** 2 * np.asarray(phi(spec, xi)) ** 2
+    ph2 = np.asarray(phi(spec, xi)) ** 2
+    slack = (1.0 - delta) - a0 * np.sin(0.5 * xi) ** 2 * ph2
     i = int(np.argmin(slack))
+    # -1 + delta/2 is both the lower end of A and the bound, so A at that end
+    # and xi = 0 reads a slack of exactly 0, the inequality's tight point
+    low = -1.0 + 0.5 * delta
+    a = np.array([[low], [a0 + 0.5 * delta]])
+    lhs = a * (np.cos(xi) * ph2) - 0.25 * (a * a) * (np.sin(xi) ** 2 * ph2 * ph2)
+    scalar = float(np.min(lhs - low))
     return AdmissibilityReport(
         assumption1_ok=spec.bounded,
         assumption2_ok=spec.sinc_compatible,
         assumption3_ok=bool(slack[i] >= 0.0),
         worst_margin=float(slack[i]),
         worst_xi=float(xi[i]),
-    )
-
-
-@dataclass(frozen=True)
-class ScalarInequalityReport:
-    """Minimum slack of A*cos(xi)*phi^2 - A^2*sin(xi)^2*phi^4/4 >= -1 + delta/2."""
-
-    min_margin: float
-    worst_A: float
-    worst_xi: float
-
-    @property
-    def certified(self) -> bool:
-        return self.min_margin >= 0.0
-
-
-def scalar_inequality_check(
-    spec: FilterSpec,
-    delta: float,
-    a_grid: np.ndarray,
-    xi_grid: np.ndarray,
-) -> ScalarInequalityReport:
-    """Sample the scalar stability inequality over an (A, xi) grid.
-
-    The amplitude grid is expected to lie in [-1 + delta/2, A0 + delta/2];
-    the inequality is a parabola in A, so certifying the two boundary
-    values certifies the whole interval for each xi.
-    """
-    _require_margins(delta)
-    a = np.asarray(a_grid, dtype=float)
-    xi = np.asarray(xi_grid, dtype=float)
-    if a.size == 0 or xi.size == 0:
-        raise ConfigurationError("A and xi grids must be non-empty")
-    ph2 = np.asarray(phi(spec, xi)) ** 2
-    lhs = (
-        a[:, None] * (np.cos(xi) * ph2)[None, :]
-        - 0.25 * (a * a)[:, None] * (np.sin(xi) ** 2 * ph2 * ph2)[None, :]
-    )
-    margin = lhs - (-1.0 + 0.5 * delta)
-    ia, ix = np.unravel_index(int(np.argmin(margin)), margin.shape)
-    return ScalarInequalityReport(
-        min_margin=float(margin[ia, ix]),
-        worst_A=float(a[ia]),
-        worst_xi=float(xi[ix]),
+        scalar_ok=bool(scalar >= 0.0),
+        scalar_margin=scalar,
     )

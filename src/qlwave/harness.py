@@ -159,13 +159,10 @@ def run_convergence_space(plan: ExperimentPlan, K_ref: int) -> list[ConvergenceR
 
 @dataclass(frozen=True)
 class OrderEstimate:
-    """Least-squares slope of log(err) vs log(x) with fit diagnostics."""
+    """Least-squares slope of log(err) vs log(x) and the fit's R^2."""
 
     slope: float
-    intercept: float
     r_squared: float
-    n_points: int
-    span: float
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> OrderEstimate:
@@ -175,13 +172,7 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> OrderEstimate:
     ss_res = float(np.sum((ly - fit) ** 2))
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return OrderEstimate(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r2,
-        n_points=int(x.size),
-        span=float(np.max(x) / np.min(x)),
-    )
+    return OrderEstimate(slope=float(slope), r_squared=r2)
 
 
 # an order fit needs this many usable rows, spanning at least this factor

@@ -18,7 +18,8 @@ The test-only forms at the end are what only the tests need of the
 package: the weights sqrt(j^2+1) on modes -K..K, a field from a {mode:
 coefficient} mapping, the filter catalog of the shipped experiments, the
 sampled verdicts on filter conditions 1-2 that cross-check the filters'
-closed forms, the exact linear flow, the velocity flip of time reversal,
+closed forms, the scalar stability inequality's least slack over a dense
+grid of A, the exact linear flow, the velocity flip of time reversal,
 the full-spectrum field operations the energy diagnostics used before
 they moved onto half spectra (project, apply_multiplier, derivative,
 dealiased_product through spectral's one pointwise product, the weighted
@@ -387,6 +388,23 @@ def sampled_assumptions_1_and_2(spec) -> tuple[bool, bool]:
     )
     ok2 = bool(np.max(np.abs(ps - np.asarray(filters.sinc(xi)) * ph)) <= tol)
     return ok1, ok2
+
+
+def dense_a_scalar_margin(spec, delta: float, a0: float, n_a: int) -> float:
+    """Least slack of the scalar stability inequality on n_a values of A.
+
+    A runs over n_a equispaced points of [-1 + delta/2, A0 + delta/2], one
+    at a time, and xi over filters.default_xi_grid(): the dense-A reference
+    for the two ends of A that check_assumptions takes.
+    """
+    xi = filters.default_xi_grid()
+    ph2 = np.asarray(filters.phi(spec, xi)) ** 2
+    low = -1.0 + 0.5 * delta
+    margin = math.inf
+    for a in np.linspace(low, a0 + 0.5 * delta, n_a):
+        lhs = a * np.cos(xi) * ph2 - 0.25 * a * a * np.sin(xi) ** 2 * ph2 * ph2
+        margin = min(margin, float(np.min(lhs)) - low)
+    return margin
 
 
 def linear_propagator(state: StatePair, t: float) -> StatePair:

@@ -23,7 +23,6 @@ from qlwave.filters import (
     hairer_lubich,
     impulse,
     min_c_for,
-    scalar_inequality_check,
     sinc_c,
 )
 from qlwave.harness import (
@@ -230,16 +229,16 @@ def test_criterion_08_positivity():
 
 
 def test_criterion_09_scalar_inequality():
+    # A at the two ends of [-1 + delta/2, A0 + delta/2] (exact: the inequality
+    # is concave in A) and xi on check_assumptions' grid, 0 and 1e-6..1e3
     delta = 0.15
-    a_grid = np.linspace(-1.0 + delta / 2, 13.0 + delta / 2, 1000)
-    xi_grid = np.linspace(0.0, 40.0, 1000)
-    rep = scalar_inequality_check(sinc_c(2.0), delta, a_grid, xi_grid)
-    assert rep.certified, rep
-    bad = scalar_inequality_check(impulse(), delta, np.array([13.0]), np.array([np.pi]))
-    assert not bad.certified
-    assert bad.min_margin < -11.0
-    report(9, f"sinc:2 certified on the 1000x1000 grid (margin {rep.min_margin:.3f}); "
-              f"impulse violated at xi=pi, A=13 (margin {bad.min_margin:.2f})")
+    rep = check_assumptions(sinc_c(2.0), delta=delta, a0=13.0)
+    assert rep.scalar_ok, rep
+    bad = check_assumptions(impulse(), delta=delta, a0=13.0)
+    assert not bad.scalar_ok
+    assert bad.scalar_margin < -11.0
+    report(9, f"sinc:2 certified for every A up to A0 + delta/2 (margin {rep.scalar_margin:.3f}); "
+              f"impulse violated (margin {bad.scalar_margin:.2f})")
 
 
 def test_criterion_10_admissibility():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,10 +16,11 @@ from qlwave.filters import (
     parse_filter,
     phi,
     psi1,
-    scalar_inequality_check,
     sinc,
     sinc_c,
 )
+
+from oracles import dense_a_scalar_margin
 
 ADMISSIBLE = (hairer_lubich(), grimm_hochbruck(), sinc_c(2.0), sinc_c(3.0))
 
@@ -35,6 +38,18 @@ class TestSinc:
         x = np.concatenate([np.geomspace(1e-9, 1e-2, 200), np.linspace(1e-2, 50, 500)])
         ref = np.sinc(x / np.pi)
         assert np.allclose(sinc(x), ref, rtol=1e-13, atol=1e-15)
+
+    def test_each_branch_sees_only_its_arguments(self):
+        # the Taylor polynomial of a huge argument overflowed and warned,
+        # though the value came from the direct branch
+        x = np.array([0.0, 1e-3, 1.0, 1e60, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = sinc(x)
+        x2 = 1e-3 * 1e-3
+        taylor = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
+        direct = [np.sin(v) / v for v in x[2:]]
+        assert out.tobytes() == np.array([1.0, taylor, *direct]).tobytes()
 
     def test_taylor_branch_continuity(self):
         # no jump across the evaluation-branch switch
@@ -160,14 +175,12 @@ class TestCheckAssumptions:
 
     def test_parameter_validation(self):
         # one range check of (delta, A0): check_assumptions and min_c_for
-        # raise the same message, and scalar_inequality_check the same for delta
-        nan, inf, grid = float("nan"), float("inf"), np.array([1.0])
+        # raise the same message
+        nan, inf = float("nan"), float("inf")
         bad = [*((d, 1.0) for d in (0.0, 1.0, -0.1, nan)), *((0.5, a) for a in (-1.0, nan, inf))]
         for delta, a0 in bad:
             calls = [lambda: check_assumptions(sinc_c(2.0), delta=delta, a0=a0),
                      lambda: min_c_for(a0, delta)]
-            if a0 == 1.0:
-                calls.append(lambda: scalar_inequality_check(sinc_c(2.0), delta, grid, grid))
             messages = set()
             for call in calls:
                 with pytest.raises(ConfigurationError) as info:
@@ -217,28 +230,45 @@ class TestMinC:
 
 
 class TestScalarInequality:
-    def test_zero_amplitude_trivial(self):
-        r = scalar_inequality_check(sinc_c(2.0), 0.3, np.array([0.0]), np.linspace(0, 10, 100))
-        assert np.isclose(r.min_margin, 1.0 - 0.15)
+    """A*cos(xi)*phi^2 - A^2*sin(xi)^2*phi^4/4 >= -1 + delta/2 for A in [-1 + delta/2, A0 + delta/2]."""
 
-    def test_impulse_violation_at_pi(self):
-        r = scalar_inequality_check(impulse(), 0.15, np.array([13.0]), np.array([np.pi]))
-        assert np.isclose(r.min_margin, -13.0 + 1.0 - 0.075)
-        assert not r.certified
+    def test_zero_amplitude_tight_at_zero(self):
+        # at xi = 0 the slack is A - (-1 + delta/2), which A's lower end makes 0
+        r = check_assumptions(sinc_c(2.0), delta=0.3, a0=0.0)
+        assert r.scalar_margin == 0.0 and r.scalar_ok
+
+    def test_unfiltered_margin_closed_form(self):
+        # phi = 1: the minimum over xi is -1 - A^2/4 for A >= 2 (at cos(xi) = -2/A),
+        # so the margin is -A_hi^2/4 - delta/2, to the grid's resolution
+        delta = 0.15
+        for spec in (impulse(), hairer_lubich()):
+            for a0 in (2.0, 13.0, 100.0):
+                a_hi = a0 + 0.5 * delta
+                r = check_assumptions(spec, delta=delta, a0=a0)
+                exact = -0.25 * a_hi * a_hi - 0.5 * delta
+                assert r.scalar_margin == pytest.approx(exact, rel=1e-6), (spec, a0)
+                assert not r.scalar_ok and not r.all_ok
 
     def test_sinc2_certified_on_dense_grid(self):
-        delta = 0.15
-        a = np.linspace(-1 + delta / 2, 13 + delta / 2, 1000)
-        xi = np.linspace(0.0, 40.0, 1000)
-        r = scalar_inequality_check(sinc_c(2.0), delta, a, xi)
-        assert r.certified
+        r = check_assumptions(sinc_c(2.0), delta=0.15, a0=13.0)
+        assert r.scalar_ok and r.scalar_margin == 0.0 and r.all_ok
 
     def test_parabola_interior_dominated_by_endpoints(self):
-        # concave in A: the interior margin never dips below both endpoints
-        delta = 0.2
-        a = np.linspace(-1 + delta / 2, 5 + delta / 2, 400)
-        xi = np.linspace(0.0, 25.0, 400)
-        spec = sinc_c(2.0)
-        full = scalar_inequality_check(spec, delta, a, xi)
-        ends = scalar_inequality_check(spec, delta, a[[0, -1]], xi)
-        assert full.min_margin >= ends.min_margin - 1e-12
+        # concave in A: the two end values give the minimum over a dense A grid
+        delta, a0 = 0.2, 5.0
+        for spec in (sinc_c(2.0), sinc_c(1.2), grimm_hochbruck(), impulse()):
+            r = check_assumptions(spec, delta=delta, a0=a0)
+            dense = dense_a_scalar_margin(spec, delta, a0, 400)
+            assert abs(r.scalar_margin - dense) <= 1e-12, (spec, r.scalar_margin, dense)
+
+    def test_damping_implies_the_inequality(self):
+        # 576 (c, A0, delta) cases: no filter that meets conditions 1-3 fails
+        # the inequality, so adding it to all_ok changes no verdict
+        cs = np.concatenate(([0.0], np.geomspace(1e-3, 50.0, 11)))
+        a0s = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 11)))
+        for c in cs:
+            for a0 in a0s:
+                for delta in (0.01, 0.15, 0.5, 0.9):
+                    r = check_assumptions(sinc_c(c), delta=delta, a0=a0)
+                    conditions = r.assumption1_ok and r.assumption2_ok and r.assumption3_ok
+                    assert r.scalar_ok or not conditions, (c, a0, delta, r)

@@ -314,12 +314,15 @@ class TestCli:
     def test_filter_check_pass(self, capsys):
         code = cli_main(["filter-check", "--filter", "sinc:2", "--A0", "13", "--delta", "0.15"])
         assert code == 0
-        assert "pass" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        # the scalar inequality is tight at xi = 0, so a certified filter reads 0
+        assert lines[-2] == "  scalar stability inequality (all A):    pass  (margin 0)"
 
     def test_filter_check_fail(self, capsys):
         code = cli_main(["filter-check", "--filter", "hl", "--A0", "13", "--delta", "0.15"])
         assert code == 2
-        assert "FAIL" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("  scalar stability inequality (all A):    FAIL  (margin -")
 
     def test_filter_check_prints_a_sufficient_c(self, capsys):
         # sinc:1.92 meets all three conditions below the paper's sufficient
@@ -413,7 +416,13 @@ class TestCli:
         (["conv-time", "-o", "sweep.K=8.0", "-o", "sweep.tau=0.5 0.25", "-o", "time.T=1"],
          "sweep.K", "8.0"),
         (["simulate", "-o", "grid.K=8", "-o", "time.tau=x", "-o", "time.T=1"], "time.tau", "x"),
-    ], ids=["grid.K", "energy.probes", "output.every", "sweep.K", "time.tau"])
+        # a filter the catalog rejects names its key too
+        (["simulate", "-o", "grid.K=8", "-o", "time.tau=0.25", "-o", "time.T=1",
+          "-o", "filter.kind=sinc:-1"], "filter.kind", "sinc:-1"),
+        (["conv-time", "-o", "sweep.K=8", "-o", "sweep.tau=0.5 0.25 0.125", "-o", "time.T=1",
+          "-o", "sweep.filters=hl,foo"], "sweep.filters", "hl,foo"),
+    ], ids=["grid.K", "energy.probes", "output.every", "sweep.K", "time.tau", "filter.kind",
+            "sweep.filters"])
     def test_malformed_number_names_its_key(self, tmp_path, capsys, argv, key, value):
         out = tmp_path / "out"
         code = cli_main([*argv, "--out", str(out)])
@@ -631,7 +640,8 @@ class TestCli:
                          "-o", "filter.c=3", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: unknown filter 'sinc' (expected impulse|hl|gh|sinc:<c>)\n")
+            "error: bad config value filter.kind = 'sinc': "
+            "unknown filter 'sinc' (expected impulse|hl|gh|sinc:<c>)\n")
         assert not out.exists()
 
     def test_override_flag(self, tmp_path):
