@@ -38,7 +38,6 @@ from .problem import (
     EllipticityReport,
     ProblemSpec,
     ellipticity_report,
-    linear_problem,
     model_problem,
     power_law_initial_data,
 )

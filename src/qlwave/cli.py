@@ -109,13 +109,9 @@ def _ref_cfg_from(cfg) -> ReferenceConfig:
     )
 
 
-def _out_path(args, name: str) -> str:
-    return os.path.join(args.out, name)
-
-
 def _write_sweep(args, rows: list[ConvergenceRow], name: str, spatial: bool = False) -> int:
     """Write a sweep's CSV to the output directory and print its order table."""
-    path = _out_path(args, name)
+    path = os.path.join(args.out, name)
     write_rows_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")
     held, fixed = ("tau", "tau={:<8g}") if spatial else ("K", "K={:<5d}")
@@ -152,7 +148,7 @@ def cmd_simulate(args) -> int:
 
     final = evolve(state, problem, icfg, n_steps, observer=observer, every=every)
     # evolve rejects every < 1 before it runs, and a failed run makes no directory
-    path = _out_path(args, "trajectory.csv")
+    path = os.path.join(args.out, "trajectory.csv")
     _write_csv(path, ("n", "t", "pair_norm_h2h1"), ((n, _fmt(t), _fmt(x)) for n, t, x in rows))
     print(
         f"simulate: {problem.name} kappa={problem.kappa:g} K={K} tau={tau:g} "
@@ -218,7 +214,7 @@ def cmd_energy_check(args) -> int:
         print(exc, file=sys.stderr)
         return EXIT_CHECK_FAILED
     worst = min(margin for _, margin in probes)
-    path = _out_path(args, "energy_margins.csv")
+    path = os.path.join(args.out, "energy_margins.csv")
     _write_csv(path, ("probe", "margin"), ((label, _fmt(margin)) for label, margin in probes))
 
     rng = np.random.default_rng(7)
@@ -262,7 +258,7 @@ def cmd_local_error(args) -> int:
     rows = [ConvergenceRow(spec.label, K, tau, local_error(problem, state, tau, spec, ref_cfg))
             for tau in sorted(taus, reverse=True)]
     est = estimate_order(rows)
-    path = _out_path(args, "local_error.csv")
+    path = os.path.join(args.out, "local_error.csv")
     _write_csv(path, ("tau", "err_h2h1"), ((_fmt(r.tau), _fmt(r.err)) for r in rows))
     print(f"local-error: K={K} filter={spec.label} kappa={problem.kappa:g}")
     print(f"  one-step order {est.slope:.3f} (R^2={est.r_squared:.5f})")

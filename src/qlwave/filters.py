@@ -36,6 +36,9 @@ from .exceptions import ConfigurationError
 # Below this threshold sinc is evaluated by its degree-7 Taylor polynomial,
 # which keeps the relative error <= 1e-16 and gives sinc(0) = 1 exactly.
 _SINC_TAYLOR_CUTOFF = 1e-2
+# phi caps c*xi at this bound, so a finite c never overflows it to inf,
+# whose sine is nan
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 
 def sinc(xi):
@@ -118,9 +121,17 @@ def parse_filter(text: str) -> FilterSpec:
 
 
 def phi(spec: FilterSpec, xi):
-    """Position filter phi evaluated at xi >= 0: 1 for impulse, else sinc(c*xi)."""
+    """Position filter phi evaluated at xi >= 0: 1 for impulse, else sinc(c*xi).
+
+    xi is capped so that c*xi stays at most about 9e307: phi is finite for
+    every finite c and bitwise sinc(c*xi) below the cap.
+    """
     x = np.asarray(xi, dtype=float)
-    out = np.ones_like(x) if spec.c is None else np.asarray(sinc(spec.c * x))
+    if spec.c is None:
+        out = np.ones_like(x)
+    else:
+        # below c = 0.5 the cap is the largest float, so it never binds
+        out = np.asarray(sinc(spec.c * np.minimum(x, _HALF_MAX / max(spec.c, 0.5))))
     return out if out.ndim else float(out)
 
 

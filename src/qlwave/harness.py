@@ -16,7 +16,7 @@ from . import filters as flt
 from .exceptions import ConfigurationError, DivergenceError, EstimationError, NormGuardError
 from .integrator import IntegratorConfig, StatePair, _evolve_stack, _integer, _n_steps
 from .problem import ProblemSpec, power_law_initial_data
-from .reference import ReferenceConfig, error_h2h1, reference_solution, _fit_degree
+from .reference import ReferenceConfig, error_h2h1, reference_solution
 
 STATUS_OK = "ok"
 STATUS_DIVERGED = "diverged"
@@ -93,14 +93,14 @@ def _run_cell(spec: flt.FilterSpec, K: int, tau: float, outcome,
               ref: StatePair) -> ConvergenceRow:
     """The sweep row of one cell from its run's outcome (see _run_filters).
 
-    A finished run is zero-extended to the reference degree and measured
-    in the H^2 x H^1 norm.
+    A finished run is measured against ref by error_h2h1, which zero-extends
+    it to the reference degree.
     """
     if isinstance(outcome, NormGuardError):
         return ConvergenceRow(spec.label, K, tau, math.nan, STATUS_GUARD)
     if isinstance(outcome, DivergenceError):
         return ConvergenceRow(spec.label, K, tau, math.nan, STATUS_DIVERGED)
-    err = error_h2h1(_fit_degree(outcome, ref.degree), ref)
+    err = error_h2h1(outcome, ref)
     return ConvergenceRow(spec.label, K, tau, err, STATUS_OK)
 
 

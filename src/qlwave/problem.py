@@ -6,6 +6,8 @@ A problem is the equation
 
 on the 2π-periodic circle, described by the coefficient kappa and the
 pointwise-evaluable nonlinearities a and g with a(0) = 0, g(0,0) = 0.
+At kappa = 0 it is the linear Klein-Gordon equation u_tt = u_xx - u, on
+which the integrator is exact; model_problem(0) is that problem.
 """
 
 from __future__ import annotations
@@ -45,7 +47,11 @@ class ProblemSpec:
 
 
 def model_problem(kappa: float) -> ProblemSpec:
-    """The benchmark equation with a(u) = u and g(u, p) = p^2 + kappa*u^3."""
+    """The benchmark equation with a(u) = u and g(u, p) = p^2 + kappa*u^3.
+
+    At kappa = 0 both nonlinear terms drop out: model_problem(0) is the
+    linear Klein-Gordon problem, and the integrator takes its linear path.
+    """
     k = float(kappa)
 
     def a(u):
@@ -55,15 +61,6 @@ def model_problem(kappa: float) -> ProblemSpec:
         return p * p + k * u * u * u
 
     return ProblemSpec(kappa=k, a=a, g=g, name="model")
-
-
-def linear_problem() -> ProblemSpec:
-    """Pure Klein-Gordon problem (kappa = 0); the integrator is exact on it."""
-
-    def a(u):
-        return u
-
-    return ProblemSpec(kappa=0.0, a=a, g=None, name="linear")
 
 
 def power_law_initial_data(

@@ -35,7 +35,7 @@ from qlwave.harness import (
     run_convergence_time,
 )
 from qlwave.integrator import IntegratorConfig, StatePair, evolve, step
-from qlwave.problem import ProblemSpec, linear_problem, model_problem, power_law_initial_data
+from qlwave.problem import ProblemSpec, model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, local_error
 from qlwave.spectral import SpectralField
 from conftest import hermitian_field, warns_if_inadmissible
@@ -90,7 +90,7 @@ def test_criterion_01_linear_exactness():
         cfg = IntegratorConfig(tau=tau, K=K, filter=spec)
         t0 = time.perf_counter()
         with warns_if_inadmissible(spec):
-            final = evolve(state0, linear_problem(), cfg, n)
+            final = evolve(state0, model_problem(0.0), cfg, n)
         elapsed = time.perf_counter() - t0
         rel = error_h2h1(final, exact) / scale
         assert rel <= 1e-10, (spec.label, rel)

@@ -206,6 +206,24 @@ class TestCheckAssumptions:
             vals = np.sin(0.5 * xi) ** 2 * np.asarray(phi(sinc_c(c), xi)) ** 2
             assert np.max(vals) <= 1.0 / (4.0 * c * c) + 1e-14
 
+    @pytest.mark.parametrize("c", [1e306, 1e308, np.finfo(float).max])
+    def test_phi_finite_for_every_finite_c(self, c):
+        # c*xi overflowed to inf, and sinc(inf) = sin(inf)/inf is nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = phi(sinc_c(c), default_xi_grid())
+        assert np.all(np.isfinite(out))
+
+    def test_huge_c_margins_finite(self):
+        # damping and the scalar inequality hold (phi is tiny past xi = 0);
+        # only boundedness fails, since c0 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = check_assumptions(sinc_c(1e306), delta=0.5, a0=1.0)
+        assert np.isfinite(report.worst_margin) and np.isfinite(report.scalar_margin)
+        assert not report.assumption1_ok
+        assert not report.all_ok
+
 
 class TestMinC:
     def test_zero_amplitude(self):

@@ -28,7 +28,7 @@ from qlwave.harness import (
     _fmt,
 )
 from qlwave.integrator import IntegratorConfig, StatePair, evolve
-from qlwave.problem import linear_problem, model_problem, power_law_initial_data
+from qlwave.problem import ProblemSpec, model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, local_error, reference_solution
 from qlwave.spectral import SpectralField, embed
 
@@ -50,7 +50,7 @@ SHIPPED_CONFIGS = {
 
 def linear_plan(**kw):
     defaults = dict(
-        problem=linear_problem(),
+        problem=model_problem(0.0),
         K_list=[8],
         tau_list=[0.5, 0.25, 0.125],
         T=2.0,
@@ -162,6 +162,31 @@ class TestSweeps:
         rows = run_convergence_time(linear_plan(), ReferenceConfig(refine_factor=4))
         assert len(rows) == 3
         assert all(r.status == "ok" and r.err <= 1e-11 for r in rows)
+
+    def test_zero_kappa_is_the_linear_problem(self):
+        # model_problem(0) keeps its g, but kappa = 0 takes the linear path:
+        # runs, references and sweep rows equal the Klein-Gordon spec's (g =
+        # None) bit for bit
+        klein_gordon = ProblemSpec(kappa=0.0, a=lambda u: u)
+        problems = (klein_gordon, model_problem(0.0))
+
+        def bits(state):
+            return state.u.coeffs.tobytes() + state.udot.coeffs.tobytes()
+
+        for K in (4, 16, 64):
+            state = StatePair(*power_law_initial_data(K))
+            for spec in (sinc_c(2.0), hairer_lubich(), impulse()):
+                cfg = IntegratorConfig(tau=0.1, K=K, filter=spec)
+                with warns_if_inadmissible(spec):
+                    a, b = (evolve(state, p, cfg, 200) for p in problems)
+                assert bits(a) == bits(b), (K, spec.label)
+            a, b = (reference_solution(p, state, 2.0, ReferenceConfig(refine_factor=4), 0.25)
+                    for p in problems)
+            assert bits(a) == bits(b), K
+        plans = (linear_plan(problem=p, K_list=[4, 16], filters=[sinc_c(2.0), impulse()])
+                 for p in problems)
+        a, b = (run_convergence_time(plan, ReferenceConfig(refine_factor=4)) for plan in plans)
+        assert a == b
 
     def test_rows_sorted_by_key(self):
         rows = run_convergence_time(
@@ -373,7 +398,7 @@ class TestCli:
         # the tabulated observer norm prints the digits of StatePair.norm
         state = StatePair(*power_law_initial_data(8))
         expected = [_fmt(state.norm(1.0))]
-        evolve(state, linear_problem(), IntegratorConfig(tau=0.25, K=8, filter=sinc_c(2.0)), 8,
+        evolve(state, model_problem(0.0), IntegratorConfig(tau=0.25, K=8, filter=sinc_c(2.0)), 8,
                observer=lambda n, t, u, ud: expected.append(
                    _fmt(StatePair(SpectralField(u), SpectralField(ud)).norm(1.0))))
         assert [line.split(",")[2] for line in lines[1:]] == expected

@@ -17,7 +17,7 @@ from qlwave.integrator import (
     evolve,
     step,
 )
-from qlwave.problem import ProblemSpec, linear_problem, model_problem, power_law_initial_data
+from qlwave.problem import ProblemSpec, model_problem, power_law_initial_data
 from qlwave.spectral import (
     SpectralField,
     coeffs_from_samples,
@@ -269,7 +269,7 @@ class TestStep:
     def test_linear_case_equals_propagator(self, rng):
         st = smooth_state(rng, 8)
         cfg = IntegratorConfig(tau=0.3, K=8, filter=hairer_lubich())
-        a = step(st, linear_problem(), cfg)
+        a = step(st, model_problem(0.0), cfg)
         b = linear_propagator(st, 0.3)
         assert np.array_equal(a.u.coeffs, b.u.coeffs)
         assert np.array_equal(a.udot.coeffs, b.udot.coeffs)
@@ -329,7 +329,7 @@ class TestEvolve:
         st = StatePair(u0, ud0)
         cfg = IntegratorConfig(tau=0.05, K=K, filter=grimm_hochbruck())
         n = 200
-        out = evolve(st, linear_problem(), cfg, n)
+        out = evolve(st, model_problem(0.0), cfg, n)
         exact = linear_propagator(st, n * 0.05)
         assert (out - exact).norm(1.0) <= 1e-11 * st.norm(1.0)
 
@@ -393,8 +393,8 @@ class TestEvolve:
     def test_time_reversal_linear(self, rng):
         st = smooth_state(rng, 8)
         cfg = IntegratorConfig(tau=0.1, K=8, filter=hairer_lubich())
-        fwd = evolve(st, linear_problem(), cfg, 200)
-        back = negated_velocity(evolve(negated_velocity(fwd), linear_problem(), cfg, 200))
+        fwd = evolve(st, model_problem(0.0), cfg, 200)
+        back = negated_velocity(evolve(negated_velocity(fwd), model_problem(0.0), cfg, 200))
         assert (back - st).norm(1.0) <= 1e-11
 
     def test_observer_called_each_step(self, rng):
@@ -482,7 +482,7 @@ class TestEvolve:
         # caught by the state check
         huge = StatePair(field_from_dict(8, {8: 5e307}), SpectralField.zeros(8))
         with pytest.raises(DivergenceError) as nonfinite, np.errstate(all="ignore"):
-            evolve(huge, linear_problem(), cfg, 100)
+            evolve(huge, model_problem(0.0), cfg, 100)
         assert type(nonfinite.value) is DivergenceError
         assert str(nonfinite.value) == "non-finite state at step 1 (t=0.2)"
         assert (nonfinite.value.step, nonfinite.value.time) == (1, 0.2)
@@ -491,11 +491,11 @@ class TestEvolve:
         # a finite state whose norm overflows: the guard stops it, since
         # the state check stops only non-finite states
         (StatePair(field_from_dict(8, {8: 1e200}), SpectralField.zeros(8)),
-         linear_problem(), IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0)), NormGuardError,
+         model_problem(0.0), IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0)), NormGuardError,
          "norm guard tripped at step 1 (t=0.2): |state| = inf > 1.000e+06"),
         # test_failure_messages' overflowing rotation at kappa = 0
         (StatePair(field_from_dict(8, {8: 5e307}), SpectralField.zeros(8)),
-         linear_problem(), IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0)),
+         model_problem(0.0), IntegratorConfig(tau=0.2, K=8, filter=sinc_c(2.0)),
          DivergenceError, "non-finite state at step 1 (t=0.2)"),
     ], ids=["norm-guard", "non-finite"])
     def test_step_fails_as_one_step_evolve(self, state, problem, cfg, kind, message):
@@ -507,6 +507,17 @@ class TestEvolve:
             assert type(info.value) is kind
             assert str(info.value) == message
             assert (info.value.step, info.value.time) == (1, cfg.tau)
+
+    def test_huge_c_runs(self):
+        # phi of sinc:1e308 read nan on the modes with c*tau*w past the
+        # largest float, which stopped the run at step 1 as an overflow;
+        # the only warning left is the admissibility one
+        state = StatePair(*power_law_initial_data(8))
+        cfg = IntegratorConfig(tau=0.5, K=8, filter=sinc_c(1e308))
+        with pytest.warns(RuntimeWarning) as caught:
+            out = evolve(state, model_problem(0.01), cfg, 2)
+        assert all("sinc-compatibility" in str(w.message) for w in caught)
+        assert np.all(np.isfinite(out.u.coeffs)) and np.all(np.isfinite(out.udot.coeffs))
 
 
 FILTERS = (impulse(), hairer_lubich(), grimm_hochbruck(), sinc_c(2.0), sinc_c(3.0))
@@ -591,7 +602,7 @@ class TestHalfSpectrumKernel:
 
     @pytest.mark.parametrize("kappa", [0.0, 0.3, 1.0])
     def test_outcomes_exactly_hermitian(self, rng, kappa):
-        problem = model_problem(kappa) if kappa else linear_problem()
+        problem = model_problem(kappa)
         state = smooth_state(rng, 12, scale=0.5)
         cfgs = [IntegratorConfig(tau=0.2, K=12, filter=spec) for spec in FILTERS]
         # the observer's raw arrays, before any SpectralField symmetrizes them
@@ -612,7 +623,7 @@ class TestHalfSpectrumKernel:
     @pytest.mark.parametrize("K", [1, 8, 64, 256])
     def test_guard_norm_matches_full_spectrum_norm(self, K):
         rng = np.random.default_rng(K)
-        engine = integrator._Engine(linear_problem(),
+        engine = integrator._Engine(model_problem(0.0),
                                     [IntegratorConfig(tau=0.1, K=K, filter=impulse())])
         w2 = omega_weights(K) ** 2
         for decay in (0.0, 1.0, 3.0):
@@ -672,7 +683,7 @@ class TestBatchedRuns:
         # guard at different steps while the others go on
         rng = np.random.default_rng(seed)
         state = smooth_state(rng, K, scale=scale, decay=1.0)
-        problem = model_problem(kappa) if kappa else linear_problem()
+        problem = model_problem(kappa)
         cfgs = [IntegratorConfig(tau=tau, K=K, filter=spec) for spec in specs]
         with np.errstate(all="ignore"):
             outcomes = integrator._evolve_stack(state, problem, cfgs, n_steps)
@@ -689,10 +700,10 @@ class TestBatchedRuns:
         cfgs = [IntegratorConfig(tau=0.2, K=8, filter=spec)
                 for spec in (sinc_c(2.0), sinc_c(3.0), grimm_hochbruck())]
         with np.errstate(all="ignore"):
-            outcomes = integrator._evolve_stack(state, linear_problem(), cfgs, 5)
+            outcomes = integrator._evolve_stack(state, model_problem(0.0), cfgs, 5)
         assert [type(o) for o in outcomes] == expected
         for cfg, out in zip(cfgs, outcomes):
-            assert_same_outcome(out, run_alone(state, linear_problem(), cfg, 5))
+            assert_same_outcome(out, run_alone(state, model_problem(0.0), cfg, 5))
 
     def test_overflowing_rows_retire_alone(self):
         # kappa = 1, tau = 1/2, a mode-8 amplitude of 1e35: the nonlinearity

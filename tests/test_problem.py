@@ -6,7 +6,6 @@ from qlwave.exceptions import ConfigurationError
 from qlwave.problem import (
     ProblemSpec,
     ellipticity_report,
-    linear_problem,
     model_problem,
     power_law_initial_data,
 )
@@ -30,7 +29,6 @@ class TestProblemSpec:
     def test_kappa_instances(self):
         assert model_problem(1.0 / 100.0).kappa == 0.01
         assert model_problem(1.0).kappa == 1.0
-        assert linear_problem().kappa == 0.0
 
     def test_nonvanishing_a_rejected(self):
         with pytest.raises(ConfigurationError):

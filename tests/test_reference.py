@@ -4,7 +4,7 @@ import pytest
 from qlwave.exceptions import ConfigurationError, PreconditionError, ReferenceFailure
 from qlwave.filters import grimm_hochbruck, sinc_c
 from qlwave.integrator import IntegratorConfig, StatePair, evolve, step
-from qlwave.problem import linear_problem, model_problem, power_law_initial_data
+from qlwave.problem import model_problem, power_law_initial_data
 from qlwave.reference import ReferenceConfig, error_h2h1, local_error, reference_solution
 from qlwave.spectral import SpectralField
 
@@ -30,9 +30,20 @@ class TestErrorMeasure:
         shifted = StatePair(st.u + bump, st.udot)
         assert np.isclose(error_h2h1(shifted, st), eps * np.sqrt(2.0), rtol=1e-12)
 
-    def test_degree_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            error_h2h1(data_state(8), data_state(16))
+    def test_lower_degree_zero_extended(self, rng):
+        # the modes only the higher degree carries count in full
+        low = StatePair(hermitian_field(rng, 8), hermitian_field(rng, 8))
+        high = StatePair(hermitian_field(rng, 16), hermitian_field(rng, 16))
+
+        def extended(f):
+            c = np.zeros(33, np.complex128)
+            c[8:25] = f.coeffs
+            return SpectralField(c)
+
+        by_hand = StatePair(extended(low.u), extended(low.udot))
+        assert error_h2h1(low, high) == error_h2h1(by_hand, high)
+        assert error_h2h1(high, low) == error_h2h1(high, by_hand)
+        assert error_h2h1(low, by_hand) == 0.0
 
     def test_metric_properties(self, rng):
         a = StatePair(hermitian_field(rng, 6), hermitian_field(rng, 6))
@@ -47,7 +58,7 @@ class TestReferenceSolution:
     def test_linear_case_matches_closed_form(self):
         st = data_state(16)
         ref = reference_solution(
-            linear_problem(), st, T=2.0,
+            model_problem(0.0), st, T=2.0,
             ref_cfg=ReferenceConfig(refine_factor=4), tau_min=0.25,
         )
         exact = linear_propagator(st, 2.0)
@@ -124,7 +135,7 @@ class TestReferenceSolution:
 
 class TestLocalError:
     def test_linear_case_is_roundoff(self):
-        err = local_error(linear_problem(), data_state(64), 0.1, sinc_c(2.0))
+        err = local_error(model_problem(0.0), data_state(64), 0.1, sinc_c(2.0))
         assert err <= 1e-13
 
     def test_third_order_in_tau(self):
